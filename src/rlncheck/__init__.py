@@ -38,7 +38,7 @@ from .pipcore import (
     token_size_bits,
 )
 from .profiles import PRODUCTION, SIM, TEST, Profile, get_profile
-from .sigcrypto import certify, keygen, merkle_commit, merkle_open, merkle_verify, prf, sign, verify, verify_cert
+from .sigcrypto import certify, keygen, prf, sign, verify, verify_cert
 from .sim import (
     Behavior,
     BehaviorKind,

@@ -394,10 +394,8 @@ def main(argv=None) -> int:
     p_sim.add_argument("--mincut", type=int, default=10, help="sweep cuts 1..N")
     p_sim.add_argument("--byzantine", type=int, default=1)
     p_sim.add_argument("--packets", type=int, default=5)
-    p_sim.add_argument("--rounds", type=int, default=0, help="0 = auto")
     p_sim.add_argument("--trials", type=int, default=20, help="seeds per point")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--challenges", type=int, default=1)
     p_sim.add_argument("--out", default="sweep.csv")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -10,7 +10,10 @@ PRF-derived coefficients and assembles the outgoing packet:
 
 Failures never abort a round; each parent gets a verdict and coding
 proceeds over the verified parents (a degraded round is the caller's
-policy decision).  The attest token makes any recorded violation
+policy decision).  ``build_draft`` is the shared tail of every
+emission: it signs a coded vector and builds its test token, for
+``process_round`` and for callers that choose their own coefficients
+and token entries.  The attest token makes any recorded violation
 provable to a third party: ``adjudicate`` re-runs the same pipeline on
 a self-contained misbehavior proof.
 """
@@ -265,6 +268,11 @@ def verify_attest(pk: bytes, packet_bytes: bytes, sig: bytes) -> bool:
 # Node state and the per-round protocol
 
 
+def required_parents(policy: RequiredSetPolicy, parents) -> frozenset:
+    """The parent ids a node codes over: a SPECIFIC policy's members, else all."""
+    return frozenset(policy.members if policy.kind is PolicyKind.SPECIFIC else parents)
+
+
 @dataclass
 class ParentInfo:
     pk: bytes
@@ -282,22 +290,17 @@ class NodeState:
     profile: Profile
     protocol: Protocol = Protocol.PIP
     policy: RequiredSetPolicy = field(default_factory=RequiredSetPolicy.all_parents)
-    per_child_coeffs: bool = False
     params: SourceEpochParams | None = None
     parents: dict = field(default_factory=dict)  # parent_id -> ParentInfo
     buffers: dict = field(default_factory=dict)  # parent_id -> verified Packet
     current_tree: pipcore.MerkleTreeState | None = None
-    received_log: list = field(default_factory=list)  # all verified CodedVectors
-    verdict_log: list = field(default_factory=list)
 
     @property
     def node_id(self) -> bytes:
         return self.identity.node_id
 
     def required_set(self) -> frozenset:
-        if self.policy.kind is PolicyKind.SPECIFIC:
-            return frozenset(self.policy.members)
-        return frozenset(self.parents)
+        return required_parents(self.policy, self.parents)
 
     def register_parent(self, parent_id: bytes, info: "ParentInfo") -> None:
         self.parents[parent_id] = info
@@ -314,9 +317,8 @@ def expected_coefficient(
 ) -> int:
     """The coefficient this node expects its parent to have used."""
     assert state.params is not None
-    child = state.node_id if state.per_child_coeffs else None
     return derive_coefficient(
-        state.seed, grandparent_id, parent_id, child,
+        state.seed, grandparent_id, parent_id, None,
         state.params.epoch_pk_bytes(), state.params.q,
     )
 
@@ -352,14 +354,7 @@ def verify_incoming(state: NodeState, pkt: Packet) -> Violation | None:
     if state.protocol is Protocol.PIP and info.required_set:
         if not isinstance(pkt.test_token, PipTestToken):
             return Violation(ViolationKind.MISSING_ENTRY, sender, "wrong token type")
-        expected = {
-            gp: derive_coefficient(
-                state.seed, gp, sender,
-                state.node_id if state.per_child_coeffs else None,
-                params.epoch_pk_bytes(), params.q,
-            )
-            for gp in info.required_set
-        }
+        expected = {gp: expected_coefficient(state, gp, sender) for gp in info.required_set}
         v = pipcore.pip_verif_test(
             pkt.sigma, pkt.test_token, sender,
             set(info.required_set), info.grandparent_pks, expected, params,
@@ -443,8 +438,42 @@ class OutgoingDraft:
     test_token: PipTestToken | LogPipTestToken
     epoch_ref: EpochRef
     sender_id: bytes
-    coeffs: dict
-    degraded: bool
+    degraded: bool = False
+
+
+def build_draft(
+    state: NodeState,
+    E: CodedVector,
+    coded: list[ParentInput],
+    claims: list[ParentInput],
+    degraded: bool = False,
+) -> OutgoingDraft:
+    """Sign one round's coded vector and build its test token.
+
+    ``E`` combines the packets of the parents in ``coded`` with their
+    coefficients, so its validity signature is the same combination of
+    theirs.  The test token commits to ``claims``: an honest node claims
+    exactly what it coded, and a caller simulating an adversary passes
+    whatever its token should state.  Under Log-PIP the node keeps the
+    tree so that it can answer challenges.
+    """
+    params = state.params
+    sigma = validity.combine_validity(
+        [i.sigma for i in coded], [i.coeff for i in coded], params
+    )
+    if state.protocol is Protocol.LOGPIP:
+        token, state.current_tree = pipcore.logpip_build(claims, params, state.profile.h_bytes)
+    else:
+        token = pipcore.pip_combine(claims)
+        state.current_tree = None
+    return OutgoingDraft(
+        E=E,
+        sigma=sigma,
+        test_token=token,
+        epoch_ref=EpochRef(k=params.k, master_sig=params.master_sig),
+        sender_id=state.node_id,
+        degraded=degraded,
+    )
 
 
 def process_round(
@@ -471,50 +500,24 @@ def process_round(
         verdicts.append((pkt.sender_id, v))
         if v is None:
             state.buffers[pkt.sender_id] = pkt
-            state.received_log.append(pkt.E)
-    state.verdict_log.extend(verdicts)
 
     required = state.required_set()
     available = [rp for rp in sorted(required) if rp in state.buffers]
     if not available:
         return None, verdicts
-    degraded = len(available) < len(required)
 
-    coeffs = {}
-    inputs = []
-    vectors = []
-    for rp in available:
-        buffered = state.buffers[rp]
-        # Shared coefficients by default; the per-child flag would move this
-        # into finalize_packet with one draft per child.
-        a = derive_coefficient(
-            state.seed, rp, state.node_id, None, params.epoch_pk_bytes(), params.q
+    inputs = [
+        ParentInput(
+            rp, state.buffers[rp].sigma, state.buffers[rp].helper,
+            derive_coefficient(state.seed, rp, state.node_id, None,
+                               params.epoch_pk_bytes(), params.q),
         )
-        coeffs[rp] = a
-        vectors.append(buffered.E)
-        inputs.append(ParentInput(rp, buffered.sigma, buffered.helper, a))
-
-    E = gf.linear_combine(vectors, [coeffs[rp] for rp in available], params.q)
-    sigma = validity.combine_validity(
-        [i.sigma for i in inputs], [i.coeff for i in inputs], params
+        for rp in available
+    ]
+    E = gf.linear_combine(
+        [state.buffers[rp].E for rp in available], [i.coeff for i in inputs], params.q
     )
-
-    if state.protocol is Protocol.LOGPIP:
-        token, tree = pipcore.logpip_build(inputs, params, state.profile.h_bytes)
-        state.current_tree = tree
-    else:
-        token = pipcore.pip_combine(inputs)
-        state.current_tree = None
-
-    draft = OutgoingDraft(
-        E=E,
-        sigma=sigma,
-        test_token=token,
-        epoch_ref=EpochRef(k=params.k, master_sig=params.master_sig),
-        sender_id=state.node_id,
-        coeffs=coeffs,
-        degraded=degraded,
-    )
+    draft = build_draft(state, E, inputs, inputs, degraded=len(available) < len(required))
     return draft, verdicts
 
 
@@ -573,7 +576,6 @@ class MisbehaviorProof:
     parent_certs: dict
     params: SourceEpochParams
     seed: bytes
-    per_child: bool
     transcript: tuple = ()  # (challenged parent_id, serialized ChallengeProof) pairs
     h_bytes: int = 20
 
@@ -602,7 +604,6 @@ def build_misbehavior_proof(
         parent_certs={},
         params=state.params,
         seed=state.seed,
-        per_child=state.per_child_coeffs,
         transcript=serialized,
         h_bytes=state.profile.h_bytes,
     )
@@ -648,9 +649,8 @@ def adjudicate(
         )
 
     def expected(gp: bytes) -> int:
-        child = proof.receiver_id if proof.per_child else None
         return derive_coefficient(
-            proof.seed, gp, proof.sender_id, child, params.epoch_pk_bytes(), params.q
+            proof.seed, gp, proof.sender_id, None, params.epoch_pk_bytes(), params.q
         )
 
     if proof.protocol is Protocol.PIP and proof.required_set:

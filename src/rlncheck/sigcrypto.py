@@ -1,4 +1,4 @@
-"""Node identities, signatures, certificates, PRF, and Merkle commitments.
+"""Node identities, signatures, certificates, and the PRF.
 
 Signatures are Ed25519 (fixed 64-byte signatures, 32-byte keys); key
 material can be derived deterministically from a seeded ``random.Random``
@@ -7,9 +7,8 @@ truncated to a configurable width (160 bits by default).  The PRF is
 HMAC-SHA256 keyed with a public seed; coefficient derivation maps its
 output into Z_q^* by rejection sampling over successive counters.
 
-The Merkle tree here is the plain binary commitment (leaf/interior
-domain separation, odd node promoted unchanged); the coding-verification
-tree with validity signatures at interior nodes lives in ``pipcore``.
+The Merkle tree of Log-PIP, with validity signatures at interior nodes,
+lives in ``pipcore``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 SIG_BYTES = 64
 PK_BYTES = 32
 
-_LEAF_PREFIX = b"\x00"
-_INTERIOR_PREFIX = b"\x01"
 _CERT_CONTEXT = b"rlncheck-node-cert-v1:"
 
 
@@ -131,83 +128,3 @@ def verify_cert(cert: Certificate, pk: bytes, node_id: bytes, authority_pk: byte
     if cert.pk != pk or cert.node_id != node_id:
         return False
     return verify(authority_pk, _cert_message(pk, node_id, cert.priority), cert.sig)
-
-
-# ---------------------------------------------------------------------------
-# Generic Merkle commitment
-
-
-def _leaf_hash(leaf: bytes, h_bytes: int) -> bytes:
-    return hash_bytes(_LEAF_PREFIX + leaf, h_bytes)
-
-
-def _interior_hash(left: bytes, right: bytes, h_bytes: int) -> bytes:
-    return hash_bytes(_INTERIOR_PREFIX + left + right, h_bytes)
-
-
-def merkle_commit(leaves: list[bytes], h_bytes: int = 20) -> bytes:
-    """Root of the binary commitment tree over the given leaves.
-
-    Odd node at any level is promoted unchanged to the next level, so
-    no padding leaf exists to confuse opening indices.
-    """
-    if not leaves:
-        raise ValueError("merkle_commit requires at least one leaf")
-    level = [_leaf_hash(leaf, h_bytes) for leaf in leaves]
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(_interior_hash(level[i], level[i + 1], h_bytes))
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-def merkle_open(leaves: list[bytes], index: int, h_bytes: int = 20) -> list[tuple[int, bytes]]:
-    """Authentication path for one leaf.
-
-    Returns a list of (side, digest) pairs bottom-up, where side 0
-    means the sibling sits on the left and 1 on the right.  Levels at
-    which the node was promoted (no sibling) contribute no entry.
-    """
-    if not leaves:
-        raise ValueError("merkle_open requires at least one leaf")
-    if not 0 <= index < len(leaves):
-        raise IndexError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    level = [_leaf_hash(leaf, h_bytes) for leaf in leaves]
-    pos = index
-    path: list[tuple[int, bytes]] = []
-    while len(level) > 1:
-        if pos % 2 == 0 and pos + 1 < len(level):
-            path.append((1, level[pos + 1]))
-        elif pos % 2 == 1:
-            path.append((0, level[pos - 1]))
-        # else: unpaired node, promoted without a sibling
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(_interior_hash(level[i], level[i + 1], h_bytes))
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])
-        level = nxt
-        pos //= 2
-    return path
-
-
-def merkle_verify(
-    root: bytes,
-    leaf: bytes,
-    index: int,
-    path: list[tuple[int, bytes]],
-    h_bytes: int = 20,
-) -> bool:
-    """Recompute bottom-up from the leaf and compare against the root."""
-    node = _leaf_hash(leaf, h_bytes)
-    for side, sibling in path:
-        if side == 0:
-            node = _interior_hash(sibling, node, h_bytes)
-        elif side == 1:
-            node = _interior_hash(node, sibling, h_bytes)
-        else:
-            return False
-    return node == root

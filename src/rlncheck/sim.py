@@ -2,17 +2,36 @@
 
 The transmission model: per epoch the source emits one fresh random
 combination of its m originals to each of its children in round 1;
-every other node re-codes each round once it has heard from every
-required parent, sending the same packet to all children (shared
-coefficients).  Under that schedule a node contributes at most one
-degree of freedom per epoch, so the throughput a sink can reach is
-min(min_cut, m) where min_cut is the max-flow with unit capacities on
-both edges and interior nodes.
+every other node re-codes each round once it has accepted a packet
+from every required parent this epoch, sending the same packet to all
+children (shared coefficients).  Under that schedule a node contributes
+at most one degree of freedom per epoch, so the throughput a sink can
+reach is min(min_cut, m) where min_cut is the max-flow with unit
+capacities on both edges and interior nodes.
 
-Byzantine behaviors cover throughput attacks that remain *valid*
-(non-innovative coding, plain forwarding), protocol deviations that the
-coding-verification tokens catch (skipped parents, zero or wrong
-coefficients, forged token entries), and replay across epochs.
+One engine, ``Simulation``, runs every protocol with one round loop:
+each round every node ingests what its parents sent in the previous
+round, then every non-sink node that is ready emits.  Under
+Protocol.NONE a packet is its bare coded vector and every delivery is
+accepted.  Under PIP and Log-PIP a delivery is accepted only once it
+passes ``node.verify_incoming`` and, under Log-PIP, its Merkle
+challenges; a rejected packet is neither buffered nor coded onward.
+Because a node waits for an accepted packet from every required
+parent, an honest node never emits a degraded packet (one that leaves
+out a parent), which its children would blame on it.
+
+The adversary model: Byzantine nodes are omniscient (they code after
+the round's honest emissions and see every child's span) and hold
+valid keys, so whatever they send carries valid signatures.  Each
+behavior is one choice of the coefficients the node codes with and of
+the token entries it claims (``Simulation._strategy``).  They cover
+throughput attacks that remain *valid* coding (non-innovative
+coefficients, plain forwarding), deviations that the coding-verification
+tokens catch (skipped parents, zero or wrong coefficients, forged token
+entries), and replay across epochs.  Without verification every
+behavior acts and nothing is caught; with it, the children that receive
+a packet coded other than as prescribed flag its sender (under Log-PIP,
+with probability t/d per round of t challenges).
 
 Simulations are deterministic per seed: identities, epoch parameters,
 source combinations, challenge picks, and adversarial choices all
@@ -24,7 +43,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import gf, node as node_mod, pipcore, sigcrypto, validity
 from .gf import CodedVector, Span
@@ -86,6 +105,15 @@ class Topology:
     def children(self, name: str) -> list[str]:
         return sorted(v for u, v in self.edges if u == name)
 
+    def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """(parents, children) of every node, sorted, from one pass over the edges."""
+        parents: dict[str, list[str]] = {n: [] for n in self.nodes}
+        children: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for u, v in sorted(self.edges):
+            children[u].append(v)
+            parents[v].append(u)
+        return parents, children
+
     @property
     def sinks(self) -> list[str]:
         return sorted(n for n, spec in self.nodes.items() if spec.role is Role.SINK)
@@ -118,7 +146,7 @@ def topological_order(topo: Topology) -> list[str] | None:
         indeg[v] += 1
     queue = deque(sorted(n for n, d in indeg.items() if d == 0))
     out = []
-    children = {n: topo.children(n) for n in topo.nodes}
+    _, children = topo.adjacency()
     while queue:
         u = queue.popleft()
         out.append(u)
@@ -132,7 +160,7 @@ def topological_order(topo: Topology) -> list[str] | None:
 def reachable_from(topo: Topology, start: str) -> set[str]:
     seen = {start}
     stack = [start]
-    children = {n: topo.children(n) for n in topo.nodes}
+    _, children = topo.adjacency()
     while stack:
         u = stack.pop()
         for v in children[u]:
@@ -147,8 +175,9 @@ def longest_path_length(topo: Topology) -> int:
     if order is None:
         raise ValueError("cyclic topology")
     dist = {n: 0 for n in topo.nodes}
+    _, children = topo.adjacency()
     for u in order:
-        for v in topo.children(u):
+        for v in children[u]:
             dist[v] = max(dist[v], dist[u] + 1)
     return max(dist.values(), default=0)
 
@@ -432,14 +461,7 @@ def default_rounds(topo: Topology, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Lightweight engine (no cryptography): used for throughput mode sweeps
-
-
-def _lite_honest_coeffs(seed: bytes, parents: list[str], me: str, q: int) -> list[int]:
-    return [
-        node_mod.derive_coefficient(seed, p.encode(), me.encode(), None, b"lite", q)
-        for p in parents
-    ]
+# The simulation engine
 
 
 def _non_innovative_coeffs(
@@ -485,117 +507,25 @@ def _non_innovative_coeffs(
 
 
 @dataclass
-class _LiteNode:
-    name: str
-    buffers: dict = field(default_factory=dict)  # parent -> latest CodedVector
-    history: Span | None = None
-    emission: CodedVector | None = None
-
-
-def _run_lite(
-    topo: Topology, m: int, rounds: int, rng_seed: int, payload_chunks: int, profile: Profile
-) -> TransmissionReport:
-    q = profile.q
-    rng = random.Random(rng_seed)
-    seed = rng.randbytes(32)
-    src = topo.source
-    originals = gf.standard_basis_originals(
-        [[rng.randrange(q) for _ in range(payload_chunks)] for _ in range(m)], q
-    )
-
-    states = {n: _LiteNode(name=n, history=Span(q, m)) for n in topo.nodes if n != src}
-    parents = {n: topo.parents(n) for n in topo.nodes}
-    children = {n: topo.children(n) for n in topo.nodes}
-    adversary_rng = random.Random(rng.getrandbits(64))
-
-    # deliveries[node] = list of (parent, vector) arriving this round
-    deliveries: dict[str, list[tuple[str, CodedVector]]] = {n: [] for n in states}
-    for c in children[src]:
-        combo = [gf.random_nonzero(q, rng) for _ in range(m)]
-        deliveries[c].append((src, gf.linear_combine(originals, combo, q)))
-
-    for _ in range(rounds):
-        for name in sorted(states):
-            st = states[name]
-            for parent, vec in deliveries[name]:
-                st.buffers[parent] = vec
-                st.history.add(vec.coding_vector)
-        next_deliveries: dict[str, list[tuple[str, CodedVector]]] = {n: [] for n in states}
-
-        # Honest/forwarding emissions first; omniscient adversaries observe them.
-        pending_byz: list[str] = []
-        for name in sorted(states):
-            if topo.nodes[name].role is Role.SINK:
-                continue
-            st = states[name]
-            req = parents[name]
-            if not all(p in st.buffers for p in req):
-                st.emission = None
-                continue
-            kind = topo.nodes[name].behavior.kind
-            if kind is BehaviorKind.NON_INNOVATIVE:
-                pending_byz.append(name)
-                continue
-            if kind is BehaviorKind.FORWARD_ONLY:
-                st.emission = st.buffers[req[0]]
-            else:
-                coeffs = _lite_honest_coeffs(seed, req, name, q)
-                st.emission = gf.linear_combine([st.buffers[p] for p in req], coeffs, q)
-
-        for name in pending_byz:
-            st = states[name]
-            req = parents[name]
-            spans = []
-            for c in children[name]:
-                view = states[c].history.copy()
-                for other in parents[c]:
-                    if other == name:
-                        continue
-                    other_em = states[other].emission if other in states else None
-                    if other_em is not None:
-                        view.add(other_em.coding_vector)
-                spans.append(view)
-            received = {p: st.buffers[p] for p in req}
-            alphas = _non_innovative_coeffs(received, spans, q, adversary_rng)
-            if alphas is None:
-                alphas = _lite_honest_coeffs(seed, req, name, q)
-            st.emission = gf.linear_combine([st.buffers[p] for p in req], alphas, q)
-
-        for name in sorted(states):
-            st = states[name]
-            if st.emission is None:
-                continue
-            for c in children[name]:
-                if c in states:
-                    next_deliveries[c].append((name, st.emission))
-        deliveries = next_deliveries
-
-    ranks = {}
-    decoded = {}
-    for s in topo.sinks:
-        ranks[s] = states[s].history.dim
-        decoded[s] = False
-    return TransmissionReport(
-        sink_ranks=ranks, detections=[], verdicts=[], rounds=rounds, decoded=decoded
-    )
-
-
-# ---------------------------------------------------------------------------
-# Full engine (cryptographic protocols)
-
-
-@dataclass
 class _SimNode:
-    state: NodeState
     spec: NodeSpec
-    emission: Packet | None = None  # shared-coefficient packet template of the round
-    per_child: dict = field(default_factory=dict)  # child -> finalized Packet
-    stored_old: dict = field(default_factory=dict)  # replay stash from epoch 1
-    received_vectors: list = field(default_factory=list)
+    span: Span  # span of the accepted coding vectors, this epoch
+    state: NodeState | None = None  # None under Protocol.NONE
+    vectors: dict = field(default_factory=dict)  # parent -> latest accepted CodedVector
+    received_vectors: list = field(default_factory=list)  # every accepted CodedVector, this epoch
+    emission: CodedVector | None = None  # the vector it sent this round
+    stored_old: tuple | None = None  # REPLAY_OLD: (vector, packets per child) of epoch 1
 
 
 class Simulation:
-    """Full-protocol run over a topology; deterministic per seed."""
+    """One transmission over a topology, under any protocol; deterministic per seed.
+
+    Under Protocol.NONE a packet is just its CodedVector and nothing is
+    verified.  Under PIP and Log-PIP every node holds a ``NodeState``,
+    packets are built by ``node.build_draft`` and ``node.finalize_packet``,
+    and each delivery is verified (and, under Log-PIP, challenged)
+    before it is accepted.
+    """
 
     def __init__(
         self,
@@ -613,9 +543,11 @@ class Simulation:
         topo.validate()
         self.topo = topo
         self.protocol = protocol
+        self.verified = protocol is not Protocol.NONE
         self.m = m
         self.rounds = rounds if rounds is not None else default_rounds(topo, m)
         self.profile = profile
+        self.q = profile.q
         self.payload_chunks = payload_chunks
         self.epochs = epochs
         self.challenges = challenges
@@ -624,372 +556,302 @@ class Simulation:
         self.report = TransmissionReport(
             sink_ranks={}, detections=[], verdicts=[], rounds=0
         )
+        self.params: validity.SourceEpochParams | None = None
         self._setup()
 
     def _setup(self) -> None:
         topo, rng = self.topo, self.rng
+        self.parents, children = topo.adjacency()
+        self.children = {n: [c for c in cs if c != topo.source] for n, cs in children.items()}
+        self.required = {}
+        for n, spec in topo.nodes.items():
+            ids = node_mod.required_parents(spec.policy, [p.encode() for p in self.parents[n]])
+            self.required[n] = sorted(i.decode() for i in ids)
         self.seed = rng.randbytes(32)
-        self.identities: dict[str, sigcrypto.NodeIdentity] = {}
-        for name in sorted(topo.nodes):
-            self.identities[name] = sigcrypto.keygen(rng, name.encode())
-        self.master = self.identities[topo.source]
-        for name, ident in self.identities.items():
-            ident.cert = sigcrypto.certify(self.master.sk, ident.pk, ident.node_id)
-
-        self.nodes: dict[str, _SimNode] = {}
-        for name in sorted(topo.nodes):
-            if name == topo.source:
-                continue
-            st = NodeState(
-                identity=self.identities[name],
-                seed=self.seed,
-                authority_pk=self.master.pk,
-                master_pk=self.master.pk,
-                profile=self.profile,
-                protocol=self.protocol,
-                policy=topo.nodes[name].policy,
-            )
-            for p in topo.parents(name):
-                p_ident = self.identities[p]
-                st.register_parent(
-                    p.encode(),
-                    ParentInfo(
-                        pk=p_ident.pk,
-                        cert=p_ident.cert,
-                        required_set=frozenset(gp.encode() for gp in topo.parents(p)),
-                        grandparent_pks={
-                            gp.encode(): self.identities[gp].pk for gp in topo.parents(p)
-                        },
-                    ),
+        states: dict[str, NodeState] = {}
+        self.master = self.source_state = None
+        if self.verified:
+            identities = {n: sigcrypto.keygen(rng, n.encode()) for n in sorted(topo.nodes)}
+            self.master = identities[topo.source]
+            for ident in identities.values():
+                ident.cert = sigcrypto.certify(self.master.sk, ident.pk, ident.node_id)
+            for name in sorted(topo.nodes):
+                st = NodeState(
+                    identity=identities[name],
+                    seed=self.seed,
+                    authority_pk=self.master.pk,
+                    master_pk=self.master.pk,
+                    profile=self.profile,
+                    protocol=self.protocol,
+                    policy=topo.nodes[name].policy,
                 )
-            self.nodes[name] = _SimNode(state=st, spec=topo.nodes[name])
-
-        self.challenge_rng = random.Random(rng.getrandbits(64))
+                for p in self.parents[name]:
+                    st.register_parent(p.encode(), ParentInfo(
+                        pk=identities[p].pk,
+                        cert=identities[p].cert,
+                        required_set=frozenset(gp.encode() for gp in self.parents[p]),
+                        grandparent_pks={gp.encode(): identities[gp].pk for gp in self.parents[p]},
+                    ))
+                states[name] = st
+            self.source_state = states.pop(topo.source)
+            self.challenge_rng = random.Random(rng.getrandbits(64))
+        # Where epoch 1's payloads are drawn depends on the protocol: without
+        # verification they come before the adversary's stream, the order the
+        # recorded mode-sweep outputs were drawn in; with it, after the keys.
+        self._first_originals = None if self.verified else self._draw_originals()
         self.adversary_rng = random.Random(rng.getrandbits(64))
-        self.round_now = 0
-
-    # -- source ------------------------------------------------------------
-
-    def _source_packets(self, params: validity.SourceEpochParams) -> dict[str, Packet]:
-        """One fresh random combination of the originals per source child."""
-        out = {}
-        src_id = self.topo.source.encode()
-        for child in self.topo.children(self.topo.source):
-            combo = [gf.random_nonzero(self.profile.q, self.rng) for _ in range(self.m)]
-            E = gf.linear_combine(self.originals, combo, self.profile.q)
-            sigma = validity.sign_validity(params, E)
-            helper = pipcore.make_helper_token(
-                self.master.sk, sigma, src_id, child.encode(), params
-            )
-            pkt = Packet(
-                E=E, sigma=sigma,
-                test_token=pipcore.PipTestToken(entries=()),
-                helper=helper,
-                epoch_ref=node_mod.EpochRef(k=params.k, master_sig=params.master_sig),
-                sender_id=src_id,
-                attest=b"",
-            )
-            signed = node_mod.packet_signed_bytes(pkt, params, self.profile.h_bytes)
-            pkt = replace(pkt, attest=node_mod.attest_packet(self.master.sk, signed))
-            out[child] = pkt
-        return out
-
-    # -- behaviors ----------------------------------------------------------
-
-    def _behavior_emission(self, name: str, epoch: int) -> Packet | None:
-        """Build this round's outgoing packet template per the node's behavior."""
-        sim_node = self.nodes[name]
-        st = sim_node.state
-        spec = sim_node.spec
-        kind = spec.behavior.kind
-        params = st.params
-        required = sorted(st.required_set())
-        available = [rp for rp in required if rp in st.buffers]
-        resolved = all(rp in st.buffers or rp in self.flagged[name] for rp in required)
-        if not available or not resolved:
-            return None
-
-        if kind is BehaviorKind.REPLAY_OLD and epoch > 1:
-            return sim_node.stored_old.get("template")
-
-        adversarial = {
-            BehaviorKind.SKIP_PARENT,
-            BehaviorKind.ZERO_COEFFICIENT,
-            BehaviorKind.WRONG_COEFFICIENT,
-            BehaviorKind.FORWARD_ONLY,
-            BehaviorKind.FORGE_TOKEN,
-            BehaviorKind.NON_INNOVATIVE,
+        self.nodes: dict[str, _SimNode] = {
+            name: _SimNode(spec=topo.nodes[name], span=Span(self.q, self.m), state=states.get(name))
+            for name in sorted(topo.nodes) if name != topo.source
         }
-        if kind not in adversarial or len(available) < 1:
-            draft, _ = node_mod.process_round(st, [])
-            if draft is None:
-                return None
-            return self._finalize_template(name, draft)
-
-        target = required[spec.behavior.target % len(required)] if required else None
-        inputs_all = {
-            rp: ParentInput(
-                rp, st.buffers[rp].sigma, st.buffers[rp].helper,
-                node_mod.derive_coefficient(
-                    self.seed, rp, st.node_id, None, params.epoch_pk_bytes(), params.q
-                ),
-            )
-            for rp in available
-        }
-
-        if kind is BehaviorKind.SKIP_PARENT:
-            kept = [inputs_all[rp] for rp in available if rp != target]
-            if not kept:
-                return None
-            return self._assemble(name, kept)
-
-        if kind is BehaviorKind.ZERO_COEFFICIENT:
-            entries = [
-                inp if inp.parent_id != target else ParentInput(
-                    inp.parent_id, inp.sigma, inp.helper_sig, 0
-                )
-                for inp in inputs_all.values()
-            ]
-            return self._assemble(name, entries)
-
-        if kind is BehaviorKind.WRONG_COEFFICIENT:
-            entries = []
-            for inp in inputs_all.values():
-                if inp.parent_id == target:
-                    wrong = (inp.coeff + 1) % params.q or 1
-                    entries.append(ParentInput(inp.parent_id, inp.sigma, inp.helper_sig, wrong))
-                else:
-                    entries.append(inp)
-            return self._assemble(name, entries)
-
-        if kind is BehaviorKind.FORWARD_ONLY:
-            first = available[0]
-            fwd = st.buffers[first]
-            # Claims honest coding in the token while actually routing.
-            token_inputs = list(inputs_all.values())
-            return self._assemble_raw(name, fwd.E, fwd.sigma, token_inputs)
-
-        if kind is BehaviorKind.FORGE_TOKEN:
-            entries = []
-            for inp in inputs_all.values():
-                if inp.parent_id == target:
-                    fake = sigcrypto.sign(st.identity.sk, b"forged" + inp.parent_id)
-                    entries.append(ParentInput(inp.parent_id, inp.sigma, fake, inp.coeff))
-                else:
-                    entries.append(inp)
-            # Packet itself is coded honestly; only the token lies.
-            honest = list(inputs_all.values())
-            E = gf.linear_combine(
-                [st.buffers[i.parent_id].E for i in honest], [i.coeff for i in honest],
-                params.q,
-            )
-            sigma = validity.combine_validity(
-                [i.sigma for i in honest], [i.coeff for i in honest], params
-            )
-            return self._assemble_raw(name, E, sigma, entries)
-
-        if kind is BehaviorKind.NON_INNOVATIVE:
-            alt = self._non_innovative_inputs(name, available, inputs_all)
-            if alt is None:
-                draft, _ = node_mod.process_round(st, [])
-                return self._finalize_template(name, draft) if draft else None
-            return self._assemble(name, alt)
-
-        raise AssertionError(f"unhandled behavior {kind}")
-
-    def _non_innovative_inputs(self, name, available, inputs_all):
-        st = self.nodes[name].state
-        q = st.params.q
-        spans = []
-        for c in self.topo.children(name):
-            if c not in self.nodes:
-                continue
-            view = Span(q, self.m)
-            for vec in self.nodes[c].received_vectors:
-                view.add(vec.coding_vector)
-            for other in self.topo.parents(c):
-                if other == name or other not in self.nodes:
-                    continue
-                em = self.nodes[other].emission
-                if em is not None:
-                    view.add(em.E.coding_vector)
-            if view.dim > 0:
-                spans.append(view)
-        received = {rp: st.buffers[rp].E for rp in available}
-        alphas = _non_innovative_coeffs(received, spans, q, self.adversary_rng)
-        if alphas is None:
-            return None
-        # The token states the coefficients actually used; they differ from
-        # the prescribed pseudorandom ones, which is exactly what gets caught.
-        return [
-            ParentInput(rp, st.buffers[rp].sigma, st.buffers[rp].helper, a)
-            for rp, a in zip(sorted(received), alphas)
-        ]
-
-    def _assemble(self, name: str, inputs: list[ParentInput]) -> Packet:
-        st = self.nodes[name].state
-        params = st.params
-        E = gf.linear_combine(
-            [st.buffers[i.parent_id].E for i in inputs], [i.coeff for i in inputs], params.q
-        )
-        sigma = validity.combine_validity(
-            [i.sigma for i in inputs], [i.coeff for i in inputs], params
-        )
-        return self._assemble_raw(name, E, sigma, inputs)
-
-    def _assemble_raw(
-        self, name: str, E: CodedVector, sigma: int, token_inputs: list[ParentInput]
-    ) -> Packet:
-        st = self.nodes[name].state
-        params = st.params
-        if st.protocol is Protocol.LOGPIP:
-            token, tree = pipcore.logpip_build(token_inputs, params, self.profile.h_bytes)
-            st.current_tree = tree
-        else:
-            token = pipcore.pip_combine(token_inputs)
-            st.current_tree = None
-        return Packet(
-            E=E, sigma=sigma, test_token=token, helper=b"",
-            epoch_ref=node_mod.EpochRef(k=params.k, master_sig=params.master_sig),
-            sender_id=st.node_id, attest=b"",
+        # Omniscient adversaries code last, after observing this round's
+        # honest emissions.
+        self._emit_order = sorted(
+            (n for n in self.nodes if self.topo.nodes[n].role is not Role.SINK),
+            key=lambda n: (self.topo.nodes[n].behavior.kind is BehaviorKind.NON_INNOVATIVE, n),
         )
 
-    def _finalize_template(self, name: str, draft: node_mod.OutgoingDraft) -> Packet:
-        st = self.nodes[name].state
-        return Packet(
-            E=draft.E, sigma=draft.sigma, test_token=draft.test_token, helper=b"",
-            epoch_ref=draft.epoch_ref, sender_id=st.node_id, attest=b"",
+    def _draw_originals(self) -> list[CodedVector]:
+        return gf.standard_basis_originals(
+            [[self.rng.randrange(self.q) for _ in range(self.payload_chunks)]
+             for _ in range(self.m)],
+            self.q,
         )
-
-    def _finalize_for(self, name: str, template: Packet, child: str) -> Packet:
-        st = self.nodes[name].state
-        params = st.params
-        helper = pipcore.make_helper_token(
-            st.identity.sk, template.sigma, st.node_id, child.encode(), params
-        )
-        pkt = replace(template, helper=helper, attest=b"")
-        signed = node_mod.packet_signed_bytes(pkt, params, self.profile.h_bytes)
-        return replace(pkt, attest=sigcrypto.sign(st.identity.sk, signed))
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> TransmissionReport:
-        q = self.profile.q
         for epoch in range(1, self.epochs + 1):
-            self.originals = gf.standard_basis_originals(
-                [[self.rng.randrange(q) for _ in range(self.payload_chunks)]
-                 for _ in range(self.m)],
-                q,
-            )
-            params = validity.epoch_setup(
-                self.master, self.originals, epoch, self.rng, self.profile
-            )
-            self.params = params
-            self.flagged: dict[str, set[bytes]] = {n: set() for n in self.nodes}
+            self.originals = self._first_originals or self._draw_originals()
+            self._first_originals = None
+            if self.verified:
+                self.params = validity.epoch_setup(
+                    self.master, self.originals, epoch, self.rng, self.profile
+                )
+                self.source_state.enter_epoch(self.params)
+            # Honest coefficients are PRF outputs bound to the epoch key; with
+            # no epoch key, the crypto-free runs bind them to b"lite".
+            context = self.params.epoch_pk_bytes() if self.verified else b"lite"
+            self._honest = {
+                name: [(p, node_mod.derive_coefficient(
+                    self.seed, p.encode(), name.encode(), None, context, self.q))
+                    for p in self.required[name]]
+                for name in self._emit_order
+            }
             for sim_node in self.nodes.values():
-                sim_node.state.enter_epoch(params)
+                if sim_node.state is not None:
+                    sim_node.state.enter_epoch(self.params)
+                sim_node.vectors.clear()
+                sim_node.received_vectors = []
+                sim_node.span = Span(self.q, self.m)
                 sim_node.emission = None
-                sim_node.per_child = {}
 
-            deliveries: dict[str, list[Packet]] = {n: [] for n in self.nodes}
-            for child, pkt in self._source_packets(params).items():
-                if child in self.nodes:
-                    deliveries[child].append(pkt)
-
+            deliveries = self._source_round()
             for r in range(1, self.rounds + 1):
-                self.round_now = r
-                self._ingest_round(r, deliveries, epoch)
-                deliveries = self._emit_round(r, epoch)
+                self._ingest_round(r, deliveries)
+                deliveries = self._emit_round(epoch)
 
         ranks, decoded = {}, {}
         for s in self.topo.sinks:
-            vectors = self.nodes[s].received_vectors
-            ranks[s] = gf.rank(vectors, q)
-            solved = gf.solve_originals(vectors, q)
-            decoded[s] = solved is not None and solved == [
-                o.payload for o in self.originals
-            ]
+            sim_node = self.nodes[s]
+            ranks[s] = sim_node.span.dim
+            solved = gf.solve_originals(sim_node.received_vectors, self.q)
+            decoded[s] = solved is not None and solved == [o.payload for o in self.originals]
         self.report.sink_ranks = ranks
         self.report.decoded = decoded
         self.report.rounds = self.rounds * self.epochs
         return self.report
 
-    def _ingest_round(self, r: int, deliveries: dict[str, list[Packet]], epoch: int) -> None:
-        for name in sorted(self.nodes):
-            sim_node = self.nodes[name]
-            st = sim_node.state
-            for pkt in deliveries[name]:
-                v = node_mod.verify_incoming(st, pkt)
-                sender = pkt.sender_id.decode("utf-8", "replace")
-                self.report.verdicts.append((r, name, sender, v))
-                if v is not None:
-                    self.report.detections.append(
-                        DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
-                    )
-                    if self.collect_proofs and pkt.sender_id in st.parents:
-                        self.report.proofs.append(node_mod.build_misbehavior_proof(st, pkt))
-                    self.flagged[name].add(pkt.sender_id)
-                    continue
-                self.flagged[name].discard(pkt.sender_id)
-                st.buffers[pkt.sender_id] = pkt
-                sim_node.received_vectors.append(pkt.E)
-                if self.protocol is Protocol.LOGPIP:
-                    self._challenge(r, name, pkt)
+    def _source_round(self) -> dict[str, list]:
+        """One fresh random combination of the originals per source child."""
+        src = self.topo.source
+        deliveries: dict[str, list] = {n: [] for n in self.nodes}
+        for child in self.children[src]:
+            combo = [gf.random_nonzero(self.q, self.rng) for _ in range(self.m)]
+            pkt = E = gf.linear_combine(self.originals, combo, self.q)
+            if self.verified:
+                draft = node_mod.OutgoingDraft(
+                    E=E, sigma=validity.sign_validity(self.params, E),
+                    test_token=pipcore.PipTestToken(entries=()),
+                    epoch_ref=node_mod.EpochRef(k=self.params.k, master_sig=self.params.master_sig),
+                    sender_id=src.encode(),
+                )
+                pkt = node_mod.finalize_packet(self.source_state, draft, child.encode())
+            deliveries[child].append((src, pkt))
+        return deliveries
 
-    def _challenge(self, r: int, name: str, pkt: Packet) -> None:
-        sender_name = pkt.sender_id.decode()
-        if sender_name == self.topo.source:
-            return
-        sender = self.nodes[sender_name]
+    def _ingest_round(self, r: int, deliveries: dict[str, list]) -> None:
+        for name, sim_node in self.nodes.items():
+            for sender, pkt in deliveries[name]:
+                vec = pkt
+                if self.verified:
+                    if not self._accepts(r, name, sender, pkt):
+                        continue
+                    sim_node.state.buffers[pkt.sender_id] = pkt
+                    vec = pkt.E
+                sim_node.vectors[sender] = vec
+                sim_node.received_vectors.append(vec)
+                sim_node.span.add(vec.coding_vector)
+
+    def _accepts(self, r: int, name: str, sender: str, pkt: Packet) -> bool:
+        """Verify a delivery and, under Log-PIP, challenge it; record every failure."""
+        st = self.nodes[name].state
+        v = node_mod.verify_incoming(st, pkt)
+        self.report.verdicts.append((r, name, sender, v))
+        if v is not None:
+            self.report.detections.append(
+                DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
+            )
+            if self.collect_proofs:
+                self.report.proofs.append(node_mod.build_misbehavior_proof(st, pkt))
+            return False
+        if self.protocol is not Protocol.LOGPIP or sender == self.topo.source:
+            return True
+        sender_state = self.nodes[sender].state
         results = node_mod.challenge_parent(
-            self.nodes[name].state, pkt,
-            sender.state.current_tree, sender.state.identity.sk,
+            st, pkt, sender_state.current_tree, sender_state.identity.sk,
             self.challenges, self.challenge_rng,
         )
+        accepted = True
         for target, proof, v in results:
-            if v is not None:
-                self.report.detections.append(
-                    DetectionEvent(round=r, verifier=name, culprit=sender_name, kind=v.kind)
-                )
-                if self.collect_proofs and proof is not None:
-                    self.report.proofs.append(
-                        node_mod.build_misbehavior_proof(
-                            self.nodes[name].state, pkt, [(target, proof)]
-                        )
-                    )
-                self.flagged[name].add(pkt.sender_id)
-
-    def _emit_round(self, r: int, epoch: int) -> dict[str, list[Packet]]:
-        nxt: dict[str, list[Packet]] = {n: [] for n in self.nodes}
-        order = sorted(
-            (n for n in self.nodes if self.topo.nodes[n].role is not Role.SINK),
-            key=lambda n: (self.topo.nodes[n].behavior.kind is BehaviorKind.NON_INNOVATIVE, n),
-        )
-        for name in order:
-            sim_node = self.nodes[name]
-            template = self._behavior_emission(name, epoch)
-            sim_node.emission = template
-            if template is None:
+            if v is None:
                 continue
-            if (
-                sim_node.spec.behavior.kind is BehaviorKind.REPLAY_OLD
-                and epoch == 1
-                and "template" not in sim_node.stored_old
-            ):
-                sim_node.stored_old["template"] = template
-            for child in self.topo.children(name):
-                if child not in self.nodes:
-                    continue
-                if sim_node.spec.behavior.kind is BehaviorKind.REPLAY_OLD and epoch > 1:
-                    old = sim_node.stored_old.get(child)
-                    if old is not None:
-                        nxt[child].append(old)
-                        continue
-                pkt = self._finalize_for(name, template, child)
-                if sim_node.spec.behavior.kind is BehaviorKind.REPLAY_OLD and epoch == 1:
-                    sim_node.stored_old[child] = pkt
-                nxt[child].append(pkt)
-        return nxt
+            accepted = False
+            self.report.detections.append(
+                DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
+            )
+            if self.collect_proofs and proof is not None:
+                self.report.proofs.append(
+                    node_mod.build_misbehavior_proof(st, pkt, [(target, proof)])
+                )
+        return accepted
+
+    def _emit_round(self, epoch: int) -> dict[str, list]:
+        deliveries: dict[str, list] = {n: [] for n in self.nodes}
+        for name in self._emit_order:
+            sim_node = self.nodes[name]
+            sim_node.emission = None
+            required = self.required[name]
+            # Every node, honest or not, waits for a verified packet from every
+            # required parent this epoch: an honest node never codes a degraded
+            # packet, which its children would blame on it.
+            if not required or not all(p in sim_node.vectors for p in required):
+                continue
+            replay = sim_node.spec.behavior.kind is BehaviorKind.REPLAY_OLD
+            if replay and epoch > 1:
+                out = sim_node.stored_old  # resend epoch 1's packets unchanged
+            else:
+                out = self._code(name)
+                if replay and sim_node.stored_old is None:
+                    sim_node.stored_old = out
+            if out is None:
+                continue
+            sim_node.emission, packets = out
+            for child, pkt in packets.items():
+                deliveries[child].append((name, pkt))
+        return deliveries
+
+    # -- behaviors -----------------------------------------------------------
+
+    def _code(self, name: str) -> tuple[CodedVector, dict] | None:
+        """Code ``name``'s emission; returns (E, packet per child) or None."""
+        plan = self._strategy(name)
+        if plan is None:
+            return None
+        coding, claims = plan
+        sim_node = self.nodes[name]
+        E = gf.linear_combine(
+            [sim_node.vectors[p] for p, _ in coding], [a for _, a in coding], self.q
+        )
+        if not self.verified:
+            return E, {child: E for child in self.children[name]}
+        st = sim_node.state
+        draft = node_mod.build_draft(st, E, self._inputs(st, coding), claims)
+        return E, {
+            child: node_mod.finalize_packet(st, draft, child.encode())
+            for child in self.children[name]
+        }
+
+    def _strategy(self, name: str) -> tuple[list[tuple[str, int]], list[ParentInput]] | None:
+        """What ``name`` codes with this round, and what its token claims.
+
+        Returns the (parent, coefficient) pairs its emission combines and
+        the token entries it claims (none under Protocol.NONE), or None
+        when it sends nothing.  Each behaviour is one branch:
+
+        - HONEST (Mode 3) and REPLAY_OLD, in epoch 1: the prescribed PRF
+          coefficients over every required parent, claimed as coded.
+        - NON_INNOVATIVE (Mode 1): coefficients whose output lies in what
+          every child already holds or gets from its other parents this
+          round, claimed as coded; honest coding when no such choice
+          exists.  The adversary is omniscient: it codes after the honest
+          nodes of the round and sees every child's span.
+        - FORWARD_ONLY (Mode 2): coefficient 1 on the first required
+          parent alone, while the token claims honest coding.
+        - SKIP_PARENT, ZERO_COEFFICIENT, WRONG_COEFFICIENT: honest coding
+          with the target parent dropped, zeroed or off by one, claimed
+          as coded.
+        - FORGE_TOKEN: honest coding; the target's token entry carries a
+          helper signature of the node's own making.
+
+        REPLAY_OLD's later epochs resend stored packets (``_emit_round``).
+        """
+        st = self.nodes[name].state
+        behavior = self.nodes[name].spec.behavior
+        kind = behavior.kind
+        required = self.required[name]
+        honest = self._honest[name]
+        target = required[behavior.target % len(required)]
+        coding = honest
+        if kind is BehaviorKind.SKIP_PARENT:
+            coding = [(p, a) for p, a in honest if p != target]
+            if not coding:
+                return None
+        elif kind is BehaviorKind.ZERO_COEFFICIENT:
+            coding = [(p, 0 if p == target else a) for p, a in honest]
+        elif kind is BehaviorKind.WRONG_COEFFICIENT:
+            coding = [(p, ((a + 1) % self.q or 1) if p == target else a) for p, a in honest]
+        elif kind is BehaviorKind.NON_INNOVATIVE:
+            coding = self._non_innovative(name) or honest
+        elif kind is BehaviorKind.FORWARD_ONLY:
+            coding = [(required[0], 1)]
+        if not self.verified:
+            return coding, []
+        claims = self._inputs(st, honest if kind is BehaviorKind.FORWARD_ONLY else coding)
+        if kind is BehaviorKind.FORGE_TOKEN:
+            target_id = target.encode()
+            claims = [
+                c._replace(helper_sig=sigcrypto.sign(st.identity.sk, b"forged" + target_id))
+                if c.parent_id == target_id else c
+                for c in claims
+            ]
+        return coding, claims
+
+    def _non_innovative(self, name: str) -> list[tuple[str, int]] | None:
+        """Mode-1 (parent, coefficient) pairs for ``name``, or None if none exist."""
+        views = []
+        for child in self.children[name]:
+            view = self.nodes[child].span.copy()
+            for other in self.parents[child]:
+                emission = self.nodes[other].emission if other in self.nodes else None
+                if other != name and emission is not None:
+                    view.add(emission.coding_vector)
+            views.append(view)
+        vectors = self.nodes[name].vectors
+        required = self.required[name]
+        alphas = _non_innovative_coeffs(
+            {p: vectors[p] for p in required}, views, self.q, self.adversary_rng
+        )
+        return None if alphas is None else list(zip(required, alphas))
+
+    @staticmethod
+    def _inputs(st: NodeState, pairs: list[tuple[str, int]]) -> list[ParentInput]:
+        """Token entries for (parent, coefficient) pairs, from the buffered packets."""
+        out = []
+        for p, a in pairs:
+            pkt = st.buffers[p.encode()]
+            out.append(ParentInput(pkt.sender_id, pkt.sigma, pkt.helper, a))
+        return out
 
 
 def run_simulation(
@@ -1005,20 +867,23 @@ def run_simulation(
 ) -> TransmissionReport:
     """Run one deterministic transmission and measure ranks/detections.
 
-    protocol NONE uses a crypto-free engine (vectors only), which is
-    what the throughput mode sweeps run; PIP/LOGPIP run the full packet
-    pipeline including verification verdicts and challenge rounds.
+    Every protocol runs the same engine (``Simulation``) with the same
+    round loop and the same adversaries.  Protocol NONE moves bare coded
+    vectors and verifies nothing, which is what the throughput mode
+    sweeps run; PIP and LOGPIP build, verify and (Log-PIP) challenge
+    full packets, and report verdicts, detections and proofs.  A node
+    codes only once every required parent has delivered an accepted
+    packet this epoch, so an honest node never emits a degraded packet.
+    Byzantine nodes are omniscient and hold valid keys; each behavior
+    chooses the coefficients the node codes with and the token entries
+    it claims (see ``Simulation._strategy``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if protocol is Protocol.NONE:
-        r = rounds if rounds is not None else default_rounds(topo, m)
-        return _run_lite(topo, m, r, rng_seed, payload_chunks, profile)
-    sim = Simulation(
+    return Simulation(
         topo, protocol, m, rounds=rounds, rng_seed=rng_seed, profile=profile,
         payload_chunks=payload_chunks, epochs=epochs, challenges=challenges,
-    )
-    return sim.run()
+    ).run()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Identities, signatures, certificates, PRF, and the generic Merkle tree."""
+"""Identities, signatures, certificates, and the PRF."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rlncheck import sigcrypto
 
@@ -103,58 +101,3 @@ class TestPrf:
     def test_prf_to_field_deterministic(self):
         seed = b"q" * 16
         assert sigcrypto.prf_to_field(seed, b"in", 13) == sigcrypto.prf_to_field(seed, b"in", 13)
-
-
-class TestMerkle:
-    def test_singleton(self):
-        root = sigcrypto.merkle_commit([b"leaf"])
-        assert root == sigcrypto.hash_bytes(b"\x00" + b"leaf", 20)
-        path = sigcrypto.merkle_open([b"leaf"], 0)
-        assert path == []
-        assert sigcrypto.merkle_verify(root, b"leaf", 0, path)
-
-    def test_four_leaves_open_index_two(self):
-        leaves = [b"a", b"b", b"c", b"d"]
-        root = sigcrypto.merkle_commit(leaves)
-        path = sigcrypto.merkle_open(leaves, 2)
-        assert sigcrypto.merkle_verify(root, b"c", 2, path)
-
-    def test_wrong_leaf_rejected(self):
-        leaves = [b"a", b"b", b"c", b"d"]
-        root = sigcrypto.merkle_commit(leaves)
-        path = sigcrypto.merkle_open(leaves, 2)
-        assert not sigcrypto.merkle_verify(root, b"x", 2, path)
-
-    def test_all_counts_all_indices(self):
-        """Open/verify round-trips for every leaf count 1..33."""
-        for count in range(1, 34):
-            leaves = [bytes([i]) * 4 for i in range(count)]
-            root = sigcrypto.merkle_commit(leaves)
-            for i in range(count):
-                path = sigcrypto.merkle_open(leaves, i)
-                assert sigcrypto.merkle_verify(root, leaves[i], i, path), (count, i)
-
-    def test_single_leaf_change_changes_root(self):
-        for count in (1, 2, 3, 5, 8):
-            leaves = [bytes([i]) * 4 for i in range(count)]
-            root = sigcrypto.merkle_commit(leaves)
-            for i in range(count):
-                mutated = list(leaves)
-                mutated[i] = b"\xff" + mutated[i]
-                assert sigcrypto.merkle_commit(mutated) != root
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            sigcrypto.merkle_open([b"a"], 1)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sigcrypto.merkle_commit([])
-
-    @given(st.lists(st.binary(min_size=0, max_size=8), min_size=1, max_size=17), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_property_roundtrip(self, leaves, data):
-        index = data.draw(st.integers(0, len(leaves) - 1))
-        root = sigcrypto.merkle_commit(leaves)
-        path = sigcrypto.merkle_open(leaves, index)
-        assert sigcrypto.merkle_verify(root, leaves[index], index, path)

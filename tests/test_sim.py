@@ -1,6 +1,8 @@
 """Topology generation, min-cut, behaviors, and network-wide detection."""
 
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -190,6 +192,14 @@ class TestLiteSimulation:
         attacked = run_simulation(topo, Protocol.NONE, m=2, rng_seed=7)
         assert sum(attacked.sink_ranks.values()) < sum(honest.sink_ranks.values())
 
+    @pytest.mark.parametrize("kind", [BehaviorKind.SKIP_PARENT, BehaviorKind.ZERO_COEFFICIENT])
+    def test_unverified_deviations_act(self, kind):
+        """Without verification nothing stops a node from dropping a parent:
+        n1 codes over r2 alone, so n1c relays nothing new to n3."""
+        topo = butterfly_topology().with_behavior("n1", Behavior(kind, target=0))
+        report = run_simulation(topo, Protocol.NONE, m=2, rng_seed=7)
+        assert report.sink_ranks == {"n2": 2, "n3": 1}
+
     def test_mode1_equals_honest_at_cut_one(self):
         for seed in range(6):
             topo = random_topology(20, 120, 1, 1, rng_seed=seed)
@@ -254,6 +264,16 @@ class TestNetworkSoundness:
         pip_pairs = {(d.verifier, d.culprit) for d in pip.detections}
         log_pairs = {(d.verifier, d.culprit) for d in log.detections}
         assert pip_pairs == log_pairs
+        assert log.sink_ranks == pip.sink_ranks
+
+    def test_honest_relay_below_adversary_is_not_blamed(self):
+        """A relay waits for a verified packet from every required parent,
+        so it never codes a degraded packet its children would flag."""
+        topo = random_topology(30, 200, 4, 2, rng_seed=2)
+        for byz in topo.byzantine:
+            topo = topo.with_behavior(byz, Behavior(BehaviorKind.FORWARD_ONLY))
+        report = run_simulation(topo, Protocol.PIP, m=3, rng_seed=2, profile=SIM)
+        assert report.detected_culprits() == set(topo.byzantine)
 
     def test_honest_network_no_detections(self):
         topo = soundness_topology(Behavior.honest())
@@ -279,6 +299,15 @@ class TestHonestThroughput:
     def test_butterfly_full_engine_decodes(self):
         report = run_simulation(butterfly_topology(), Protocol.PIP, m=2, rng_seed=7, profile=SIM)
         assert report.sink_ranks == {"n2": 2, "n3": 2}
+        assert report.decoded == {"n2": True, "n3": True}
+
+    def test_sinks_decode_each_epoch_afresh(self):
+        report = run_simulation(butterfly_topology(), Protocol.PIP, m=2, rng_seed=3,
+                                profile=SIM, epochs=2)
+        assert report.decoded == {"n2": True, "n3": True}
+
+    def test_unverified_engine_decodes(self):
+        report = run_simulation(butterfly_topology(), Protocol.NONE, m=2, rng_seed=7)
         assert report.decoded == {"n2": True, "n3": True}
 
 
@@ -329,3 +358,69 @@ class TestTopologyFile:
     def test_missing_source(self):
         with pytest.raises(ValueError, match="source"):
             sim.parse_topology("node a interior honest\n")
+
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_sim.json")
+
+
+def _events(report):
+    verdicts = [
+        [r, verifier, sender, None if v is None else [v.kind.value, v.culprit.decode(), v.detail]]
+        for r, verifier, sender, v in report.verdicts
+    ]
+    detections = [[d.round, d.verifier, d.culprit, d.kind.value] for d in report.detections]
+    return verdicts, detections
+
+
+def golden_snapshot():
+    """Sweep ranks, verdicts, detections and sink ranks of fixed runs.
+
+    ``golden_sim.json`` holds this snapshot as the two simulation engines
+    (crypto-free and verified) produced it before they were merged into
+    one.  Pinned: every verdict and detection except those of the
+    adversarial butterfly under Log-PIP, where a relay no longer codes a
+    packet that failed its challenges onward; the sink ranks of every PIP
+    run and of the all-honest runs.
+    """
+    cfg = sim.SweepConfig(node_count=24, edge_count=150, m=3,
+                          min_cuts=(1, 2, 3), seeds=(0, 1, 2))
+    rows, _ = mode_sweep(cfg)
+    snap = {"sweep": [[r.seed, r.min_cut, r.mode, r.sink_id, r.rank] for r in rows], "runs": {}}
+    kinds = sorted(NETWORK_STRATEGIES, key=lambda k: k.value)
+    cases = [("butterfly/honest", butterfly_topology(), 7, 1)]
+    cases += [(f"butterfly/{k.value}", butterfly_topology().with_behavior("n1", Behavior(k)), 7, 1)
+              for k in kinds]
+    cases += [(f"soundness/{k.value}", soundness_topology(Behavior(k)), 13, 3)
+              for k in [BehaviorKind.HONEST] + kinds]
+    for label, topo, seed, challenges in cases:
+        honest = label.endswith("/honest")
+        for proto in (Protocol.PIP, Protocol.LOGPIP):
+            report = run_simulation(topo, proto, m=2, rng_seed=seed, profile=SIM,
+                                    challenges=challenges)
+            pinned = {}
+            if proto is Protocol.PIP or honest or label.startswith("soundness/"):
+                pinned["verdicts"], pinned["detections"] = _events(report)
+            if proto is Protocol.PIP or honest:
+                pinned["sink_ranks"] = report.sink_ranks
+            snap["runs"][f"{label}/{proto.value}"] = pinned
+    return snap
+
+
+def write_golden(path=GOLDEN):
+    """Rewrite ``golden_sim.json``, one run per line.  Only for a change
+    that is meant to alter the pinned outputs."""
+    snap = golden_snapshot()
+    lines = ['{"sweep": ' + json.dumps(snap["sweep"]) + ',', ' "runs": {']
+    runs = [f'  {json.dumps(k)}: {json.dumps(v)}' for k, v in snap["runs"].items()]
+    lines += [",\n".join(runs), " }}", ""]
+    path.write_text("\n".join(lines))
+
+
+class TestGolden:
+    def test_matches_recorded_snapshot(self):
+        want = json.loads(GOLDEN.read_text())
+        got = json.loads(json.dumps(golden_snapshot()))
+        assert got["sweep"] == want["sweep"]
+        assert got["runs"].keys() == want["runs"].keys()
+        for key, pinned in want["runs"].items():
+            assert got["runs"][key] == pinned, key
