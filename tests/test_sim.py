@@ -156,6 +156,14 @@ class TestRandomTopology:
         with pytest.raises(InfeasibleTopologyError):
             random_topology(5, 4, 4, 0, rng_seed=1)
 
+    def test_adjacency_matches_parents_and_children(self):
+        for topo in (butterfly_topology(), random_topology(30, 200, 3, 1, rng_seed=4)):
+            parents, children = topo.adjacency()
+            assert parents.keys() == children.keys() == topo.nodes.keys()
+            for n in topo.nodes:
+                assert parents[n] == topo.parents(n)
+                assert children[n] == topo.children(n)
+
 
 class TestLiteSimulation:
     def test_butterfly_honest(self):
@@ -199,6 +207,21 @@ class TestLiteSimulation:
         topo = butterfly_topology().with_behavior("n1", Behavior(kind, target=0))
         report = run_simulation(topo, Protocol.NONE, m=2, rng_seed=7)
         assert report.sink_ranks == {"n2": 2, "n3": 1}
+
+    def test_unverified_engine_makes_no_keys_or_signatures(self, monkeypatch):
+        """The crypto-free path, which the mode sweeps run, never touches
+        keys, certificates, epoch parameters or signatures."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("crypto called under Protocol.NONE")
+
+        for mod, fn in [(sim.sigcrypto, "keygen"), (sim.sigcrypto, "certify"),
+                        (sim.sigcrypto, "sign"), (sim.validity, "epoch_setup"),
+                        (sim.validity, "sign_validity"), (sim.node_mod, "build_draft"),
+                        (sim.node_mod, "finalize_packet")]:
+            monkeypatch.setattr(mod, fn, forbidden)
+        topo = butterfly_topology().with_behavior("n1", Behavior(BehaviorKind.FORGE_TOKEN))
+        report = run_simulation(topo, Protocol.NONE, m=2, rng_seed=7, epochs=2)
+        assert report.decoded == {"n2": True, "n3": True}
 
     def test_mode1_equals_honest_at_cut_one(self):
         for seed in range(6):
@@ -326,6 +349,27 @@ class TestReplay:
             )
             kinds = {d.kind for d in report.detections if d.culprit == "byz"}
             assert ViolationKind.BAD_EPOCH in kinds, seed
+
+
+    def test_unverified_replay_resends_epoch_one_vector(self):
+        """Without verification a replaying node still acts: in epoch 2 it
+        resends the packet it first sent in epoch 1, so the sink cannot
+        decode epoch 2's payloads."""
+        nodes = {
+            "s": NodeSpec(Role.SOURCE),
+            "byz": NodeSpec(Role.INTERIOR, behavior=Behavior(BehaviorKind.REPLAY_OLD)),
+            "c": NodeSpec(Role.SINK),
+        }
+        topo = Topology(nodes=nodes, edges=[("s", "byz"), ("byz", "c")],
+                        source="s", byzantine=["byz"])
+        run = sim.Simulation(topo, Protocol.NONE, m=2, rng_seed=3, epochs=2)
+        report = run.run()
+        stored_vector, stored_packets = run.nodes["byz"].stored_old
+        assert stored_packets == {"c": stored_vector}
+        received = run.nodes["c"].received_vectors
+        assert received and all(v == stored_vector for v in received)
+        assert report.sink_ranks == {"c": 1}
+        assert report.decoded == {"c": False}
 
 
 class TestModeSweep:
