@@ -60,7 +60,7 @@ def build_token_fixture(d: int, profile: Profile, seed: int = 1234, n_chunks: in
         sigma = validity.sign_validity(params, E)
         helper = pipcore.make_helper_token(ident.sk, sigma, pid, sender.node_id, params)
         coeff = node_mod.derive_coefficient(
-            b"\x07" * 32, pid, sender.node_id, None, params.epoch_pk_bytes(), profile.q
+            b"\x07" * 32, pid, sender.node_id, params.epoch_pk_bytes(), profile.q
         )
         inputs.append(ParentInput(pid, sigma, helper, coeff))
         parent_pks[pid] = ident.pk
@@ -131,7 +131,7 @@ def measure_token_sizes(d: int, profile: Profile) -> dict:
 
 
 def cmd_demo(args) -> int:
-    protocol = Protocol(args.protocol) if args.protocol != "none" else Protocol.PIP
+    protocol = Protocol(args.protocol)
     seed = args.seed
     out = []
 

@@ -1,26 +1,31 @@
 """The per-node engine: verify parents, code, emit, attest, adjudicate.
 
-A node ingests one packet per parent per round, runs the full check
-pipeline (attest signature, epoch binding, validity signature, coding
-verification, helper token), then codes over its required set with
-PRF-derived coefficients and assembles the outgoing packet:
+A node ingests one packet per parent per round, runs the check
+pipeline (attest signature, epoch binding, validity signature, token
+type and full PIP token, helper token), then codes over its required
+set with PRF-derived coefficients and assembles the outgoing packet:
 
     E, sigma, test token, helper token, epoch reference, sender id,
     attest signature over all preceding bytes.
+
+Receivers and ``adjudicate`` run the same pipeline (``_check_packet``)
+and Log-PIP response check (``_check_response``), so the attest token
+makes any violation a receiver finds provable to a third party.  A
+sender with a required set must carry a full PIP token, checked under
+either protocol, or, to a Log-PIP receiver, a Merkle root that the
+receiver challenges.  ``enter_epoch`` checks the epoch's master
+signature once; a packet's epoch reference must then equal it.
 
 Failures never abort a round; each parent gets a verdict and coding
 proceeds over the verified parents (a degraded round is the caller's
 policy decision).  ``build_draft`` is the shared tail of every
 emission: it signs a coded vector and builds its test token, for
 ``process_round`` and for callers that choose their own coefficients
-and token entries.  The attest token makes any recorded violation
-provable to a third party: ``adjudicate`` re-runs the same pipeline on
-a self-contained misbehavior proof.
+and token entries.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import random
 from dataclasses import dataclass, field
@@ -71,22 +76,21 @@ def derive_coefficient(
     seed: bytes,
     parent_id: bytes,
     node_id: bytes,
-    child_id: bytes | None,
     epoch_pk_bytes: bytes,
     q: int,
 ) -> int:
-    """The prescribed coding coefficient for (parent -> node [-> child]).
+    """The prescribed coding coefficient for (parent -> node).
 
     PRF input is the length-prefixed tuple of ids plus the epoch public
-    key, so coefficients differ across epochs and (when enabled) per
-    child; output is mapped into Z_q^* and is never zero.
+    key, so coefficients differ across epochs; output is mapped into
+    Z_q^* and is never zero.
     """
     if not parent_id or not node_id:
         raise ValueError("parent_id and node_id must be non-empty")
     w = Writer()
     w.raw(_COEFF_CONTEXT)
     w.var_bytes(parent_id).var_bytes(node_id)
-    w.var_bytes(child_id if child_id is not None else b"")
+    w.var_bytes(b"")  # an empty child id, so coefficients keep their values
     w.u64(len(epoch_pk_bytes)).raw(epoch_pk_bytes)
     return sigcrypto.prf_to_field(seed, w.getvalue(), q)
 
@@ -306,65 +310,87 @@ class NodeState:
         self.parents[parent_id] = info
 
     def enter_epoch(self, params: SourceEpochParams) -> None:
-        """Exactly one epoch is active; buffered packets do not carry over."""
+        """Activate master-signed ``params`` (else ValueError); buffers do not carry over."""
+        if not validity.verify_epoch(params, self.master_pk):
+            raise ValueError(f"epoch {params.k} parameters not signed by the master")
         self.params = params
         self.buffers.clear()
         self.current_tree = None
 
 
-def expected_coefficient(
-    state: NodeState, grandparent_id: bytes, parent_id: bytes
-) -> int:
-    """The coefficient this node expects its parent to have used."""
-    assert state.params is not None
-    return derive_coefficient(
-        state.seed, grandparent_id, parent_id, None,
-        state.params.epoch_pk_bytes(), state.params.q,
+def _check_packet(
+    pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
+    params: SourceEpochParams, protocol: Protocol, h_bytes: int,
+) -> Violation | None:
+    """Check one packet against the verifier's view of its sender.
+
+    Order: attest signature, epoch binding, validity signature, token
+    type and full PIP token (senders with a required set only), helper
+    token.  Returns the first Violation, or None when the packet is good.
+    """
+    sender_id = pkt.sender_id
+    if not verify_attest(sender.pk, packet_signed_bytes(pkt, params, h_bytes), pkt.attest):
+        return Violation(ViolationKind.BAD_ATTEST, sender_id)
+    if pkt.epoch_ref != EpochRef(k=params.k, master_sig=params.master_sig):
+        return Violation(ViolationKind.BAD_EPOCH, sender_id, f"epoch {pkt.epoch_ref.k}")
+    if not validity.verify_validity(params, pkt.E, pkt.sigma):
+        return Violation(ViolationKind.POLLUTED_PACKET, sender_id)
+
+    if sender.required_set:
+        if isinstance(pkt.test_token, PipTestToken):
+            expected = {
+                gp: derive_coefficient(seed, gp, sender_id, params.epoch_pk_bytes(), params.q)
+                for gp in sender.required_set
+            }
+            v = pipcore.pip_verif_test(
+                pkt.sigma, pkt.test_token, sender_id,
+                set(sender.required_set), sender.grandparent_pks, expected, params,
+            )
+            if v is not None:
+                return v
+        elif protocol is not Protocol.LOGPIP:
+            return Violation(ViolationKind.MISSING_ENTRY, sender_id, "wrong token type")
+
+    return pipcore.check_helper(
+        all(c == 0 for c in pkt.E.coding_vector),
+        pkt.sigma, pkt.helper, sender.pk, sender_id, receiver_id, params,
+    )
+
+
+def _check_response(
+    pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
+    params: SourceEpochParams, h_bytes: int, target: bytes, proof: ChallengeProof,
+) -> Violation | None:
+    """Check one opened Log-PIP path of ``pkt`` for the challenged parent ``target``."""
+    ctx = ChallengeContext(
+        sender_id=pkt.sender_id,
+        sender_pk=sender.pk,
+        receiver_id=receiver_id,
+        packet_sigma=pkt.sigma,
+        sender_helper_sig=pkt.helper,
+        packet_coding_zero=all(c == 0 for c in pkt.E.coding_vector),
+        params=params,
+        h_bytes=h_bytes,
+    )
+    return pipcore.logpip_verify(
+        proof, pkt.test_token, ctx, target, sender.grandparent_pks[target],
+        derive_coefficient(seed, target, pkt.sender_id, params.epoch_pk_bytes(), params.q),
     )
 
 
 def verify_incoming(state: NodeState, pkt: Packet) -> Violation | None:
-    """Run the receive-side check pipeline on one parent packet.
+    """Run the check pipeline on one parent packet, against the registered parent.
 
-    Order: attest signature, epoch binding, validity signature, coding
-    verification (full-token protocol only; Merkle challenges are
-    driven separately), helper token.  Returns the first Violation, or
-    None when the packet is good.
+    Merkle challenges are driven separately (``challenge_parent``).
+    Returns the first Violation, or None when the packet is good.
     """
-    params = state.params
-    sender = pkt.sender_id
-    if params is None:
-        return Violation(ViolationKind.BAD_EPOCH, sender, "no active epoch")
-    info = state.parents.get(sender)
+    if state.params is None:
+        return Violation(ViolationKind.BAD_EPOCH, pkt.sender_id, "no active epoch")
+    info = state.parents.get(pkt.sender_id)
     if info is None:
-        return Violation(ViolationKind.POLICY_VIOLATION, sender, "unregistered parent")
-
-    signed = packet_signed_bytes(pkt, params, state.profile.h_bytes)
-    if not verify_attest(info.pk, signed, pkt.attest):
-        return Violation(ViolationKind.BAD_ATTEST, sender)
-
-    if pkt.epoch_ref.k != params.k or not sigcrypto.verify(
-        state.master_pk, params.epoch_pk_bytes(), pkt.epoch_ref.master_sig
-    ):
-        return Violation(ViolationKind.BAD_EPOCH, sender, f"epoch {pkt.epoch_ref.k}")
-
-    if not validity.verify_validity(params, pkt.E, pkt.sigma):
-        return Violation(ViolationKind.POLLUTED_PACKET, sender)
-
-    if state.protocol is Protocol.PIP and info.required_set:
-        if not isinstance(pkt.test_token, PipTestToken):
-            return Violation(ViolationKind.MISSING_ENTRY, sender, "wrong token type")
-        expected = {gp: expected_coefficient(state, gp, sender) for gp in info.required_set}
-        v = pipcore.pip_verif_test(
-            pkt.sigma, pkt.test_token, sender,
-            set(info.required_set), info.grandparent_pks, expected, params,
-        )
-        if v is not None:
-            return v
-
-    return pipcore.check_helper(
-        all(c == 0 for c in pkt.E.coding_vector),
-        pkt.sigma, pkt.helper, info.pk, sender, state.node_id, params,
+        return Violation(ViolationKind.POLICY_VIOLATION, pkt.sender_id, "unregistered parent")
+    return _check_packet(
+        pkt, info, state.node_id, state.seed, state.params, state.protocol, state.profile.h_bytes
     )
 
 
@@ -378,11 +404,13 @@ def challenge_parent(
 ) -> list[tuple[bytes, ChallengeProof | None, Violation | None]]:
     """Issue t Merkle challenges on a sender's packet and verify responses.
 
-    ``sender_tree``/``sender_sk`` stand in for the request round-trip:
-    the responder opens its retained tree and signs each response.  A
-    missing response (no retained tree) counts as a violation, which is
-    how the simulator treats refusal to answer.  Challenged parents are
-    sampled without replacement from the sender's required set.
+    Call it on a packet that passed ``verify_incoming``, which checked a
+    full PIP token in full.  ``sender_tree``/``sender_sk`` stand in for
+    the request round-trip: the responder opens its retained tree and
+    signs each response.  A missing response (no retained tree) counts
+    as a violation, which is how the simulator treats refusal to answer.
+    Challenged parents are sampled without replacement from the
+    sender's required set.
     """
     params = state.params
     assert params is not None
@@ -391,39 +419,20 @@ def challenge_parent(
         return []
     targets = sorted(info.required_set)
     picks = rng.sample(targets, k=min(t, len(targets)))
-    ctx = ChallengeContext(
-        sender_id=pkt.sender_id,
-        sender_pk=info.pk,
-        receiver_id=state.node_id,
-        packet_sigma=pkt.sigma,
-        sender_helper_sig=pkt.helper,
-        packet_coding_zero=all(c == 0 for c in pkt.E.coding_vector),
-        params=params,
-        h_bytes=state.profile.h_bytes,
-    )
     results = []
     for target in picks:
         proof = None
         if sender_tree is not None:
-            idx = next(
-                (i for i, inp in enumerate(sender_tree.inputs) if inp.parent_id == target),
-                None,
-            )
-            if idx is None:
-                # Cheating tree without a leaf for the challenged parent: the
-                # responder can only open some other leaf, which then fails the
-                # helper-signature check for the challenged parent.
-                idx = min(
-                    bisect.bisect_left([i.parent_id for i in sender_tree.inputs], target),
-                    len(sender_tree.inputs) - 1,
-                )
+            # A cheating tree without a leaf for the challenged parent can only
+            # open another leaf, which fails the check for the challenged parent.
+            ids = [inp.parent_id for inp in sender_tree.inputs]
+            idx = ids.index(target) if target in ids else 0
             proof = pipcore.logpip_respond(sender_tree, idx, sender_sk)
         if proof is None:
             v = Violation(ViolationKind.BAD_MERKLE_PATH, pkt.sender_id, "no response")
         else:
-            v = pipcore.logpip_verify(
-                proof, pkt.test_token, ctx, target, info.grandparent_pks[target],
-                expected_coefficient(state, target, pkt.sender_id),
+            v = _check_response(
+                pkt, info, state.node_id, state.seed, params, state.profile.h_bytes, target, proof
             )
         results.append((target, proof, v))
     return results
@@ -509,7 +518,7 @@ def process_round(
     inputs = [
         ParentInput(
             rp, state.buffers[rp].sigma, state.buffers[rp].helper,
-            derive_coefficient(state.seed, rp, state.node_id, None,
+            derive_coefficient(state.seed, rp, state.node_id,
                                params.epoch_pk_bytes(), params.q),
         )
         for rp in available
@@ -612,16 +621,18 @@ def build_misbehavior_proof(
 def adjudicate(
     proof: MisbehaviorProof, authority_pk: bytes, master_pk: bytes
 ) -> Adjudication:
-    """Re-run the verification pipeline on a misbehavior proof.
+    """Re-run the receiver's checks on a misbehavior proof.
 
-    Guilty requires an independent reproduction of a Violation from
-    admissible evidence; a bad attest signature (or an unverifiable
-    challenge response) makes the proof inadmissible rather than the
-    accused guilty, so honest nodes cannot be framed with doctored
-    packets.
+    After the admissibility checks (master-signed epoch, certified
+    sender, decodable packet from the named sender), the packet goes
+    through the receiver's ``_check_packet``, token-type rule and epoch
+    binding included, and each signed transcript response through
+    ``_check_response``.  A bad attest or epoch reference, or an
+    unsigned response, makes the proof inadmissible, so honest nodes
+    cannot be framed with doctored packets; any other violation is guilty.
     """
     params = proof.params
-    if not sigcrypto.verify(master_pk, params.epoch_pk_bytes(), params.master_sig):
+    if not validity.verify_epoch(params, master_pk):
         return Adjudication(Verdict.INADMISSIBLE, reason="bad epoch parameters")
     if proof.sender_cert is None or not sigcrypto.verify_cert(
         proof.sender_cert, proof.sender_pk, proof.sender_id, authority_pk
@@ -634,55 +645,13 @@ def adjudicate(
     if pkt.sender_id != proof.sender_id:
         return Adjudication(Verdict.INADMISSIBLE, reason="sender mismatch")
 
-    signed = packet_signed_bytes(pkt, params, proof.h_bytes)
-    if not verify_attest(proof.sender_pk, signed, pkt.attest):
-        return Adjudication(Verdict.INADMISSIBLE, reason="attest does not verify")
-    if pkt.epoch_ref.k != params.k or not sigcrypto.verify(
-        master_pk, params.epoch_pk_bytes(), pkt.epoch_ref.master_sig
-    ):
-        return Adjudication(Verdict.INADMISSIBLE, reason="packet bound to a different epoch")
-
-    if not validity.verify_validity(params, pkt.E, pkt.sigma):
-        return Adjudication(
-            Verdict.GUILTY,
-            Violation(ViolationKind.POLLUTED_PACKET, proof.sender_id),
-        )
-
-    def expected(gp: bytes) -> int:
-        return derive_coefficient(
-            proof.seed, gp, proof.sender_id, None, params.epoch_pk_bytes(), params.q
-        )
-
-    if proof.protocol is Protocol.PIP and proof.required_set:
-        if not isinstance(pkt.test_token, PipTestToken):
-            return Adjudication(
-                Verdict.GUILTY,
-                Violation(ViolationKind.MISSING_ENTRY, proof.sender_id, "wrong token type"),
-            )
-        v = pipcore.pip_verif_test(
-            pkt.sigma, pkt.test_token, proof.sender_id,
-            set(proof.required_set), proof.parent_pks,
-            {gp: expected(gp) for gp in proof.required_set}, params,
-        )
-        if v is not None:
-            return Adjudication(Verdict.GUILTY, v)
-
-    if proof.protocol is Protocol.LOGPIP:
-        if not isinstance(pkt.test_token, LogPipTestToken):
-            return Adjudication(
-                Verdict.GUILTY,
-                Violation(ViolationKind.BAD_MERKLE_PATH, proof.sender_id, "wrong token type"),
-            )
-        ctx = ChallengeContext(
-            sender_id=proof.sender_id,
-            sender_pk=proof.sender_pk,
-            receiver_id=proof.receiver_id,
-            packet_sigma=pkt.sigma,
-            sender_helper_sig=pkt.helper,
-            packet_coding_zero=all(c == 0 for c in pkt.E.coding_vector),
-            params=params,
-            h_bytes=proof.h_bytes,
-        )
+    sender = ParentInfo(
+        pk=proof.sender_pk, required_set=proof.required_set, grandparent_pks=proof.parent_pks
+    )
+    v = _check_packet(
+        pkt, sender, proof.receiver_id, proof.seed, params, proof.protocol, proof.h_bytes
+    )
+    if v is None and isinstance(pkt.test_token, LogPipTestToken):
         for pid, proof_bytes in proof.transcript:
             try:
                 challenge = pipcore.parse_proof(proof_bytes, params, proof.h_bytes)
@@ -695,16 +664,13 @@ def adjudicate(
                 return Adjudication(Verdict.INADMISSIBLE, reason="unsigned challenge response")
             if pid not in proof.parent_pks:
                 return Adjudication(Verdict.INADMISSIBLE, reason="challenge outside required set")
-            v = pipcore.logpip_verify(
-                challenge, pkt.test_token, ctx, pid, proof.parent_pks[pid], expected(pid)
+            v = _check_response(
+                pkt, sender, proof.receiver_id, proof.seed, params, proof.h_bytes, pid, challenge
             )
             if v is not None:
-                return Adjudication(Verdict.GUILTY, v)
-
-    v = pipcore.check_helper(
-        all(c == 0 for c in pkt.E.coding_vector),
-        pkt.sigma, pkt.helper, proof.sender_pk, proof.sender_id, proof.receiver_id, params,
-    )
-    if v is not None:
-        return Adjudication(Verdict.GUILTY, v)
-    return Adjudication(Verdict.INNOCENT)
+                break
+    if v is None:
+        return Adjudication(Verdict.INNOCENT)
+    if v.kind in (ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH):
+        return Adjudication(Verdict.INADMISSIBLE, reason=str(v))
+    return Adjudication(Verdict.GUILTY, v)

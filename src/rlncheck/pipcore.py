@@ -159,7 +159,8 @@ def pip_verif_test(
     """Check a sender's full token against its required set.
 
     Returns None when every check passes, otherwise the Violation for
-    the first failed check: an entry per required parent must exist,
+    the first failed check: exactly one entry per required parent
+    (an unchecked extra entry could steer the combination anywhere),
     each helper must verify under that parent's key for this sender,
     each coefficient must be the nonzero prescribed one, and the
     homomorphic combination of all entries must equal the packet's
@@ -169,6 +170,8 @@ def pip_verif_test(
     for rp in sorted(required_set):
         if rp not in entries:
             return Violation(ViolationKind.MISSING_ENTRY, sender_id, rp.decode("utf-8", "replace"))
+    if len(token.entries) != len(required_set):
+        return Violation(ViolationKind.POLICY_VIOLATION, sender_id, "entry outside required set")
     for rp in sorted(required_set):
         e = entries[rp]
         if not verify_helper(parent_pks[rp], e.sigma, rp, sender_id, e.helper_sig, params):

@@ -634,7 +634,7 @@ class Simulation:
             context = self.params.epoch_pk_bytes() if self.verified else b"lite"
             self._honest = {
                 name: [(p, node_mod.derive_coefficient(
-                    self.seed, p.encode(), name.encode(), None, context, self.q))
+                    self.seed, p.encode(), name.encode(), context, self.q))
                     for p in self.required[name]]
                 for name in self._emit_order
             }
@@ -698,33 +698,23 @@ class Simulation:
         st = self.nodes[name].state
         v = node_mod.verify_incoming(st, pkt)
         self.report.verdicts.append((r, name, sender, v))
-        if v is not None:
+        # (violation, challenge transcript); no transcript when the sender did not answer
+        failures = [] if v is None else [(v, [])]
+        if v is None and self.protocol is Protocol.LOGPIP and sender != self.topo.source:
+            sender_state = self.nodes[sender].state
+            results = node_mod.challenge_parent(
+                st, pkt, sender_state.current_tree, sender_state.identity.sk,
+                self.challenges, self.challenge_rng,
+            )
+            failures = [(v, None if proof is None else [(target, proof)])
+                        for target, proof, v in results if v is not None]
+        for v, transcript in failures:
             self.report.detections.append(
                 DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
             )
-            if self.collect_proofs:
-                self.report.proofs.append(node_mod.build_misbehavior_proof(st, pkt))
-            return False
-        if self.protocol is not Protocol.LOGPIP or sender == self.topo.source:
-            return True
-        sender_state = self.nodes[sender].state
-        results = node_mod.challenge_parent(
-            st, pkt, sender_state.current_tree, sender_state.identity.sk,
-            self.challenges, self.challenge_rng,
-        )
-        accepted = True
-        for target, proof, v in results:
-            if v is None:
-                continue
-            accepted = False
-            self.report.detections.append(
-                DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
-            )
-            if self.collect_proofs and proof is not None:
-                self.report.proofs.append(
-                    node_mod.build_misbehavior_proof(st, pkt, [(target, proof)])
-                )
-        return accepted
+            if self.collect_proofs and transcript is not None:
+                self.report.proofs.append(node_mod.build_misbehavior_proof(st, pkt, transcript))
+        return not failures
 
     def _emit_round(self, epoch: int) -> dict[str, list]:
         deliveries: dict[str, list] = {n: [] for n in self.nodes}

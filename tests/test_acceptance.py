@@ -111,7 +111,7 @@ class AdversaryLab:
                 self.parents[pid].sk, sigma, pid, b"byz", self.params
             )
             coeff = derive_coefficient(
-                self.seed, pid, b"byz", None, self.params.epoch_pk_bytes(), self.q
+                self.seed, pid, b"byz", self.params.epoch_pk_bytes(), self.q
             )
             inputs[pid] = ParentInput(pid, sigma, helper, coeff)
             packets[pid] = E
@@ -183,10 +183,24 @@ class AdversaryLab:
                 for e in entries
             ]
             return self.packet_from(mutated, packets)
+        if strategy in ("extra", "duplicate"):
+            # Forward the target's packet, with one more entry whose sigma
+            # turns the honest entries' combination into the packet's sigma.
+            E = packets[target]
+            sigma = validity.sign_validity(self.params, E)
+            honest = validity.combine_validity(
+                [e.sigma for e in entries], [e.coeff for e in entries], self.params
+            )
+            filler = sigma * pow(honest, -1, self.params.p) % self.params.p
+            pid = b"px" if strategy == "extra" else target
+            extra = ParentInput(pid, filler, sigcrypto.sign(self.byz.sk, b"filler"), 1)
+            # First, so that a lookup by id finds the honest entry of a repeated id.
+            token = pipcore.PipTestToken(entries=(extra, *entries))
+            return finish_packet(self.byz, E, sigma, token, self.params, b"c")
         raise AssertionError(strategy)
 
 
-STRATEGIES = ("skip", "zero", "wrong", "forge", "noninnovative", "forward")
+STRATEGIES = ("skip", "zero", "wrong", "forge", "noninnovative", "forward", "extra", "duplicate")
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +273,7 @@ def logpip_cheat_fixture(lab, d, zero_target=0):
         packet_coding_zero=E.is_zero(), params=lab.params, h_bytes=lab.profile.h_bytes,
     )
     expected = {
-        pid: derive_coefficient(lab.seed, pid, b"byz", None, lab.params.epoch_pk_bytes(), lab.q)
+        pid: derive_coefficient(lab.seed, pid, b"byz", lab.params.epoch_pk_bytes(), lab.q)
         for pid in ids
     }
     pks = {pid: lab.parents[pid].pk for pid in ids}

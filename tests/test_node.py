@@ -37,8 +37,8 @@ class TestDeriveCoefficient:
     def test_deterministic(self, tiny_epoch):
         _, _, params = tiny_epoch
         epk = params.epoch_pk_bytes()
-        a = derive_coefficient(b"s" * 16, b"p", b"n", None, epk, 13)
-        b = derive_coefficient(b"s" * 16, b"p", b"n", None, epk, 13)
+        a = derive_coefficient(b"s" * 16, b"p", b"n", epk, 13)
+        b = derive_coefficient(b"s" * 16, b"p", b"n", epk, 13)
         assert a == b and 0 < a < 13
 
     def test_epoch_changes_coefficient(self, rng):
@@ -47,22 +47,14 @@ class TestDeriveCoefficient:
         p1 = validity.epoch_setup(master, originals, 1, rng, TEST)
         p2 = validity.epoch_setup(master, originals, 2, rng, TEST)
         q = 2**61 - 1
-        a = derive_coefficient(b"s" * 16, b"p", b"n", None, p1.epoch_pk_bytes(), q)
-        b = derive_coefficient(b"s" * 16, b"p", b"n", None, p2.epoch_pk_bytes(), q)
-        assert a != b
-
-    def test_child_changes_coefficient(self, tiny_epoch):
-        _, _, params = tiny_epoch
-        epk = params.epoch_pk_bytes()
-        q = 2**61 - 1
-        a = derive_coefficient(b"s" * 16, b"p", b"n", b"c1", epk, q)
-        b = derive_coefficient(b"s" * 16, b"p", b"n", b"c2", epk, q)
+        a = derive_coefficient(b"s" * 16, b"p", b"n", p1.epoch_pk_bytes(), q)
+        b = derive_coefficient(b"s" * 16, b"p", b"n", p2.epoch_pk_bytes(), q)
         assert a != b
 
     def test_empty_id_rejected(self, tiny_epoch):
         _, _, params = tiny_epoch
         with pytest.raises(ValueError):
-            derive_coefficient(b"s" * 16, b"", b"n", None, params.epoch_pk_bytes(), 13)
+            derive_coefficient(b"s" * 16, b"", b"n", params.epoch_pk_bytes(), 13)
 
     def test_uniform_chi_square(self, tiny_epoch):
         """10^4 distinct parent ids at q=13: all cells within 5 sigma."""
@@ -71,7 +63,7 @@ class TestDeriveCoefficient:
         q, n = 13, 10_000
         counts = {v: 0 for v in range(1, q)}
         for i in range(n):
-            counts[derive_coefficient(b"s" * 16, b"p%d" % i, b"n", None, epk, q)] += 1
+            counts[derive_coefficient(b"s" * 16, b"p%d" % i, b"n", epk, q)] += 1
         p = 1 / (q - 1)
         sigma = math.sqrt(n * p * (1 - p))
         for v, c in counts.items():
@@ -271,6 +263,13 @@ class TestProcessRound:
         }
         assert draft is not None and draft.degraded
 
+    def test_unsigned_epoch_rejected(self):
+        net = Net()
+        forged = replace(net.params, master_sig=b"\x00" * 64)
+        with pytest.raises(ValueError):
+            net.c_state.enter_epoch(forged)
+        assert net.c_state.params == net.params
+
     def test_unregistered_sender(self):
         net = Net()
         pkt, _ = net.n_packet()
@@ -349,7 +348,7 @@ class TestAdjudication:
         only_p2 = [
             ParentInput(
                 b"p2", p2_pkt.sigma, p2_pkt.helper,
-                derive_coefficient(net.seed, b"p2", b"n", None, net.params.epoch_pk_bytes(), net.params.q),
+                derive_coefficient(net.seed, b"p2", b"n", net.params.epoch_pk_bytes(), net.params.q),
             )
         ]
         E = gf.linear_combine([p2_pkt.E], [only_p2[0].coeff], net.params.q)
@@ -378,7 +377,7 @@ class TestAdjudication:
         st = net.n_state
         process_round(st, [p1_pkt, p2_pkt])
         coeff = lambda pid: derive_coefficient(
-            net.seed, pid, b"n", None, net.params.epoch_pk_bytes(), net.params.q
+            net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q
         )
         # Variant 1: drop p2 entirely.
         entry_p1 = ParentInput(b"p1", p1_pkt.sigma, p1_pkt.helper, coeff(b"p1"))
@@ -406,7 +405,7 @@ class TestAdjudication:
         st = net.n_state
         process_round(st, [p1_pkt, p2_pkt])
         coeff = lambda pid: derive_coefficient(
-            net.seed, pid, b"n", None, net.params.epoch_pk_bytes(), net.params.q
+            net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q
         )
         entries = [
             ParentInput(b"p1", p1_pkt.sigma, p1_pkt.helper, 0),  # zeroed parent
@@ -435,3 +434,34 @@ class TestAdjudication:
         proof2 = build_misbehavior_proof(net.c_state, pkt, [(pid, doctored)])
         out2 = adjudicate(proof2, net.master.pk, net.master.pk)
         assert out2.verdict is Verdict.INADMISSIBLE
+
+    def test_logpip_sender_needs_checkable_token(self):
+        """Under Log-PIP, a relay with an empty PIP token escapes every
+        challenge, so the receiver must reject it; a full PIP token is
+        checked in full instead of challenged."""
+        net = Net(protocol=Protocol.LOGPIP)
+        pkt, _ = net.n_packet()
+        bare = finish_packet(net.idents[b"n"], pkt.E, pkt.sigma,
+                             pipcore.PipTestToken(entries=()), net.params, b"c")
+        v = verify_incoming(net.c_state, bare)
+        assert v is not None and v.kind is ViolationKind.MISSING_ENTRY
+        out = adjudicate(build_misbehavior_proof(net.c_state, bare), net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.GUILTY and out.violation.kind is ViolationKind.MISSING_ENTRY
+
+        pip_net = Net()
+        full, _ = pip_net.n_packet()
+        pip_net.c_state.protocol = Protocol.LOGPIP
+        assert verify_incoming(pip_net.c_state, full) is None
+        challenges = node_mod.challenge_parent(pip_net.c_state, full, None, None, 2, random.Random(1))
+        assert challenges == []
+
+    def test_honest_source_innocent_under_logpip(self):
+        """The source codes over nothing; its empty PIP token is not a
+        wrong token type, for the receiver and the adjudicator alike."""
+        net = Net(protocol=Protocol.LOGPIP)
+        relay = net.relays[b"p1"]
+        relay.parents[b"s"].cert = sigcrypto.certify(net.master.sk, net.master.pk, b"s")
+        src = source_packet(net.master, net.originals, net.params, b"p1", (2, 3))
+        assert verify_incoming(relay, src) is None
+        out = adjudicate(build_misbehavior_proof(relay, src), net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.INNOCENT

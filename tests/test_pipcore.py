@@ -34,7 +34,7 @@ def make_parents(d, params, rng, sender_id=b"nde"):
             if sigma != 1:
                 break
         helper = pipcore.make_helper_token(ident.sk, sigma, pid, sender_id, params)
-        coeff = derive_coefficient(SEED, pid, sender_id, None, params.epoch_pk_bytes(), params.q)
+        coeff = derive_coefficient(SEED, pid, sender_id, params.epoch_pk_bytes(), params.q)
         inputs.append(ParentInput(pid, sigma, helper, coeff))
         pks[pid] = ident.pk
         expected[pid] = coeff

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from rlncheck import sim
+from rlncheck import node as node_mod, sim
+from rlncheck.node import Verdict
 from rlncheck.pipcore import Protocol, ViolationKind
 from rlncheck.profiles import SIM
 from rlncheck.sim import (
@@ -303,6 +304,43 @@ class TestNetworkSoundness:
         for proto in (Protocol.PIP, Protocol.LOGPIP):
             report = run_simulation(topo, proto, m=2, rng_seed=13, profile=SIM, challenges=3)
             assert report.detections == []
+
+
+class TestReceiverAdjudicatorAgreement:
+    def test_every_delivery_adjudicates_as_the_receiver_found(self, monkeypatch):
+        """A proof of any delivery adjudicates INNOCENT when the receiver
+        accepted it, INADMISSIBLE on a bad attest or epoch, and GUILTY of
+        the same violation otherwise.  Every proof a run collects is
+        GUILTY, except a replayed packet's: a stale packet does not show
+        when it was sent, so that proof is INADMISSIBLE."""
+        verify = node_mod.verify_incoming
+        pairs = []
+
+        def checked(st, pkt):
+            v = verify(st, pkt)
+            proof = node_mod.build_misbehavior_proof(st, pkt)
+            pairs.append((v, node_mod.adjudicate(proof, st.authority_pk, st.master_pk)))
+            return v
+
+        monkeypatch.setattr(node_mod, "verify_incoming", checked)
+        for kind in sorted(BehaviorKind, key=lambda k: k.value):
+            want = Verdict.INADMISSIBLE if kind is BehaviorKind.REPLAY_OLD else Verdict.GUILTY
+            butterfly = butterfly_topology().with_behavior("n1", Behavior(kind))
+            for topo in (butterfly, soundness_topology(Behavior(kind))):
+                for proto in (Protocol.PIP, Protocol.LOGPIP):
+                    s = sim.Simulation(topo, proto, m=2, rng_seed=13, profile=SIM, epochs=2,
+                                       challenges=3, collect_proofs=True)
+                    for proof in s.run().proofs:
+                        out = node_mod.adjudicate(proof, s.master.pk, s.master.pk)
+                        assert out.verdict is want, (kind, proto, out)
+        assert len(pairs) > 2000
+        for v, out in pairs:
+            if v is None:
+                assert out.verdict is Verdict.INNOCENT, out
+            elif v.kind in (ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH):
+                assert out.verdict is Verdict.INADMISSIBLE, (v, out)
+            else:
+                assert out.verdict is Verdict.GUILTY and out.violation.kind is v.kind, (v, out)
 
 
 class TestHonestThroughput:
