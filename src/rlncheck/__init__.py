@@ -10,6 +10,8 @@ signatures, replay-resistant epochs, provable-misbehavior attestation,
 and a deterministic adversarial throughput simulator.
 """
 
+import logging as _logging
+
 from .gf import CodedVector, linear_combine, rank, random_nonzero, solve_originals
 from .node import (
     NodeState,
@@ -53,5 +55,7 @@ from .sim import (
 from .validity import SourceEpochParams, combine_validity, epoch_setup, sign_validity, verify_validity
 
 __version__ = "0.1.0"
+
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 __all__ = [name for name in dir() if not name.startswith("_")]

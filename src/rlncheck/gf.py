@@ -13,8 +13,10 @@ from Z_q^* only.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -67,18 +69,12 @@ def linear_combine(vectors: list[CodedVector], coeffs: list[int], q: int) -> Cod
         raise ValueError("linear_combine requires non-empty inputs")
     if len(vectors) != len(coeffs):
         raise ValueError(f"{len(vectors)} vectors but {len(coeffs)} coefficients")
-    n, m = vectors[0].n, vectors[0].m
-    payload = [0] * n
-    coding = [0] * m
-    for v, a in zip(vectors, coeffs):
-        if v.n != n or v.m != m:
-            raise ValueError(f"dimension mismatch: ({v.n},{v.m}) vs ({n},{m})")
-        a = a % q
-        for i, c in enumerate(v.payload):
-            payload[i] = (payload[i] + a * c) % q
-        for i, c in enumerate(v.coding_vector):
-            coding[i] = (coding[i] + a * c) % q
-    return CodedVector(payload=tuple(payload), coding_vector=tuple(coding))
+    n, m = len(vectors[0].payload), len(vectors[0].coding_vector)
+    if any(len(v.payload) != n or len(v.coding_vector) != m for v in vectors):
+        raise ValueError(f"dimension mismatch: every vector must have ({n},{m}) chunks")
+    columns = zip(*[v.payload + v.coding_vector for v in vectors])
+    sums = [sum(map(mul, coeffs, col)) % q for col in columns]
+    return CodedVector(payload=tuple(sums[:n]), coding_vector=tuple(sums[n:]))
 
 
 def row_reduce(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -147,51 +143,54 @@ def left_nullspace(rows: list[list[int]], q: int) -> list[list[int]]:
     return basis
 
 
-def reduce_against(row: list[int], basis: list[list[int]], q: int) -> list[int]:
-    """Reduce a row against an echelon basis; zero result means in-span."""
-    row = [c % q for c in row]
-    for b in basis:
-        lead = next((i for i, c in enumerate(b) if c != 0), None)
-        if lead is None or row[lead] == 0:
-            continue
-        f = (row[lead] * pow(b[lead], -1, q)) % q
-        row = [(a - f * c) % q for a, c in zip(row, b)]
-    return row
-
-
 class Span:
-    """Incrementally maintained row span over GF(q) (echelon basis)."""
+    """Incrementally maintained row span over GF(q) (echelon basis).
+
+    Invariant: each row of ``basis`` has lead (first nonzero) entry 1, rows
+    are ordered by lead column, and ``pivots[i]`` is row i's lead.  A full
+    span (``dim == width``) holds every row of that width: ``add`` returns False.
+    """
 
     def __init__(self, q: int, width: int):
         self.q = q
         self.width = width
         self.basis: list[list[int]] = []
+        self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def residual(self, row) -> list[int]:
-        return reduce_against(list(row), self.basis, self.q)
+        q = self.q
+        row = [c % q for c in row]
+        for lead, b in zip(self.pivots, self.basis):
+            f = row[lead]
+            if f:
+                row = [(a - f * c) % q for a, c in zip(row, b)]
+        return row
 
     def contains(self, row) -> bool:
-        return all(c == 0 for c in self.residual(row))
+        return not any(self.residual(row))
 
     def add(self, row) -> bool:
         """Insert a row; returns True if it increased the dimension."""
+        if len(self.basis) == self.width:
+            return False
         res = self.residual(row)
         lead = next((i for i, c in enumerate(res) if c != 0), None)
         if lead is None:
             return False
         inv = pow(res[lead], -1, self.q)
-        res = [(c * inv) % self.q for c in res]
-        self.basis.append(res)
-        self.basis.sort(key=lambda b: next(i for i, c in enumerate(b) if c != 0))
+        at = bisect.bisect(self.pivots, lead)
+        self.pivots.insert(at, lead)
+        self.basis.insert(at, [(c * inv) % self.q for c in res])
         return True
 
     def copy(self) -> "Span":
         s = Span(self.q, self.width)
         s.basis = [list(b) for b in self.basis]
+        s.pivots = list(self.pivots)
         return s
 
 

@@ -624,12 +624,13 @@ def adjudicate(
     """Re-run the receiver's checks on a misbehavior proof.
 
     After the admissibility checks (master-signed epoch, certified
-    sender, decodable packet from the named sender), the packet goes
-    through the receiver's ``_check_packet``, token-type rule and epoch
-    binding included, and each signed transcript response through
-    ``_check_response``.  A bad attest or epoch reference, or an
-    unsigned response, makes the proof inadmissible, so honest nodes
-    cannot be framed with doctored packets; any other violation is guilty.
+    sender, decodable packet from the named sender, a key for every
+    required parent), the packet goes through the receiver's
+    ``_check_packet``, token-type rule and epoch binding included, and
+    each signed transcript response through ``_check_response``.  A bad
+    attest or epoch reference, or an unsigned response, makes the proof
+    inadmissible, so honest nodes cannot be framed with doctored
+    packets; any other violation is guilty.
     """
     params = proof.params
     if not validity.verify_epoch(params, master_pk):
@@ -644,6 +645,8 @@ def adjudicate(
         return Adjudication(Verdict.INADMISSIBLE, reason=f"undecodable packet: {e}")
     if pkt.sender_id != proof.sender_id:
         return Adjudication(Verdict.INADMISSIBLE, reason="sender mismatch")
+    if not proof.required_set <= proof.parent_pks.keys():
+        return Adjudication(Verdict.INADMISSIBLE, reason="missing parent key")
 
     sender = ParentInfo(
         pk=proof.sender_pk, required_set=proof.required_set, grandparent_pks=proof.parent_pks

@@ -41,6 +41,7 @@ derive from the one seed.
 from __future__ import annotations
 
 import enum
+import logging
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,6 +51,8 @@ from .gf import CodedVector, Span
 from .node import NodeState, ParentInfo, Packet, RequiredSetPolicy
 from .pipcore import ParentInput, Protocol, Violation, ViolationKind
 from .profiles import SIM, Profile
+
+logger = logging.getLogger(__name__)
 
 
 class Role(enum.Enum):
@@ -914,7 +917,7 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
 
     Returns (per-run rows, summary rows of (min_cut, mode, mean rank)).
     Infeasible (cut, seed) pairs are skipped for all modes so the
-    comparison stays paired.
+    comparison stays paired; each skip is logged at INFO.
     """
     rows: list[SweepRow] = []
     summary: list[tuple[int, str, float]] = []
@@ -926,7 +929,8 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
                     config.node_count, config.edge_count, cut,
                     config.byzantine_count, rng_seed=seed * 1000 + cut,
                 )
-            except InfeasibleTopologyError:
+            except InfeasibleTopologyError as e:
+                logger.info("mode_sweep: skipping cut %d, seed %d: %s", cut, seed, e)
                 continue
             sink = topo.sinks[0]
             for mode, kind in MODES.items():

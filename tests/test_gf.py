@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlncheck import gf
+from rlncheck.profiles import PRODUCTION, TEST
 
 
 def vec(payload, coding, q=13):
@@ -36,6 +37,10 @@ class TestLinearCombine:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gf.linear_combine([vec([1], [1]), vec([1, 2], [1])], [1, 1], 13)
+        with pytest.raises(ValueError):
+            gf.linear_combine([vec([1], [1]), vec([1], [1, 0])], [1, 1], 13)
+        with pytest.raises(ValueError):
+            gf.linear_combine([vec([1], [1])], [1, 2], 13)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
@@ -58,6 +63,105 @@ class TestLinearCombine:
         a = gf.linear_combine(vecs, coeffs, q)
         b = gf.linear_combine([vecs[i] for i in perm], [coeffs[i] for i in perm], q)
         assert a == b
+
+
+def combine_reference(vectors, coeffs, q):
+    """Oracle: sum(a_i * E_i) with a reduction after every term."""
+    payload = [0] * vectors[0].n
+    coding = [0] * vectors[0].m
+    for v, a in zip(vectors, coeffs):
+        for i, c in enumerate(v.payload):
+            payload[i] = (payload[i] + (a % q) * c) % q
+        for i, c in enumerate(v.coding_vector):
+            coding[i] = (coding[i] + (a % q) * c) % q
+    return gf.CodedVector(payload=tuple(payload), coding_vector=tuple(coding))
+
+
+class TestLinearCombineReference:
+    @pytest.mark.parametrize("q", [TEST.q, PRODUCTION.q])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_term_reference(self, q, data):
+        n = data.draw(st.integers(0, 3))
+        m = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 4))
+        chunk = st.integers(0, q - 1)
+        vecs = [
+            gf.vector(data.draw(st.lists(chunk, min_size=n, max_size=n)),
+                      data.draw(st.lists(chunk, min_size=m, max_size=m)), q)
+            for _ in range(k)
+        ]
+        coeff = st.one_of(
+            st.sampled_from([0, q - 1]),
+            st.integers(-3 * q, -1),
+            st.integers(q, 3 * q),
+            chunk,
+        )
+        coeffs = data.draw(st.lists(coeff, min_size=k, max_size=k))
+        assert gf.linear_combine(vecs, coeffs, q) == combine_reference(vecs, coeffs, q)
+
+
+def row_stream(data, q, width):
+    """Rows with zeros, duplicates, multiples and negative or unreduced
+    entries, long enough to keep adding after full rank."""
+    rows = []
+    for _ in range(data.draw(st.integers(0, 3 * width + 2))):
+        kind = data.draw(st.sampled_from(["zero", "repeat", "multiple", "fresh"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind in ("repeat", "multiple") and rows:
+            prev = data.draw(st.sampled_from(rows))
+            k = 1 if kind == "repeat" else data.draw(st.integers(-q, 2 * q))
+            rows.append([k * c for c in prev])
+        else:
+            entry = st.one_of(st.integers(-q, 2 * q), st.sampled_from([0, 1, q - 1]))
+            rows.append(data.draw(st.lists(entry, min_size=width, max_size=width)))
+    return rows
+
+
+def assert_invariant(span):
+    assert len(span.pivots) == len(span.basis)
+    assert span.pivots == sorted(set(span.pivots))
+    for lead, b in zip(span.pivots, span.basis):
+        assert all(c == 0 for c in b[:lead]) and b[lead] == 1
+        assert all(0 <= c < span.q for c in b)
+
+
+class TestSpanProperties:
+    @pytest.mark.parametrize("q", [TEST.q, PRODUCTION.q])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_dim_tracks_rank_and_contains_agrees(self, q, data):
+        width = data.draw(st.integers(1, 4))
+        span = gf.Span(q, width)
+        seen = []
+        for row in row_stream(data, q, width):
+            before = gf.matrix_rank(seen, q)
+            seen.append(row)
+            grows = gf.matrix_rank(seen, q) > before
+            assert span.contains(row) is not grows
+            assert span.add(row) is grows
+            assert span.dim == gf.matrix_rank(seen, q)
+            assert_invariant(span)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_copy_is_independent(self, data):
+        q = TEST.q
+        width = data.draw(st.integers(1, 4))
+        span = gf.Span(q, width)
+        for row in row_stream(data, q, width):
+            span.add(row)
+        snapshot = ([list(b) for b in span.basis], list(span.pivots))
+        dup = span.copy()
+        assert (dup.basis, dup.pivots) == snapshot
+        for row in row_stream(data, q, width):
+            dup.add(row)
+        for b in dup.basis:
+            b[0] = -1
+        dup.pivots.append(width)
+        assert (span.basis, span.pivots) == snapshot
+        assert_invariant(span)
 
 
 def span_size(rows, q):

@@ -369,6 +369,17 @@ class TestAdjudication:
         out = adjudicate(proof, net.master.pk, net.master.pk)
         assert out.verdict is Verdict.INADMISSIBLE
 
+    @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
+    def test_missing_parent_key_inadmissible(self, protocol):
+        """Evidence that drops a required parent's key cannot be checked,
+        so it is inadmissible rather than an error."""
+        net = Net(protocol=protocol)
+        pkt, _ = net.n_packet()
+        proof = replace(build_misbehavior_proof(net.c_state, pkt), parent_pks={})
+        out = adjudicate(proof, net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.INADMISSIBLE
+        assert out.reason == "missing parent key"
+
     def test_collusion_cannot_cover_honest_parent(self):
         """A parent colluding with n cannot stand in for the honest p2:
         omitting p2 or faking its entry both stay detectable."""

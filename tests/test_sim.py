@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import logging
 import pathlib
 import random
 
@@ -422,6 +423,16 @@ class TestModeSweep:
             by_point[(cut, mode)] = mean
         for cut in (1, 2, 3):
             assert by_point[(cut, "mode3")] >= by_point[(cut, "mode2")] >= by_point[(cut, "mode1")]
+
+    def test_skipped_pairs_are_logged(self, caplog):
+        cfg = sim.SweepConfig(node_count=6, edge_count=12, m=2, min_cuts=(1, 5), seeds=(0, 1))
+        quiet = mode_sweep(cfg)
+        with caplog.at_level(logging.INFO, logger="rlncheck.sim"):
+            logged = mode_sweep(cfg)
+        assert logged == quiet
+        assert {row.min_cut for row in quiet[0]} == {1}
+        skipped = [r.args[:2] for r in caplog.records if r.name == "rlncheck.sim"]
+        assert skipped == [(5, 0), (5, 1)]
 
 
 class TestTopologyFile:
