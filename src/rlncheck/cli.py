@@ -302,6 +302,20 @@ def _time_op(fn, reps: int) -> float:
     return best * 1000.0  # ms
 
 
+def _bench_validity(profile: Profile, n: int, reps: int) -> tuple[float, float]:
+    """ms per sign_validity and per verify_validity of one n-chunk packet."""
+    _, params, ctx = build_token_fixture(1, profile, n_chunks=n)
+    rng = random.Random(n)
+    E = gf.linear_combine(
+        ctx["originals"], [gf.random_nonzero(profile.q, rng) for _ in ctx["originals"]], profile.q
+    )
+    sigma = validity.sign_validity(params, E)
+    return (
+        _time_op(lambda: validity.sign_validity(params, E), reps),
+        _time_op(lambda: validity.verify_validity(params, E, sigma), reps),
+    )
+
+
 def cmd_bench(args) -> int:
     profile = _resolve_profile(args)
     payload_sizes = (10, 100, 1000)
@@ -359,6 +373,12 @@ def cmd_bench(args) -> int:
             verify_ms = _time_op(verify_logpip, reps)
             results[("logpip", d, n)] = (prep_ms, verify_ms)
             print(f"{'logpip':>7} {d:>4} {n:>5} {prep_ms:>9.4f} {verify_ms:>10.4f}")
+
+    print(f"\nvalidity signatures ({profile.name}, m=2):")
+    print(f"{'n':>5} {'sign_ms':>9} {'verify_ms':>10}")
+    for n in payload_sizes:
+        sign_ms, verify_ms = _bench_validity(profile, n, reps)
+        print(f"{n:>5} {sign_ms:>9.4f} {verify_ms:>10.4f}")
 
     print("\npayload-independence ratios (verify time, n=1000 vs n=10):")
     for proto in ("pip", "logpip"):

@@ -17,6 +17,7 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -92,12 +93,19 @@ class Certificate:
 def keygen(rng: random.Random, node_id: bytes = b"") -> NodeIdentity:
     """Fresh Ed25519 keypair; key bytes drawn from the supplied rng."""
     sk = rng.randbytes(32)
-    pk = Ed25519PrivateKey.from_private_bytes(sk).public_key().public_bytes_raw()
+    pk = _signing_key(sk).public_key().public_bytes_raw()
     return NodeIdentity(node_id=node_id, pk=pk, sk=sk)
 
 
+@lru_cache(maxsize=256)
+def _signing_key(sk: bytes) -> Ed25519PrivateKey:
+    """Parsed key object for sk, reused across signatures: parsing costs
+    about as much as signing."""
+    return Ed25519PrivateKey.from_private_bytes(sk)
+
+
 def sign(sk: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(sk).sign(message)
+    return _signing_key(sk).sign(message)
 
 
 def verify(pk: bytes, message: bytes, sig: bytes) -> bool:

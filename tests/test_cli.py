@@ -88,3 +88,13 @@ class TestBench:
         code, out = run_cli(["bench", "--trials", "1"], capsys)
         assert code == 0
         assert "payload-independence" in out
+
+    def test_bench_reports_validity_rows(self, capsys):
+        code, out = run_cli(["bench", "--trials", "1"], capsys)
+        assert code == 0
+        section = out.split("validity signatures (sim, m=2):\n", 1)[1].splitlines()
+        assert section[0].split() == ["n", "sign_ms", "verify_ms"]
+        for line, n in zip(section[1:4], (10, 100, 1000)):
+            cells = line.split()
+            assert int(cells[0]) == n
+            assert float(cells[1]) > 0 and float(cells[2]) > 0

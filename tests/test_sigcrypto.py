@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from rlncheck import sigcrypto
 
@@ -33,6 +34,15 @@ class TestKeygenSignVerify:
     def test_empty_message(self, rng):
         ident = sigcrypto.keygen(rng)
         assert sigcrypto.verify(ident.pk, b"", sigcrypto.sign(ident.sk, b""))
+
+    def test_sign_reuses_key_object(self, rng):
+        ident = sigcrypto.keygen(rng)
+        fresh = Ed25519PrivateKey.from_private_bytes(ident.sk)
+        hits = sigcrypto._signing_key.cache_info().hits
+        for message in (b"abc", b"abd"):
+            assert sigcrypto.sign(ident.sk, message) == fresh.sign(message)
+        assert sigcrypto._signing_key.cache_info().hits == hits + 2
+        assert sigcrypto._signing_key.cache_info().maxsize is not None
 
     def test_malformed_signature(self, rng):
         ident = sigcrypto.keygen(rng)

@@ -2,12 +2,21 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from rlncheck import gf, sigcrypto, validity
-from rlncheck.profiles import TEST
+from rlncheck.profiles import PRODUCTION, SIM, TEST
 from rlncheck.validity import SourceEpochParams
+
+
+def reference_product(bases, exponents, p, q):
+    """prod b_i^(e_i mod q) mod p, one pow per term."""
+    out = 1
+    for b, e in zip(bases, exponents):
+        out = out * pow(b, e % q, p) % p
+    return out
 
 
 class TestEpochSetup:
@@ -53,7 +62,7 @@ def hand_params(generators, original_payloads, p=23, q=11):
     partial = SourceEpochParams(
         k=1, p=p, q=q, generators=tuple(generators),
         original_hashes=tuple(
-            validity._raw_sigma(tuple(generators), o.chunks, p, q) for o in originals
+            reference_product(generators, o.chunks, p, q) for o in originals
         ),
         master_sig=b"",
     )
@@ -210,3 +219,147 @@ class TestEpochPkBytes:
         assert len(raw) == expected_len
         assert raw[:8] == (1).to_bytes(8, "big")
         assert raw[8] == params.p
+
+    def test_memoised_per_instance(self, tiny_epoch):
+        _, _, params = tiny_epoch
+        assert params.epoch_pk_bytes() is params.epoch_pk_bytes()
+        other = replace(params, k=2)
+        assert other.epoch_pk_bytes()[:8] == (2).to_bytes(8, "big")
+        assert other.epoch_pk_bytes()[8:] == params.epoch_pk_bytes()[8:]
+
+
+# (profile, n, m): a multi-chunk epoch per profile (36 chunks at production,
+# the relay's shape) and a single-chunk one (n=0, m=1).
+EPOCH_SHAPES = [
+    (TEST, 2, 2), (TEST, 0, 1),
+    (SIM, 2, 3), (SIM, 0, 1),
+    (PRODUCTION, 32, 4), (PRODUCTION, 0, 1),
+]
+
+
+@pytest.fixture(scope="module", params=EPOCH_SHAPES, ids=lambda s: f"{s[0].name}-n{s[1]}-m{s[2]}")
+def shaped_epoch(request):
+    profile, n, m = request.param
+    rng = random.Random(f"multiexp/{profile.name}/{n}/{m}")
+    master = sigcrypto.keygen(rng, b"src")
+    originals = gf.standard_basis_originals(
+        [[rng.randrange(profile.q) for _ in range(n)] for _ in range(m)], profile.q
+    )
+    return originals, validity.epoch_setup(master, originals, 1, rng, profile)
+
+
+def edge_exponents(q):
+    """0, 1, q-1, q, values >= q (past 2^|q| too) and negative values."""
+    big = 1 << q.bit_length()
+    return [0, 1, q - 1, q, q + 1, 3 * q + 7, big, (big << 9) + 5, -1, -q, -(5 * q) - 3]
+
+
+def unreduced_vectors(n, m, q, rng):
+    """Packet vectors with unreduced chunks: all zero, one non-zero chunk
+    at every position, and mixes of edge and random values."""
+    edges = edge_exponents(q)
+    vectors = [gf.CodedVector(payload=(0,) * n, coding_vector=(0,) * m)]
+    for pos in range(n + m):
+        chunks = [0] * (n + m)
+        chunks[pos] = edges[pos % len(edges)]
+        vectors.append(gf.CodedVector(payload=tuple(chunks[:n]), coding_vector=tuple(chunks[n:])))
+    for e in edges:
+        vectors.append(gf.CodedVector(payload=(e,) * n, coding_vector=(e,) * m))
+    for _ in range(4):
+        chunks = [rng.choice(edges + [rng.randrange(q)]) for _ in range(n + m)]
+        vectors.append(gf.CodedVector(payload=tuple(chunks[:n]), coding_vector=tuple(chunks[n:])))
+    return vectors
+
+
+def claimed_combination(originals, coeffs):
+    """sum c_j * original_j with no reduction mod q, so the coding vector
+    is the coefficients exactly as given (negative or >= q included)."""
+    n = originals[0].n
+    payload = tuple(sum(c * o.payload[i] for c, o in zip(coeffs, originals)) for i in range(n))
+    return gf.CodedVector(payload=payload, coding_vector=tuple(coeffs))
+
+
+class TestMultiExponentiation:
+    """sign_validity and both sides of verify_validity against one pow per term."""
+
+    def test_window_width(self):
+        assert validity._window(36, 160) == 7
+        assert validity._window(5, 61) == 4
+
+    def test_original_hashes_match_reference(self, shaped_epoch):
+        originals, params = shaped_epoch
+        for o, h in zip(originals, params.original_hashes):
+            assert h == reference_product(params.generators, o.chunks, params.p, params.q)
+
+    def test_sign_matches_reference(self, shaped_epoch):
+        _, params = shaped_epoch
+        rng = random.Random(5)
+        for E in unreduced_vectors(params.n, params.m, params.q, rng):
+            expected = reference_product(params.generators, E.chunks, params.p, params.q)
+            assert validity.sign_validity(params, E) == expected
+
+    def test_verify_content_side_matches_reference(self, shaped_epoch):
+        """Arbitrary vectors: verify accepts the per-term sigma exactly when
+        the per-term claimed product agrees, and rejects any other sigma."""
+        _, params = shaped_epoch
+        p, q = params.p, params.q
+        rng = random.Random(6)
+        for E in unreduced_vectors(params.n, params.m, q, rng):
+            content = reference_product(params.generators, E.chunks, p, q)
+            claimed = reference_product(params.original_hashes, E.coding_vector, p, q)
+            assert validity.verify_validity(params, E, content) == (content == claimed)
+            if content != claimed:
+                assert not validity.verify_validity(params, E, claimed)
+            assert not validity.verify_validity(params, E, content * params.generators[0] % p)
+
+    def test_verify_claimed_side_matches_reference(self, shaped_epoch):
+        """Honest combinations with edge coefficients, left unreduced."""
+        originals, params = shaped_epoch
+        p, q, m = params.p, params.q, params.m
+        rng = random.Random(7)
+        edges = edge_exponents(q)
+        coeff_sets = [[e] * m for e in edges]
+        coeff_sets += [[rng.choice(edges) for _ in range(m)] for _ in range(6)]
+        for coeffs in coeff_sets:
+            E = claimed_combination(originals, coeffs)
+            sigma = reference_product(params.original_hashes, coeffs, p, q)
+            assert sigma == reference_product(params.generators, E.chunks, p, q)
+            assert validity.verify_validity(params, E, sigma)
+            assert validity.sign_validity(params, E) == sigma
+
+    def test_replaced_generators_get_their_own_tables(self, shaped_epoch):
+        originals, params = shaped_epoch
+        p, q = params.p, params.q
+        E = claimed_combination(originals, [3] * params.m)
+        sigma = validity.sign_validity(params, E)
+        assert validity.verify_validity(params, E, sigma)
+
+        other = replace(params, generators=tuple(g * g % p for g in params.generators))
+        assert other.k == params.k
+        other_sigma = validity.sign_validity(other, E)
+        assert other_sigma == reference_product(other.generators, E.chunks, p, q)
+        assert other_sigma == sigma * sigma % p
+        assert not validity.verify_validity(other, E, sigma)
+        # the first object's tables are untouched by the second's
+        assert validity.sign_validity(params, E) == sigma
+        assert validity.verify_validity(params, E, sigma)
+
+    def test_replaced_hashes_get_their_own_tables(self, shaped_epoch):
+        """Squaring every base squares every sigma, so only tables built
+        from each object's own bases accept sigma^2 and reject sigma."""
+        originals, params = shaped_epoch
+        p = params.p
+        E = claimed_combination(originals, [2] * params.m)
+        sigma = validity.sign_validity(params, E)
+        assert sigma != 1
+        assert validity.verify_validity(params, E, sigma)
+
+        hashes_squared = replace(
+            params, original_hashes=tuple(h * h % p for h in params.original_hashes)
+        )
+        assert not validity.verify_validity(hashes_squared, E, sigma)
+        both_squared = replace(
+            hashes_squared, generators=tuple(g * g % p for g in params.generators)
+        )
+        assert validity.verify_validity(both_squared, E, sigma * sigma % p)
+        assert validity.verify_validity(params, E, sigma)
