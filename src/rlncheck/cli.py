@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import random
+import statistics
 import sys
 import time
 
@@ -292,17 +294,47 @@ def cmd_sizes(args) -> int:
 # bench
 
 
-def _time_op(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(3):
+MIN_SAMPLES = 5  # timed samples per point, at least
+SAMPLE_S = 0.002  # a sample times a loop of calls lasting about this long
+
+
+def _per_call_samples(fns, samples: int) -> list[list[float]]:
+    """Seconds per call of each of ``fns``, max(samples, MIN_SAMPLES) times.
+
+    Each function's loop length is fixed first: the number of calls,
+    doubled from 1, until one loop takes SAMPLE_S, so a sub-millisecond
+    call is not timed alone.  Samples of the functions are interleaved,
+    so host load that drifts during a run shifts them alike.
+    """
+    def loop(fn, calls: int) -> float:
         t0 = time.perf_counter()
-        for _ in range(reps):
+        for _ in range(calls):
             fn()
-        best = min(best, (time.perf_counter() - t0) / reps)
-    return best * 1000.0  # ms
+        return time.perf_counter() - t0
+
+    lengths = []
+    for fn in fns:
+        calls = 1
+        while loop(fn, calls) < SAMPLE_S:
+            calls *= 2
+        lengths.append(calls)
+    rounds = [[loop(fn, calls) / calls for fn, calls in zip(fns, lengths)]
+              for _ in range(max(samples, MIN_SAMPLES))]
+    return [list(col) for col in zip(*rounds)]
 
 
-def _bench_validity(profile: Profile, n: int, reps: int) -> tuple[float, float]:
+def _time_op(fn, samples: int) -> float:
+    """Median ms per call of ``fn``."""
+    return statistics.median(_per_call_samples([fn], samples)[0]) * 1000.0
+
+
+def _time_ratio(fn, base, samples: int) -> float:
+    """Median over paired samples of fn's time per call over base's."""
+    times, base_times = _per_call_samples([fn, base], samples)
+    return statistics.median(t / b for t, b in zip(times, base_times))
+
+
+def _bench_validity(profile: Profile, n: int, samples: int) -> tuple[float, float]:
     """ms per sign_validity and per verify_validity of one n-chunk packet."""
     _, params, ctx = build_token_fixture(1, profile, n_chunks=n)
     rng = random.Random(n)
@@ -311,8 +343,8 @@ def _bench_validity(profile: Profile, n: int, reps: int) -> tuple[float, float]:
     )
     sigma = validity.sign_validity(params, E)
     return (
-        _time_op(lambda: validity.sign_validity(params, E), reps),
-        _time_op(lambda: validity.verify_validity(params, E, sigma), reps),
+        _time_op(lambda: validity.sign_validity(params, E), samples),
+        _time_op(lambda: validity.verify_validity(params, E, sigma), samples),
     )
 
 
@@ -320,37 +352,28 @@ def cmd_bench(args) -> int:
     profile = _resolve_profile(args)
     payload_sizes = (10, 100, 1000)
     d_values = (1, 2, 3, 5, 7, 10, 15, 50)
-    reps = max(1, args.trials)
+    ratio_d = (3, 10)  # parent counts whose verify time is compared across payload sizes
+    lo_n, hi_n = payload_sizes[0], payload_sizes[-1]
+    samples = args.trials
     print(f"{'proto':>7} {'d':>4} {'n':>5} {'prep_ms':>9} {'verify_ms':>10}")
-    results = {}
+    verifiers = {}
     for d in d_values:
         for n in payload_sizes:
             inputs, params, ctx = build_token_fixture(d, profile, n_chunks=n)
             sender = ctx["sender"]
             receiver = ctx["receiver_id"]
 
-            def prep_pip():
-                return pipcore.pip_combine(inputs)
-
+            prep_pip = functools.partial(pipcore.pip_combine, inputs)
             token = prep_pip()
             sigma = validity.combine_validity(
                 [e.sigma for e in token.entries], [e.coeff for e in token.entries], params
             )
+            verify_pip = functools.partial(
+                pipcore.pip_verif_test, sigma, token, sender.node_id, set(ctx["parent_pks"]),
+                ctx["parent_pks"], ctx["expected"], params,
+            )
 
-            def verify_pip():
-                return pipcore.pip_verif_test(
-                    sigma, token, sender.node_id, set(ctx["parent_pks"]),
-                    ctx["parent_pks"], ctx["expected"], params,
-                )
-
-            prep_ms = _time_op(prep_pip, reps)
-            verify_ms = _time_op(verify_pip, reps)
-            results[("pip", d, n)] = (prep_ms, verify_ms)
-            print(f"{'pip':>7} {d:>4} {n:>5} {prep_ms:>9.4f} {verify_ms:>10.4f}")
-
-            def prep_logpip():
-                return pipcore.logpip_build(inputs, params, profile.h_bytes)
-
+            prep_logpip = functools.partial(pipcore.logpip_build, inputs, params, profile.h_bytes)
             log_token, tree = prep_logpip()
             proof = pipcore.logpip_respond(tree, 0, sender.sk)
             first = tree.inputs[0]
@@ -362,30 +385,30 @@ def cmd_bench(args) -> int:
                 ),
                 packet_coding_zero=False, params=params, h_bytes=profile.h_bytes,
             )
+            verify_logpip = functools.partial(
+                pipcore.logpip_verify, proof, log_token, ctx_obj, first.parent_id,
+                ctx["parent_pks"][first.parent_id], ctx["expected"][first.parent_id],
+            )
 
-            def verify_logpip():
-                return pipcore.logpip_verify(
-                    proof, log_token, ctx_obj, first.parent_id,
-                    ctx["parent_pks"][first.parent_id], ctx["expected"][first.parent_id],
-                )
-
-            prep_ms = _time_op(prep_logpip, reps)
-            verify_ms = _time_op(verify_logpip, reps)
-            results[("logpip", d, n)] = (prep_ms, verify_ms)
-            print(f"{'logpip':>7} {d:>4} {n:>5} {prep_ms:>9.4f} {verify_ms:>10.4f}")
+            for proto, prep, verify in (("pip", prep_pip, verify_pip),
+                                        ("logpip", prep_logpip, verify_logpip)):
+                prep_ms = _time_op(prep, samples)
+                verify_ms = _time_op(verify, samples)
+                if d in ratio_d and n in (lo_n, hi_n):
+                    verifiers[(proto, d, n)] = verify
+                print(f"{proto:>7} {d:>4} {n:>5} {prep_ms:>9.4f} {verify_ms:>10.4f}")
 
     print(f"\nvalidity signatures ({profile.name}, m=2):")
     print(f"{'n':>5} {'sign_ms':>9} {'verify_ms':>10}")
     for n in payload_sizes:
-        sign_ms, verify_ms = _bench_validity(profile, n, reps)
+        sign_ms, verify_ms = _bench_validity(profile, n, samples)
         print(f"{n:>5} {sign_ms:>9.4f} {verify_ms:>10.4f}")
 
-    print("\npayload-independence ratios (verify time, n=1000 vs n=10):")
+    print(f"\npayload-independence ratios (verify time, n={hi_n} vs n={lo_n}, paired samples):")
     for proto in ("pip", "logpip"):
-        for d in (3, 10):
-            hi = results[(proto, d, 1000)][1]
-            lo = results[(proto, d, 10)][1]
-            print(f"  {proto} d={d}: {hi / lo:.2f}x")
+        for d in ratio_d:
+            ratio = _time_ratio(verifiers[(proto, d, hi_n)], verifiers[(proto, d, lo_n)], samples)
+            print(f"  {proto} d={d}: {ratio:.2f}x")
     return 0
 
 
@@ -423,7 +446,8 @@ def main(argv=None) -> int:
     p_sizes.set_defaults(func=cmd_sizes)
 
     p_bench = sub.add_parser("bench", help="transmit-prep / verification timings")
-    p_bench.add_argument("--trials", type=int, default=30, help="reps per timing")
+    p_bench.add_argument("--trials", type=int, default=30,
+                         help=f"timed samples per point, median (at least {MIN_SAMPLES})")
     p_bench.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)

@@ -124,22 +124,35 @@ def rank(vectors: list[CodedVector], q: int) -> int:
 
 
 def left_nullspace(rows: list[list[int]], q: int) -> list[list[int]]:
-    """Basis of {a : sum(a_i * rows[i]) = 0} over GF(q).
+    """Basis of {a : sum(a_i * rows[i]) = 0} over GF(q), in reduced row-echelon form.
 
-    Row-reduces the matrix augmented with an identity block; the
-    identity-block parts of the all-zero reduced rows span the left
-    nullspace.
+    The basis is the unique RREF basis of the left nullspace: each vector
+    has a leading 1, the vectors are ordered by leading position, and
+    every other vector is 0 at a vector's leading position.  Entries lie
+    in [0, q).  Callers may rely on this exact basis (the Mode-1
+    adversary samples from it).
+
+    The left nullspace of the k x width matrix is the nullspace of its
+    transpose.  Row-reducing the transpose with its k columns reversed
+    makes every free column f give one vector: 1 at f, -R[i][f] at each
+    pivot i, 0 elsewhere.  Its leading entry is the 1 at f, since pivots
+    lie before f in reversed order, that is after it once reversed back.
+    Cost: O(rank * k * width).
     """
     k = len(rows)
-    if k == 0:
-        return []
-    width = len(rows[0])
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    R, _ = row_reduce(aug, q)
+    transposed = [list(col[::-1]) for col in zip(*rows)]
+    R, pivots = row_reduce(transposed, q)
+    pivot_set = set(pivots)
     basis = []
-    for row in R:
-        if all(c == 0 for c in row[:width]) and any(c != 0 for c in row[width:]):
-            basis.append(row[width:])
+    for f in range(k - 1, -1, -1):  # column f of the reversed transpose is row k-1-f
+        if f in pivot_set:
+            continue
+        v = [0] * k
+        v[k - 1 - f] = 1
+        for row, p in zip(R, pivots):
+            if row[f]:
+                v[k - 1 - p] = -row[f] % q
+        basis.append(v)
     return basis
 
 

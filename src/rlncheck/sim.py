@@ -2,8 +2,8 @@
 
 The transmission model: per epoch the source emits one fresh random
 combination of its m originals to each of its children in round 1;
-every other node re-codes each round once it has accepted a packet
-from every required parent this epoch, sending the same packet to all
+every other node sends a coded packet each round once it has accepted
+a packet from every required parent this epoch, the same packet to all
 children (shared coefficients).  Under that schedule a node contributes
 at most one degree of freedom per epoch, so the throughput a sink can
 reach is min(min_cut, m) where min_cut is the max-flow with unit
@@ -19,6 +19,15 @@ challenges; a rejected packet is neither buffered nor coded onward.
 Because a node waits for an accepted packet from every required
 parent, an honest node never emits a degraded packet (one that leaves
 out a parent), which its children would blame on it.
+
+A node's emission changes only when one of its accepted inputs does, so
+a node re-codes only in a round after such a change; otherwise it
+resends what it last coded, without re-coding or re-signing.  The
+Mode-1 adversary is the exception: it re-codes every round.  Under
+Protocol.NONE a resent vector is not delivered again, as it adds
+nothing to a child's span or decoding; under PIP and Log-PIP every
+packet is still delivered and verified every round.  The outputs are
+those of re-coding every node every round.
 
 The adversary model: Byzantine nodes are omniscient (they code after
 the round's honest emissions and see every child's span) and hold
@@ -45,6 +54,7 @@ import logging
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import gf, node as node_mod, pipcore, sigcrypto, validity
 from .gf import CodedVector, Span
@@ -130,26 +140,36 @@ class Topology:
                         byzantine=list(self.byzantine))
 
     def validate(self) -> None:
-        names = set(self.nodes)
-        for u, v in self.edges:
-            if u not in names or v not in names:
-                raise ValueError(f"edge ({u},{v}) references unknown node")
-        order = topological_order(self)
-        if order is None:
-            raise ValueError("topology contains a cycle")
-        reach = reachable_from(self, self.source)
-        for n, spec in self.nodes.items():
-            if n != self.source and spec.role is not Role.SOURCE and n not in reach:
-                raise ValueError(f"node {n} unreachable from source")
+        _checked_adjacency(self)
+
+
+def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
+    """(parents, children, topological order) of a valid topology, from one
+    adjacency pass; ValueError on an unknown node, a cycle or a node the
+    source cannot reach."""
+    names = set(topo.nodes)
+    for u, v in topo.edges:
+        if u not in names or v not in names:
+            raise ValueError(f"edge ({u},{v}) references unknown node")
+    parents, children = topo.adjacency()
+    order = _topological_order(parents, children)
+    if order is None:
+        raise ValueError("topology contains a cycle")
+    reach = _reachable(children, topo.source)
+    for n, spec in topo.nodes.items():
+        if n != topo.source and spec.role is not Role.SOURCE and n not in reach:
+            raise ValueError(f"node {n} unreachable from source")
+    return parents, children, order
 
 
 def topological_order(topo: Topology) -> list[str] | None:
-    indeg = {n: 0 for n in topo.nodes}
-    for _, v in topo.edges:
-        indeg[v] += 1
+    return _topological_order(*topo.adjacency())
+
+
+def _topological_order(parents: dict, children: dict) -> list[str] | None:
+    indeg = {n: len(ps) for n, ps in parents.items()}
     queue = deque(sorted(n for n, d in indeg.items() if d == 0))
     out = []
-    _, children = topo.adjacency()
     while queue:
         u = queue.popleft()
         out.append(u)
@@ -157,13 +177,12 @@ def topological_order(topo: Topology) -> list[str] | None:
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
-    return out if len(out) == len(topo.nodes) else None
+    return out if len(out) == len(parents) else None
 
 
-def reachable_from(topo: Topology, start: str) -> set[str]:
+def _reachable(children: dict, start: str) -> set[str]:
     seen = {start}
     stack = [start]
-    _, children = topo.adjacency()
     while stack:
         u = stack.pop()
         for v in children[u]:
@@ -173,12 +192,8 @@ def reachable_from(topo: Topology, start: str) -> set[str]:
     return seen
 
 
-def longest_path_length(topo: Topology) -> int:
-    order = topological_order(topo)
-    if order is None:
-        raise ValueError("cyclic topology")
-    dist = {n: 0 for n in topo.nodes}
-    _, children = topo.adjacency()
+def _longest_path(children: dict, order: list[str]) -> int:
+    dist = {n: 0 for n in order}
     for u in order:
         for v in children[u]:
             dist[v] = max(dist[v], dist[u] + 1)
@@ -453,18 +468,21 @@ class TransmissionReport:
     verdicts: list[tuple[int, str, str, Violation | None]]
     rounds: int
     decoded: dict[str, bool] = field(default_factory=dict)
-    proofs: list = field(default_factory=list)  # MisbehaviorProof per detection
+    proofs: list = field(default_factory=list)  # MisbehaviorProof per provable detection
+    # NON_INNOVATIVE node -> rounds it coded honestly because no Mode-1 choice existed
+    fallbacks: dict[str, int] = field(default_factory=dict)
 
     def detected_culprits(self) -> set[str]:
         return {d.culprit for d in self.detections}
 
 
-def default_rounds(topo: Topology, m: int) -> int:
-    return longest_path_length(topo) + m
-
-
 # ---------------------------------------------------------------------------
 # The simulation engine
+
+# A proof of these adjudicates INADMISSIBLE: without a valid attest the
+# packet is not bound to its sender, and a stale packet does not show when
+# it was sent.  Their detections are still reported.
+_UNPROVABLE = frozenset({ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH})
 
 
 def _non_innovative_coeffs(
@@ -478,18 +496,25 @@ def _non_innovative_coeffs(
     nonzero.  Returns the coefficients ordered by sorted parent key, or
     None when no child has received anything yet or no such choice
     exists (caller falls back to honest coding).
+
+    sum(a_i X_i) lies in a span iff its residual is zero, and the
+    residual is linear: r(x) = x M for an m x m matrix M.  So the
+    solutions are the left nullspace of X [M_1 | M_2 | ...], which is
+    that of X B for any B with the same column space, at most m columns.
     """
     parents = sorted(received)
     vecs = [received[p] for p in parents]
     spans = [s for s in child_spans if s.dim > 0]
     if not spans or not vecs:
         return None
-    rows = []
-    for v in vecs:
-        parts: list[int] = []
-        for s in spans:
-            parts.extend(s.residual(v.coding_vector))
-        rows.append(parts)
+    m = spans[0].width
+    unit = [[int(i == j) for i in range(m)] for j in range(m)]
+    columns = [col for s in spans for col in zip(*[s.residual(e) for e in unit])]
+    reduced, pivots = gf.row_reduce(columns, q)
+    rows = [
+        [sum(map(mul, v.coding_vector, b)) % q for b in reduced[:len(pivots)]]
+        for v in vecs
+    ]
     basis = gf.left_nullspace(rows, q)
     if not basis:
         return None
@@ -515,8 +540,15 @@ class _SimNode:
     span: Span  # span of the accepted coding vectors, this epoch
     state: NodeState | None = None  # None under Protocol.NONE
     vectors: dict = field(default_factory=dict)  # parent -> latest accepted CodedVector
-    received_vectors: list = field(default_factory=list)  # every accepted CodedVector, this epoch
-    emission: CodedVector | None = None  # the vector it sent this round
+    # Accepted deliveries this epoch that differ from the sender's previous
+    # one.  A parent whose inputs did not change resends its packet without
+    # re-coding (under Protocol.NONE it does not deliver it again), and an
+    # unchanged packet adds nothing to the span or to decoding.
+    received_vectors: list = field(default_factory=list)
+    # (vector, packets per child) it sends each round until it re-codes; for a
+    # node later in this round's emit order, what it sent last round
+    sent: tuple | None = None
+    stale: bool = True  # its inputs changed since it last coded
     stored_old: tuple | None = None  # REPLAY_OLD: (vector, packets per child) of epoch 1
 
 
@@ -543,12 +575,13 @@ class Simulation:
         challenges: int = 1,
         collect_proofs: bool = False,
     ):
-        topo.validate()
+        self.parents, children, order = _checked_adjacency(topo)
+        self.children = {n: [c for c in cs if c != topo.source] for n, cs in children.items()}
         self.topo = topo
         self.protocol = protocol
         self.verified = protocol is not Protocol.NONE
         self.m = m
-        self.rounds = rounds if rounds is not None else default_rounds(topo, m)
+        self.rounds = rounds if rounds is not None else _longest_path(children, order) + m
         self.profile = profile
         self.q = profile.q
         self.payload_chunks = payload_chunks
@@ -564,8 +597,6 @@ class Simulation:
 
     def _setup(self) -> None:
         topo, rng = self.topo, self.rng
-        self.parents, children = topo.adjacency()
-        self.children = {n: [c for c in cs if c != topo.source] for n, cs in children.items()}
         self.required = {}
         for n, spec in topo.nodes.items():
             ids = node_mod.required_parents(spec.policy, [p.encode() for p in self.parents[n]])
@@ -647,7 +678,8 @@ class Simulation:
                 sim_node.vectors.clear()
                 sim_node.received_vectors = []
                 sim_node.span = Span(self.q, self.m)
-                sim_node.emission = None
+                sim_node.sent = None
+                sim_node.stale = True
 
             deliveries = self._source_round()
             for r in range(1, self.rounds + 1):
@@ -684,17 +716,26 @@ class Simulation:
         return deliveries
 
     def _ingest_round(self, r: int, deliveries: dict[str, list]) -> None:
+        """Take in every delivery, once verified under PIP and Log-PIP; one
+        equal to its sender's last accepted delivery changes nothing."""
         for name, sim_node in self.nodes.items():
             for sender, pkt in deliveries[name]:
-                vec = pkt
                 if self.verified:
                     if not self._accepts(r, name, sender, pkt):
                         continue
-                    sim_node.state.buffers[pkt.sender_id] = pkt
+                    buffers = sim_node.state.buffers
+                    if buffers.get(pkt.sender_id) == pkt:
+                        continue
+                    buffers[pkt.sender_id] = pkt
                     vec = pkt.E
+                elif sim_node.vectors.get(sender) == pkt:
+                    continue
+                else:
+                    vec = pkt
                 sim_node.vectors[sender] = vec
                 sim_node.received_vectors.append(vec)
                 sim_node.span.add(vec.coding_vector)
+                sim_node.stale = True
 
     def _accepts(self, r: int, name: str, sender: str, pkt: Packet) -> bool:
         """Verify a delivery and, under Log-PIP, challenge it; record every failure."""
@@ -715,32 +756,42 @@ class Simulation:
             self.report.detections.append(
                 DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
             )
-            if self.collect_proofs and transcript is not None:
+            if self.collect_proofs and transcript is not None and v.kind not in _UNPROVABLE:
                 self.report.proofs.append(node_mod.build_misbehavior_proof(st, pkt, transcript))
         return not failures
 
     def _emit_round(self, epoch: int) -> dict[str, list]:
+        """Every ready node sends; it codes only if its inputs changed.
+
+        An honest emission is a function of the node's accepted inputs, so
+        a node whose inputs did not change resends what it last coded.  A
+        Mode-1 node re-codes every round: it reads its children's spans
+        and draws from ``adversary_rng``.  Under Protocol.NONE a resent
+        vector is not delivered again, since it adds nothing to a child;
+        under PIP and Log-PIP every packet is delivered and verified.
+        """
         deliveries: dict[str, list] = {n: [] for n in self.nodes}
         for name in self._emit_order:
             sim_node = self.nodes[name]
-            sim_node.emission = None
+            kind = sim_node.spec.behavior.kind
+            recode = sim_node.stale or kind is BehaviorKind.NON_INNOVATIVE
+            sim_node.stale = False
             required = self.required[name]
             # Every node, honest or not, waits for a verified packet from every
             # required parent this epoch: an honest node never codes a degraded
-            # packet, which its children would blame on it.
-            if not required or not all(p in sim_node.vectors for p in required):
+            # packet, which its children would blame on it.  Only a changed
+            # input can make a node ready.
+            recode = recode and bool(required) and all(p in sim_node.vectors for p in required)
+            if recode and kind is BehaviorKind.REPLAY_OLD and epoch > 1:
+                sim_node.sent = sim_node.stored_old  # resend epoch 1's packets unchanged
+            elif recode:
+                sim_node.sent = self._code(name)
+                if kind is BehaviorKind.REPLAY_OLD and sim_node.stored_old is None:
+                    sim_node.stored_old = sim_node.sent
+            out = sim_node.sent
+            if out is None or not (recode or self.verified):
                 continue
-            replay = sim_node.spec.behavior.kind is BehaviorKind.REPLAY_OLD
-            if replay and epoch > 1:
-                out = sim_node.stored_old  # resend epoch 1's packets unchanged
-            else:
-                out = self._code(name)
-                if replay and sim_node.stored_old is None:
-                    sim_node.stored_old = out
-            if out is None:
-                continue
-            sim_node.emission, packets = out
-            for child, pkt in packets.items():
+            for child, pkt in out[1].items():
                 deliveries[child].append((name, pkt))
         return deliveries
 
@@ -805,7 +856,10 @@ class Simulation:
         elif kind is BehaviorKind.WRONG_COEFFICIENT:
             coding = [(p, ((a + 1) % self.q or 1) if p == target else a) for p, a in honest]
         elif kind is BehaviorKind.NON_INNOVATIVE:
-            coding = self._non_innovative(name) or honest
+            coding = self._non_innovative(name)
+            if coding is None:
+                coding = honest
+                self.report.fallbacks[name] = self.report.fallbacks.get(name, 0) + 1
         elif kind is BehaviorKind.FORWARD_ONLY:
             coding = [(required[0], 1)]
         if not self.verified:
@@ -826,9 +880,9 @@ class Simulation:
         for child in self.children[name]:
             view = self.nodes[child].span.copy()
             for other in self.parents[child]:
-                emission = self.nodes[other].emission if other in self.nodes else None
-                if other != name and emission is not None:
-                    view.add(emission.coding_vector)
+                sent = self.nodes[other].sent if other in self.nodes else None
+                if other != name and sent is not None:
+                    view.add(sent[0].coding_vector)
             views.append(view)
         vectors = self.nodes[name].vectors
         required = self.required[name]

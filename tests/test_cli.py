@@ -87,7 +87,11 @@ class TestBench:
     def test_quick_bench_runs(self, capsys):
         code, out = run_cli(["bench", "--trials", "1"], capsys)
         assert code == 0
-        assert "payload-independence" in out
+        lines = out.split("payload-independence ratios", 1)[1].splitlines()[1:]
+        labels = [line.split(":")[0].strip() for line in lines]
+        assert labels == ["pip d=3", "pip d=10", "logpip d=3", "logpip d=10"]
+        for line in lines:
+            assert float(line.split(":")[1].strip().rstrip("x")) > 0
 
     def test_bench_reports_validity_rows(self, capsys):
         code, out = run_cli(["bench", "--trials", "1"], capsys)
@@ -98,3 +102,56 @@ class TestBench:
             cells = line.split()
             assert int(cells[0]) == n
             assert float(cells[1]) > 0 and float(cells[2]) > 0
+
+
+class FakeClock:
+    """A perf_counter that only the timed calls advance."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def calls_costing(self, costs):
+        """A function whose i-th call takes costs(i) seconds."""
+        count = [0]
+
+        def fn():
+            self.now += costs(count[0])
+            count[0] += 1
+
+        return fn, count
+
+
+class TestBenchTiming:
+    def test_loops_sub_millisecond_calls(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(cli, "time", clock)
+        fn, count = clock.calls_costing(lambda i: 1e-6)
+        assert cli._time_op(fn, 1) == pytest.approx(1e-3)
+        # the calibration loops, then MIN_SAMPLES loops of at least SAMPLE_S each
+        assert count[0] >= cli.MIN_SAMPLES * cli.SAMPLE_S / 1e-6
+
+    def test_median_of_samples(self, monkeypatch):
+        """One slow sample moves a best-of or a mean, not the median."""
+        clock = FakeClock()
+        monkeypatch.setattr(cli, "time", clock)
+        # 0.5 ms calls: calibration runs 1 + 2 + 4 calls and settles on 4 per
+        # 2 ms loop; then each sample's 4 calls cost per_call[sample].
+        per_call = [0.4e-3, 0.6e-3, 0.5e-3, 50e-3, 0.7e-3]
+        fn, _ = clock.calls_costing(lambda i: 0.5e-3 if i < 7 else per_call[(i - 7) // 4])
+        assert cli._time_op(fn, 5) == pytest.approx(0.6)
+
+    def test_ratio_pairs_interleaved_samples(self, monkeypatch):
+        """The ratio is the median of per-pair ratios: 2 here, where the
+        ratio of the two medians would read 20."""
+        clock = FakeClock()
+        monkeypatch.setattr(cli, "time", clock)
+
+        def costing(per_sample):  # one call per loop: call 0 calibrates
+            return lambda i: cli.SAMPLE_S * (1 if i == 0 else per_sample[i - 1])
+
+        slow, _ = clock.calls_costing(costing([2, 2, 20, 20, 20]))
+        base, _ = clock.calls_costing(costing([1, 1, 1, 10, 10]))
+        assert cli._time_ratio(slow, base, 5) == pytest.approx(2.0)

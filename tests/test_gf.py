@@ -289,6 +289,27 @@ class TestSolveOriginals:
         assert gf.solve_originals(received, q) is None
 
 
+def reference_left_nullspace(rows, q):
+    """Gauss-Jordan on [rows | I]: the identity parts of the rows whose
+    left block reduces to zero form the left nullspace's RREF basis."""
+    k, width = len(rows), len(rows[0])
+    M = [[c % q for c in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    r = 0
+    for col in range(width + k):
+        pivot = next((i for i in range(r, k) if M[i][col]), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = pow(M[r][col], q - 2, q)
+        M[r] = [c * inv % q for c in M[r]]
+        for i in range(k):
+            if i != r and M[i][col]:
+                f = M[i][col]
+                M[i] = [(a - f * b) % q for a, b in zip(M[i], M[r])]
+        r += 1
+    return [row[width:] for row in M if not any(row[:width])]
+
+
 class TestSpanHelpers:
     def test_left_nullspace(self):
         q = 13
@@ -298,6 +319,44 @@ class TestSpanHelpers:
         a = basis[0]
         for col in range(3):
             assert sum(a[i] * rows[i][col] for i in range(3)) % q == 0
+
+    @pytest.mark.parametrize("q", [2, 11, 1019, (1 << 61) - 1, PRODUCTION.q])
+    def test_left_nullspace_matches_augmented_reference(self, q):
+        """The exact basis, not just the space: the Mode-1 adversary samples
+        from it, so its choices depend on every entry."""
+        rng = random.Random(q)
+        cases = [
+            [[0]], [[5]], [[1, 2, 3]], [[1], [2], [0]], [[0, 0], [0, 0]],
+            [[q, -1], [2 * q + 1, q - 1], [-q, 1]],  # entries < 0 or >= q
+        ]
+        for _ in range(150):
+            k, width = rng.randrange(1, 7), rng.randrange(1, 7)
+            base = [[rng.randrange(-q, 2 * q) for _ in range(width)]
+                    for _ in range(rng.randrange(1, 3))]
+            rows = []
+            for _ in range(k):
+                pick = rng.randrange(4)
+                if pick == 0:
+                    rows.append([0] * width)
+                elif pick == 1 and rows:
+                    rows.append(list(rng.choice(rows)))  # duplicate
+                elif pick == 2:  # dependent on the base rows
+                    cs = [rng.randrange(q) for _ in base]
+                    rows.append([sum(c * b[j] for c, b in zip(cs, base)) for j in range(width)])
+                else:
+                    rows.append([rng.randrange(-q, 2 * q) for _ in range(width)])
+            cases.append(rows)
+        for rows in cases:
+            want = reference_left_nullspace(rows, q)
+            got = gf.left_nullspace(rows, q)
+            assert got == want, rows
+            assert len(got) == len(rows) - gf.matrix_rank(rows, q)
+            for a in got:
+                for col in range(len(rows[0])):
+                    assert sum(ai * r[col] for ai, r in zip(a, rows)) % q == 0
+
+    def test_left_nullspace_of_nothing(self):
+        assert gf.left_nullspace([], 11) == []
 
     def test_span_membership(self):
         s = gf.Span(13, 3)

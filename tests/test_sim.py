@@ -235,6 +235,60 @@ class TestLiteSimulation:
             attacked = run_simulation(t, Protocol.NONE, m=3, rng_seed=seed)
             assert attacked.sink_ranks == honest.sink_ranks
 
+    def test_fallbacks_counted(self):
+        """At cut 1 the Mode-1 node's only path to the sink is itself: in
+        its first round the sink holds nothing, no choice adds nothing, and
+        it codes honestly.  An all-honest run never falls back."""
+        for seed in range(3):
+            topo = random_topology(20, 120, 1, 1, rng_seed=seed)
+            assert run_simulation(topo, Protocol.NONE, m=3, rng_seed=seed).fallbacks == {}
+            byz = topo.byzantine[0]
+            t = topo.with_behavior(byz, Behavior(BehaviorKind.NON_INNOVATIVE))
+            report = run_simulation(t, Protocol.NONE, m=3, rng_seed=seed)
+            assert set(report.fallbacks) == {byz} and report.fallbacks[byz] >= 1
+
+
+@pytest.fixture
+def code_calls(monkeypatch):
+    """Names of the nodes ``Simulation._code`` ran for, in call order."""
+    calls = []
+    code = sim.Simulation._code
+
+    def counted(self, name):
+        calls.append(name)
+        return code(self, name)
+
+    monkeypatch.setattr(sim.Simulation, "_code", counted)
+    return calls
+
+
+class TestQuiescentNodes:
+    def test_honest_node_codes_once_per_epoch(self, code_calls):
+        """An honest emission changes only when an input does, and in an
+        all-honest run every input is sent once per epoch."""
+        topo = random_topology(30, 200, 4, 0, rng_seed=3)
+        report = run_simulation(topo, Protocol.NONE, m=3, rng_seed=3, epochs=2)
+        assert report.sink_ranks == {"t": 3} and report.decoded == {"t": True}
+        interior = [n for n, s in topo.nodes.items() if s.role is Role.INTERIOR]
+        assert sorted(code_calls) == sorted(interior * 2)
+
+    def test_resent_packets_are_verified_every_round(self, code_calls):
+        """Under PIP a node that does not re-code still sends its packet every
+        round, and every child verifies it every round."""
+        topo = random_topology(12, 40, 2, 0, rng_seed=4)
+        report = run_simulation(topo, Protocol.PIP, m=2, rng_seed=4, profile=SIM)
+        interior = [n for n, s in topo.nodes.items() if s.role is Role.INTERIOR]
+        assert sorted(code_calls) == sorted(interior)
+        rounds = {}
+        for r, receiver, sender, v in report.verdicts:
+            assert v is None
+            rounds.setdefault((receiver, sender), []).append(r)
+        assert sorted(rounds) == sorted((v, u) for u, v in topo.edges)
+        for (receiver, sender), got in rounds.items():
+            first = 1 if sender == topo.source else got[0]
+            last = 1 if sender == topo.source else report.rounds
+            assert got == list(range(first, last + 1)), (receiver, sender)
+
 
 def soundness_topology(behavior: Behavior) -> Topology:
     """Redundant-input fixture: byz has three parents whose packets
@@ -312,8 +366,8 @@ class TestReceiverAdjudicatorAgreement:
         """A proof of any delivery adjudicates INNOCENT when the receiver
         accepted it, INADMISSIBLE on a bad attest or epoch, and GUILTY of
         the same violation otherwise.  Every proof a run collects is
-        GUILTY, except a replayed packet's: a stale packet does not show
-        when it was sent, so that proof is INADMISSIBLE."""
+        GUILTY: a run does not collect a proof of a bad attest or epoch
+        (a replayed packet's, say), but still reports the detection."""
         verify = node_mod.verify_incoming
         pairs = []
 
@@ -325,15 +379,17 @@ class TestReceiverAdjudicatorAgreement:
 
         monkeypatch.setattr(node_mod, "verify_incoming", checked)
         for kind in sorted(BehaviorKind, key=lambda k: k.value):
-            want = Verdict.INADMISSIBLE if kind is BehaviorKind.REPLAY_OLD else Verdict.GUILTY
             butterfly = butterfly_topology().with_behavior("n1", Behavior(kind))
             for topo in (butterfly, soundness_topology(Behavior(kind))):
                 for proto in (Protocol.PIP, Protocol.LOGPIP):
                     s = sim.Simulation(topo, proto, m=2, rng_seed=13, profile=SIM, epochs=2,
                                        challenges=3, collect_proofs=True)
-                    for proof in s.run().proofs:
+                    report = s.run()
+                    for proof in report.proofs:
                         out = node_mod.adjudicate(proof, s.master.pk, s.master.pk)
-                        assert out.verdict is want, (kind, proto, out)
+                        assert out.verdict is Verdict.GUILTY, (kind, proto, out)
+                    if kind is BehaviorKind.REPLAY_OLD:
+                        assert ViolationKind.BAD_EPOCH in {d.kind for d in report.detections}
         assert len(pairs) > 2000
         for v, out in pairs:
             if v is None:
