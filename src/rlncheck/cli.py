@@ -180,6 +180,10 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+# One row per transmission and sink; fallbacks counts the rounds Mode-1
+# nodes coded honestly for want of a non-innovative choice.
+RUN_COLUMNS = ["seed", "min_cut", "mode", "sink_id", "rank", "detections", "fallbacks"]
+
 
 def cmd_simulate(args) -> int:
     profile = _resolve_profile(args)
@@ -200,9 +204,10 @@ def cmd_simulate(args) -> int:
         runs_path = out_path + ".runs.csv"
         with open(runs_path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["seed", "min_cut", "mode", "sink_id", "rank", "detections"])
+            w.writerow(RUN_COLUMNS)
             for row in rows:
-                w.writerow([row.seed, row.min_cut, row.mode, row.sink_id, row.rank, row.detections])
+                w.writerow([row.seed, row.min_cut, row.mode, row.sink_id, row.rank,
+                            row.detections, row.fallbacks])
         with open(out_path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["min_cut", "mode", "mean_rank", "runs"])
@@ -221,7 +226,7 @@ def cmd_simulate(args) -> int:
             topo = sim_mod.parse_topology(f.read())
     with open(out_path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["seed", "min_cut", "mode", "sink_id", "rank", "detections"])
+        w.writerow(RUN_COLUMNS)
         sink = topo.sinks[0]
         cut = sim_mod.min_cut(topo, topo.source, sink)
         for trial in range(args.trials):
@@ -234,7 +239,8 @@ def cmd_simulate(args) -> int:
                     t, Protocol.NONE, args.packets, rng_seed=seed, profile=profile
                 )
                 for s, r in sorted(report.sink_ranks.items()):
-                    w.writerow([seed, cut, mode, s, r, len(report.detections)])
+                    w.writerow([seed, cut, mode, s, r, len(report.detections),
+                                sum(report.fallbacks.values())])
     print(f"wrote {out_path}")
     return 0
 

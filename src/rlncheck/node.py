@@ -83,16 +83,20 @@ def derive_coefficient(
 
     PRF input is the length-prefixed tuple of ids plus the epoch public
     key, so coefficients differ across epochs; output is mapped into
-    Z_q^* and is never zero.
+    Z_q^* and is never zero.  The message is the ``wire.Writer`` layout
+    raw(context), var_bytes(parent), var_bytes(node), var_bytes(b""),
+    u64(len(key)), raw(key), built in one join.
     """
-    if not parent_id or not node_id:
-        raise ValueError("parent_id and node_id must be non-empty")
-    w = Writer()
-    w.raw(_COEFF_CONTEXT)
-    w.var_bytes(parent_id).var_bytes(node_id)
-    w.var_bytes(b"")  # an empty child id, so coefficients keep their values
-    w.u64(len(epoch_pk_bytes)).raw(epoch_pk_bytes)
-    return sigcrypto.prf_to_field(seed, w.getvalue(), q)
+    if not 0 < len(parent_id) < 256 or not 0 < len(node_id) < 256:
+        raise ValueError("parent_id and node_id must be 1 to 255 bytes")
+    message = b"".join((
+        _COEFF_CONTEXT,
+        bytes((len(parent_id),)), parent_id,
+        bytes((len(node_id),)), node_id,
+        b"\x00",  # an empty child id, so coefficients keep their values
+        len(epoch_pk_bytes).to_bytes(8, "big"), epoch_pk_bytes,
+    ))
+    return sigcrypto.prf_to_field(seed, message, q)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +398,50 @@ def verify_incoming(state: NodeState, pkt: Packet) -> Violation | None:
     )
 
 
+def challenge_targets(state: NodeState, pkt: Packet, t: int, rng: random.Random) -> list[bytes]:
+    """The parents to challenge on a sender's packet: t of its required
+    set, sampled from ``rng`` without replacement.  Empty, with no draw
+    from ``rng``, unless the packet carries a Log-PIP root and its sender
+    has a required set."""
+    info = state.parents[pkt.sender_id]
+    if not isinstance(pkt.test_token, LogPipTestToken) or not info.required_set:
+        return []
+    targets = sorted(info.required_set)
+    return rng.sample(targets, k=min(t, len(targets)))
+
+
+def check_challenge(
+    state: NodeState,
+    pkt: Packet,
+    target: bytes,
+    sender_tree: pipcore.MerkleTreeState | None,
+    sender_sk: bytes | None,
+) -> tuple[ChallengeProof | None, Violation | None]:
+    """Challenge a sender's packet on one parent and verify the response.
+
+    ``sender_tree``/``sender_sk`` stand in for the request round-trip:
+    the responder opens its retained tree and signs the response.  A
+    missing response (no retained tree) counts as a violation, which is
+    how the simulator treats refusal to answer.  Returns (response or
+    None, violation or None).
+    """
+    params = state.params
+    assert params is not None
+    proof = None
+    if sender_tree is not None:
+        # A cheating tree without a leaf for the challenged parent can only
+        # open another leaf, which fails the check for the challenged parent.
+        ids = [inp.parent_id for inp in sender_tree.inputs]
+        idx = ids.index(target) if target in ids else 0
+        proof = pipcore.logpip_respond(sender_tree, idx, sender_sk)
+    if proof is None:
+        return None, Violation(ViolationKind.BAD_MERKLE_PATH, pkt.sender_id, "no response")
+    info = state.parents[pkt.sender_id]
+    return proof, _check_response(
+        pkt, info, state.node_id, state.seed, params, state.profile.h_bytes, target, proof
+    )
+
+
 def challenge_parent(
     state: NodeState,
     pkt: Packet,
@@ -405,37 +453,14 @@ def challenge_parent(
     """Issue t Merkle challenges on a sender's packet and verify responses.
 
     Call it on a packet that passed ``verify_incoming``, which checked a
-    full PIP token in full.  ``sender_tree``/``sender_sk`` stand in for
-    the request round-trip: the responder opens its retained tree and
-    signs each response.  A missing response (no retained tree) counts
-    as a violation, which is how the simulator treats refusal to answer.
-    Challenged parents are sampled without replacement from the
-    sender's required set.
+    full PIP token in full.  It picks the targets (``challenge_targets``)
+    and checks each one afresh (``check_challenge``), returning
+    (target, response, violation) per challenge.
     """
-    params = state.params
-    assert params is not None
-    info = state.parents[pkt.sender_id]
-    if not isinstance(pkt.test_token, LogPipTestToken) or not info.required_set:
-        return []
-    targets = sorted(info.required_set)
-    picks = rng.sample(targets, k=min(t, len(targets)))
-    results = []
-    for target in picks:
-        proof = None
-        if sender_tree is not None:
-            # A cheating tree without a leaf for the challenged parent can only
-            # open another leaf, which fails the check for the challenged parent.
-            ids = [inp.parent_id for inp in sender_tree.inputs]
-            idx = ids.index(target) if target in ids else 0
-            proof = pipcore.logpip_respond(sender_tree, idx, sender_sk)
-        if proof is None:
-            v = Violation(ViolationKind.BAD_MERKLE_PATH, pkt.sender_id, "no response")
-        else:
-            v = _check_response(
-                pkt, info, state.node_id, state.seed, params, state.profile.h_bytes, target, proof
-            )
-        results.append((target, proof, v))
-    return results
+    return [
+        (target, *check_challenge(state, pkt, target, sender_tree, sender_sk))
+        for target in challenge_targets(state, pkt, t, rng)
+    ]
 
 
 @dataclass

@@ -40,7 +40,7 @@ def prf(seed: bytes, data: bytes) -> bytes:
     """Keyed PRF on the public seed: HMAC-SHA256(seed, data), 32 bytes."""
     if len(seed) < 16:
         raise ValueError("seed must be at least 16 bytes")
-    return hmac.new(seed, data, hashlib.sha256).digest()
+    return hmac.digest(seed, data, "sha256")
 
 
 def prf_to_field(seed: bytes, data: bytes, q: int) -> int:

@@ -26,8 +26,11 @@ resends what it last coded, without re-coding or re-signing.  The
 Mode-1 adversary is the exception: it re-codes every round.  Under
 Protocol.NONE a resent vector is not delivered again, as it adds
 nothing to a child's span or decoding; under PIP and Log-PIP every
-packet is still delivered and verified every round.  The outputs are
-those of re-coding every node every round.
+packet is still delivered every round and gets a verdict (and, under
+Log-PIP, fresh challenge picks) each time, but a receiver runs the
+checks on a packet, and each challenge on it, once per epoch and
+reuses the result (``Simulation._accepts``).  The outputs are those of
+re-coding and re-checking everything every round.
 
 The adversary model: Byzantine nodes are omniscient (they code after
 the round's honest emissions and see every child's span) and hold
@@ -484,6 +487,16 @@ class TransmissionReport:
 # it was sent.  Their detections are still reported.
 _UNPROVABLE = frozenset({ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH})
 
+_UNCHECKED = object()
+
+
+def _memo(checked: dict, key, compute, *args):
+    """checked[key], computed as compute(*args) and stored on first use."""
+    result = checked.get(key, _UNCHECKED)
+    if result is _UNCHECKED:
+        result = checked[key] = compute(*args)
+    return result
+
 
 def _non_innovative_coeffs(
     received: dict, child_spans: list[Span], q: int, rng: random.Random
@@ -550,6 +563,9 @@ class _SimNode:
     sent: tuple | None = None
     stale: bool = True  # its inputs changed since it last coded
     stored_old: tuple | None = None  # REPLAY_OLD: (vector, packets per child) of epoch 1
+    # This epoch's check results as a receiver (see Simulation._accepts):
+    # Packet -> verdict, and (Packet, challenged parent) -> (response, violation)
+    checked: dict = field(default_factory=dict)
 
 
 class Simulation:
@@ -558,8 +574,10 @@ class Simulation:
     Under Protocol.NONE a packet is just its CodedVector and nothing is
     verified.  Under PIP and Log-PIP every node holds a ``NodeState``,
     packets are built by ``node.build_draft`` and ``node.finalize_packet``,
-    and each delivery is verified (and, under Log-PIP, challenged)
-    before it is accepted.
+    and each delivery gets a verdict (and, under Log-PIP, challenges)
+    before it is accepted.  A receiver checks each distinct packet, and
+    each challenge on it, once per epoch; a resent packet gets the
+    recorded result (``_accepts``).
     """
 
     def __init__(
@@ -680,6 +698,7 @@ class Simulation:
                 sim_node.span = Span(self.q, self.m)
                 sim_node.sent = None
                 sim_node.stale = True
+                sim_node.checked.clear()
 
             deliveries = self._source_round()
             for r in range(1, self.rounds + 1):
@@ -716,8 +735,9 @@ class Simulation:
         return deliveries
 
     def _ingest_round(self, r: int, deliveries: dict[str, list]) -> None:
-        """Take in every delivery, once verified under PIP and Log-PIP; one
-        equal to its sender's last accepted delivery changes nothing."""
+        """Take in every delivery, once accepted under PIP and Log-PIP
+        (``_accepts``); one equal to its sender's last accepted delivery
+        changes nothing."""
         for name, sim_node in self.nodes.items():
             for sender, pkt in deliveries[name]:
                 if self.verified:
@@ -738,20 +758,38 @@ class Simulation:
                 sim_node.stale = True
 
     def _accepts(self, r: int, name: str, sender: str, pkt: Packet) -> bool:
-        """Verify a delivery and, under Log-PIP, challenge it; record every failure."""
-        st = self.nodes[name].state
-        v = node_mod.verify_incoming(st, pkt)
+        """Check a delivery and, under Log-PIP, challenge it; record every failure.
+
+        Every delivery gets a verdict, its detections and proofs, and,
+        under Log-PIP, this round's challenge picks from
+        ``challenge_rng``.  The checks themselves run once per epoch for
+        each distinct packet at a receiver, and once for each (packet,
+        challenged parent); the receiver's ``checked`` memo, cleared at
+        each epoch start, holds the results.  That is sound because both
+        are functions of the packet and of receiver state that is fixed
+        within an epoch: ``verify_incoming`` reads the epoch parameters,
+        the registered parents, the seed and the protocol, never the
+        buffers.  A response opens the sender's tree, which the packet's
+        root commits to (while a sender sends a packet it holds the tree
+        it built that packet from), and Ed25519 signing is deterministic,
+        so the same challenge gets the same response.  The memo is per
+        receiver because the checks read the receiver's id and registry.
+        """
+        sim_node = self.nodes[name]
+        st, checked = sim_node.state, sim_node.checked
+        v = _memo(checked, pkt, node_mod.verify_incoming, st, pkt)
         self.report.verdicts.append((r, name, sender, v))
         # (violation, challenge transcript); no transcript when the sender did not answer
         failures = [] if v is None else [(v, [])]
         if v is None and self.protocol is Protocol.LOGPIP and sender != self.topo.source:
             sender_state = self.nodes[sender].state
-            results = node_mod.challenge_parent(
-                st, pkt, sender_state.current_tree, sender_state.identity.sk,
-                self.challenges, self.challenge_rng,
-            )
-            failures = [(v, None if proof is None else [(target, proof)])
-                        for target, proof, v in results if v is not None]
+            for target in node_mod.challenge_targets(st, pkt, self.challenges, self.challenge_rng):
+                proof, cv = _memo(
+                    checked, (pkt, target), node_mod.check_challenge,
+                    st, pkt, target, sender_state.current_tree, sender_state.identity.sk,
+                )
+                if cv is not None:
+                    failures.append((cv, None if proof is None else [(target, proof)]))
         for v, transcript in failures:
             self.report.detections.append(
                 DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
@@ -768,7 +806,8 @@ class Simulation:
         Mode-1 node re-codes every round: it reads its children's spans
         and draws from ``adversary_rng``.  Under Protocol.NONE a resent
         vector is not delivered again, since it adds nothing to a child;
-        under PIP and Log-PIP every packet is delivered and verified.
+        under PIP and Log-PIP every packet is delivered and gets a
+        verdict, which a resent packet takes from its receiver's memo.
         """
         deliveries: dict[str, list] = {n: [] for n in self.nodes}
         for name in self._emit_order:
@@ -918,9 +957,11 @@ def run_simulation(
     round loop and the same adversaries.  Protocol NONE moves bare coded
     vectors and verifies nothing, which is what the throughput mode
     sweeps run; PIP and LOGPIP build, verify and (Log-PIP) challenge
-    full packets, and report verdicts, detections and proofs.  A node
-    codes only once every required parent has delivered an accepted
-    packet this epoch, so an honest node never emits a degraded packet.
+    full packets, and report verdicts, detections and proofs: one
+    verdict per delivery per round, where a receiver checks each
+    distinct packet once per epoch.  A node codes only once every
+    required parent has delivered an accepted packet this epoch, so an
+    honest node never emits a degraded packet.
     Byzantine nodes are omniscient and hold valid keys; each behavior
     chooses the coefficients the node codes with and the token entries
     it claims (see ``Simulation._strategy``).
@@ -964,6 +1005,7 @@ class SweepRow:
     sink_id: str
     rank: int
     detections: int
+    fallbacks: int  # rounds a Mode-1 node coded honestly (TransmissionReport.fallbacks)
 
 
 def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str, float]]]:
@@ -999,6 +1041,7 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
                 rows.append(SweepRow(
                     seed=seed, min_cut=cut, mode=mode, sink_id=sink,
                     rank=report.sink_ranks[sink], detections=len(report.detections),
+                    fallbacks=sum(report.fallbacks.values()),
                 ))
         for mode, ranks in per_mode.items():
             if ranks:

@@ -50,6 +50,26 @@ class TestSimulate:
             detail = list(csv.DictReader(f))
         assert len(detail) == 18  # 3 cuts x 2 seeds x 3 modes
 
+    def test_runs_csv_reports_fallbacks(self, tmp_path, capsys):
+        """At cut 1 the sink holds nothing when the Mode-1 node first codes,
+        so it falls back to honest coding; modes 2 and 3 never do."""
+        out = tmp_path / "sweep.csv"
+        argv = [
+            "simulate", "--nodes", "20", "--edges", "120", "--mincut", "1",
+            "--packets", "3", "--trials", "3", "--seed", "0", "--out", str(out),
+        ]
+        code, _ = run_cli(argv, capsys)
+        assert code == 0
+        with open(out) as f:
+            assert next(csv.reader(f)) == ["min_cut", "mode", "mean_rank", "runs"]
+        with open(tmp_path / "sweep.csv.runs.csv") as f:
+            detail = list(csv.DictReader(f))
+        assert list(detail[0]) == cli.RUN_COLUMNS and cli.RUN_COLUMNS[-1] == "fallbacks"
+        assert len(detail) == 9
+        for row in detail:
+            fell_back = int(row["fallbacks"])
+            assert fell_back >= 1 if row["mode"] == "mode1" else fell_back == 0, row
+
     def test_repeat_identical(self, tmp_path, capsys):
         argv = lambda p: [
             "simulate", "--nodes", "20", "--edges", "100", "--mincut", "2",

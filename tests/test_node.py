@@ -29,8 +29,8 @@ from rlncheck.node import (
     verify_incoming,
 )
 from rlncheck.pipcore import ParentInput, Protocol, ViolationKind
-from rlncheck.profiles import TEST
-from rlncheck.wire import DecodeError
+from rlncheck.profiles import PRODUCTION, SIM, TEST
+from rlncheck.wire import DecodeError, Writer
 
 
 class TestDeriveCoefficient:
@@ -55,6 +55,22 @@ class TestDeriveCoefficient:
         _, _, params = tiny_epoch
         with pytest.raises(ValueError):
             derive_coefficient(b"s" * 16, b"", b"n", params.epoch_pk_bytes(), 13)
+
+    @pytest.mark.parametrize("q", [SIM.q, PRODUCTION.q])
+    def test_message_is_the_writer_layout(self, q):
+        """Coefficients are those of the message built with ``wire.Writer``."""
+        seed = bytes(range(32))
+        cases = [(b"n001", b"n002", b"lite"), (b"p" * 255, b"x", bytes(range(256)) * 3),
+                 (b"s", b"t" * 200, b"")]
+        for parent, child, epk in cases:
+            w = Writer().raw(b"rlncheck-coeff-v1").var_bytes(parent).var_bytes(child)
+            w.var_bytes(b"").u64(len(epk)).raw(epk)
+            want = sigcrypto.prf_to_field(seed, w.getvalue(), q)
+            assert derive_coefficient(seed, parent, child, epk, q) == want
+
+    def test_id_longer_than_a_length_byte_rejected(self):
+        with pytest.raises(ValueError):
+            derive_coefficient(b"s" * 16, b"p" * 256, b"n", b"", 13)
 
     def test_uniform_chi_square(self, tiny_epoch):
         """10^4 distinct parent ids at q=13: all cells within 5 sigma."""

@@ -1,5 +1,7 @@
 """Identities, signatures, certificates, and the PRF."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -95,6 +97,12 @@ class TestPrf:
     def test_short_seed_rejected(self):
         with pytest.raises(ValueError):
             sigcrypto.prf(b"short", b"x")
+
+    def test_is_hmac_sha256(self):
+        for n in (0, 1, 63, 64, 65, 1000):
+            seed, data = bytes(range(32)), bytes(range(256)) * 4
+            want = hmac.new(seed, data[:n], hashlib.sha256).digest()
+            assert sigcrypto.prf(seed, data[:n]) == want
 
     def test_no_collisions_over_corpus(self):
         seed = b"q" * 16

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from rlncheck import node as node_mod, sim
+from rlncheck import node as node_mod, pipcore, sim
 from rlncheck.node import Verdict
 from rlncheck.pipcore import Protocol, ViolationKind
 from rlncheck.profiles import SIM
@@ -274,7 +274,7 @@ class TestQuiescentNodes:
 
     def test_resent_packets_are_verified_every_round(self, code_calls):
         """Under PIP a node that does not re-code still sends its packet every
-        round, and every child verifies it every round."""
+        round, and every child gives it a verdict every round."""
         topo = random_topology(12, 40, 2, 0, rng_seed=4)
         report = run_simulation(topo, Protocol.PIP, m=2, rng_seed=4, profile=SIM)
         interior = [n for n, s in topo.nodes.items() if s.role is Role.INTERIOR]
@@ -367,7 +367,9 @@ class TestReceiverAdjudicatorAgreement:
         accepted it, INADMISSIBLE on a bad attest or epoch, and GUILTY of
         the same violation otherwise.  Every proof a run collects is
         GUILTY: a run does not collect a proof of a bad attest or epoch
-        (a replayed packet's, say), but still reports the detection."""
+        (a replayed packet's, say), but still reports the detection.  A
+        receiver checks each distinct packet once per epoch, so the runs
+        span four seeds to adjudicate over 2,000 distinct deliveries."""
         verify = node_mod.verify_incoming
         pairs = []
 
@@ -378,11 +380,12 @@ class TestReceiverAdjudicatorAgreement:
             return v
 
         monkeypatch.setattr(node_mod, "verify_incoming", checked)
-        for kind in sorted(BehaviorKind, key=lambda k: k.value):
+        for kind, rng_seed in itertools.product(sorted(BehaviorKind, key=lambda k: k.value),
+                                                (13, 14, 15, 16)):
             butterfly = butterfly_topology().with_behavior("n1", Behavior(kind))
             for topo in (butterfly, soundness_topology(Behavior(kind))):
                 for proto in (Protocol.PIP, Protocol.LOGPIP):
-                    s = sim.Simulation(topo, proto, m=2, rng_seed=13, profile=SIM, epochs=2,
+                    s = sim.Simulation(topo, proto, m=2, rng_seed=rng_seed, profile=SIM, epochs=2,
                                        challenges=3, collect_proofs=True)
                     report = s.run()
                     for proof in report.proofs:
@@ -398,6 +401,136 @@ class TestReceiverAdjudicatorAgreement:
                 assert out.verdict is Verdict.INADMISSIBLE, (v, out)
             else:
                 assert out.verdict is Verdict.GUILTY and out.violation.kind is v.kind, (v, out)
+
+
+def _report_fields(report):
+    return (report.sink_ranks, report.decoded, report.verdicts, report.detections,
+            report.proofs, report.fallbacks, report.rounds)
+
+
+def _replay_topology():
+    """s -> byz -> c, where byz replays its epoch-1 packet in later epochs."""
+    nodes = {
+        "s": NodeSpec(Role.SOURCE),
+        "byz": NodeSpec(Role.INTERIOR, behavior=Behavior(BehaviorKind.REPLAY_OLD)),
+        "c": NodeSpec(Role.SINK),
+    }
+    return Topology(nodes=nodes, edges=[("s", "byz"), ("byz", "c")],
+                    source="s", byzantine=["byz"])
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Every delivery ``Simulation._accepts`` saw and every check it ran,
+    each as (epoch, receiver id, packet[, challenged parent])."""
+    calls = {"deliveries": [], "verify": [], "targets": [], "challenge": []}
+    accepts = sim.Simulation._accepts
+    verify, targets, challenge = (
+        node_mod.verify_incoming, node_mod.challenge_targets, node_mod.check_challenge)
+
+    def seen(self, r, name, sender, pkt):
+        calls["deliveries"].append((self.params.k, name.encode(), pkt))
+        return accepts(self, r, name, sender, pkt)
+
+    def verified(st, pkt):
+        calls["verify"].append((st.params.k, st.node_id, pkt))
+        return verify(st, pkt)
+
+    def picked(st, pkt, t, rng):
+        calls["targets"].append((st.params.k, st.node_id, pkt))
+        return targets(st, pkt, t, rng)
+
+    def challenged(st, pkt, target, tree, sk):
+        calls["challenge"].append((st.params.k, st.node_id, pkt, target))
+        return challenge(st, pkt, target, tree, sk)
+
+    monkeypatch.setattr(sim.Simulation, "_accepts", seen)
+    monkeypatch.setattr(node_mod, "verify_incoming", verified)
+    monkeypatch.setattr(node_mod, "challenge_targets", picked)
+    monkeypatch.setattr(node_mod, "check_challenge", challenged)
+    return calls
+
+
+def _random_memo_topology():
+    """Two adversaries on a cut: one re-codes every round, one resends."""
+    topo = random_topology(20, 90, 3, 2, rng_seed=5)
+    for byz, kind in zip(topo.byzantine, (BehaviorKind.NON_INNOVATIVE, BehaviorKind.SKIP_PARENT)):
+        topo = topo.with_behavior(byz, Behavior(kind))
+    return topo
+
+
+MEMO_CASES = {
+    "skipparent": soundness_topology(Behavior(BehaviorKind.SKIP_PARENT)),
+    "noninnovative": soundness_topology(Behavior(BehaviorKind.NON_INNOVATIVE)),
+    "replay": _replay_topology(),
+    "random": _random_memo_topology(),
+}
+
+
+class TestCheckMemo:
+    """A receiver checks each distinct packet, and each challenge on it,
+    once per epoch; the report is that of checking every delivery."""
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("case", MEMO_CASES)
+    def test_each_distinct_packet_checked_once_per_epoch(self, check_calls, proto, case):
+        report = sim.Simulation(MEMO_CASES[case], proto, m=2, rng_seed=8, epochs=2, challenges=1).run()
+        deliveries, verify = check_calls["deliveries"], check_calls["verify"]
+        assert len(report.verdicts) == len(deliveries) > len(set(deliveries))
+        assert len(verify) == len(set(verify))
+        assert set(verify) == set(deliveries)
+
+    @pytest.mark.parametrize("case", MEMO_CASES)
+    def test_challenges_drawn_every_delivery_checked_once(self, check_calls, case):
+        """Every accepted delivery of a Log-PIP root draws this round's
+        targets; each (packet, target) is challenged once per epoch."""
+        report = sim.Simulation(MEMO_CASES[case], Protocol.LOGPIP, m=2, rng_seed=8, epochs=2,
+                                challenges=1).run()
+        rooted = [
+            (k, receiver, pkt) for (k, receiver, pkt), (_, _, _, v)
+            in zip(check_calls["deliveries"], report.verdicts)
+            if v is None and isinstance(pkt.test_token, pipcore.LogPipTestToken)
+        ]
+        assert rooted and check_calls["targets"] == rooted
+        challenged = check_calls["challenge"]
+        assert len(challenged) == len(set(challenged)) < len(rooted)
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("case", MEMO_CASES)
+    def test_report_equals_checking_every_delivery(self, monkeypatch, proto, case):
+        """Verdicts, detections, proofs (challenge transcripts included)
+        and ranks are those of a run that recomputes every check."""
+        def run():
+            return sim.Simulation(MEMO_CASES[case], proto, m=2, rng_seed=8, epochs=2,
+                                  challenges=1, collect_proofs=True).run()
+
+        memo = run()
+        monkeypatch.setattr(sim, "_memo", lambda checked, key, compute, *args: compute(*args))
+        assert _report_fields(memo) == _report_fields(run())
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    def test_rejected_resend_detected_every_round(self, proto):
+        """byz codes once and resends; each child flags it again every
+        round, with the same findings, until the epoch ends."""
+        topo = soundness_topology(Behavior(BehaviorKind.FORWARD_ONLY))
+        report = run_simulation(topo, proto, m=2, rng_seed=13, challenges=3)
+        for child in ("c1", "c2"):
+            by_round = {}
+            for d in report.detections:
+                if d.verifier == child:
+                    assert d.culprit == "byz"
+                    by_round.setdefault(d.round, []).append(d.kind)
+            assert sorted(by_round) == list(range(4, report.rounds + 1)), child
+            assert len({tuple(kinds) for kinds in by_round.values()}) == 1, child
+
+    def test_memo_is_per_receiver(self):
+        """A packet one child accepted is checked afresh at another: its
+        helper token names the first child."""
+        s = sim.Simulation(soundness_topology(Behavior.honest()), Protocol.PIP, m=2, rng_seed=13)
+        s.run()
+        pkt = s.nodes["byz"].sent[1]["c1"]
+        assert not s._accepts(1, "c2", "byz", pkt)
+        assert s.report.verdicts[-1][3].kind is ViolationKind.BAD_HELPER_SIG
 
 
 class TestHonestThroughput:
@@ -431,33 +564,26 @@ class TestHonestThroughput:
 
 class TestReplay:
     def test_replay_detected_after_epoch_change(self):
-        nodes = {
-            "s": NodeSpec(Role.SOURCE),
-            "byz": NodeSpec(Role.INTERIOR, behavior=Behavior(BehaviorKind.REPLAY_OLD)),
-            "c": NodeSpec(Role.SINK),
-        }
-        topo = Topology(nodes=nodes, edges=[("s", "byz"), ("byz", "c")],
-                        source="s", byzantine=["byz"])
-        for seed in range(5):
+        """The replayed packet equals one the sink accepted in epoch 1; it
+        is checked again in epoch 2 and rejected in every round."""
+        for seed, proto in itertools.product(range(5), (Protocol.PIP, Protocol.LOGPIP)):
             report = run_simulation(
-                topo, Protocol.PIP, m=2, rng_seed=seed, profile=SIM, epochs=2
+                _replay_topology(), proto, m=2, rng_seed=seed, profile=SIM, epochs=2
             )
             kinds = {d.kind for d in report.detections if d.culprit == "byz"}
             assert ViolationKind.BAD_EPOCH in kinds, seed
+            got = [(r, v) for r, _, sender, v in report.verdicts if sender == "byz"]
+            half = len(got) // 2
+            assert got[:half] == [(r, None) for r in range(2, report.rounds // 2 + 1)], seed
+            assert [r for r, _ in got[half:]] == [r for r, _ in got[:half]], seed
+            assert all(v.kind is ViolationKind.BAD_EPOCH for _, v in got[half:]), seed
 
 
     def test_unverified_replay_resends_epoch_one_vector(self):
         """Without verification a replaying node still acts: in epoch 2 it
         resends the packet it first sent in epoch 1, so the sink cannot
         decode epoch 2's payloads."""
-        nodes = {
-            "s": NodeSpec(Role.SOURCE),
-            "byz": NodeSpec(Role.INTERIOR, behavior=Behavior(BehaviorKind.REPLAY_OLD)),
-            "c": NodeSpec(Role.SINK),
-        }
-        topo = Topology(nodes=nodes, edges=[("s", "byz"), ("byz", "c")],
-                        source="s", byzantine=["byz"])
-        run = sim.Simulation(topo, Protocol.NONE, m=2, rng_seed=3, epochs=2)
+        run = sim.Simulation(_replay_topology(), Protocol.NONE, m=2, rng_seed=3, epochs=2)
         report = run.run()
         stored_vector, stored_packets = run.nodes["byz"].stored_old
         assert stored_packets == {"c": stored_vector}
