@@ -340,17 +340,23 @@ def _time_ratio(fn, base, samples: int) -> float:
     return statistics.median(t / b for t, b in zip(times, base_times))
 
 
-def _bench_validity(profile: Profile, n: int, samples: int) -> tuple[float, float]:
-    """ms per sign_validity and per verify_validity of one n-chunk packet."""
+def _bench_validity(profile: Profile, n: int, samples: int) -> tuple[float, float, float]:
+    """ms per sign_validity, per verify_validity, and per verify_validity
+    against a verified span of full rank, of one n-chunk packet."""
     _, params, ctx = build_token_fixture(1, profile, n_chunks=n)
+    originals = ctx["originals"]
     rng = random.Random(n)
     E = gf.linear_combine(
-        ctx["originals"], [gf.random_nonzero(profile.q, rng) for _ in ctx["originals"]], profile.q
+        originals, [gf.random_nonzero(profile.q, rng) for _ in originals], profile.q
     )
     sigma = validity.sign_validity(params, E)
+    span = gf.Span(params.q, params.m + params.n)
+    for o in originals:
+        validity.verify_validity(params, o, validity.sign_validity(params, o), span)
     return (
         _time_op(lambda: validity.sign_validity(params, E), samples),
         _time_op(lambda: validity.verify_validity(params, E, sigma), samples),
+        _time_op(lambda: validity.verify_validity(params, E, sigma, span), samples),
     )
 
 
@@ -404,11 +410,16 @@ def cmd_bench(args) -> int:
                     verifiers[(proto, d, n)] = verify
                 print(f"{proto:>7} {d:>4} {n:>5} {prep_ms:>9.4f} {verify_ms:>10.4f}")
 
+    validity_ms = {n: _bench_validity(profile, n, samples) for n in payload_sizes}
     print(f"\nvalidity signatures ({profile.name}, m=2):")
     print(f"{'n':>5} {'sign_ms':>9} {'verify_ms':>10}")
-    for n in payload_sizes:
-        sign_ms, verify_ms = _bench_validity(profile, n, samples)
+    for n, (sign_ms, verify_ms, _) in validity_ms.items():
         print(f"{n:>5} {sign_ms:>9.4f} {verify_ms:>10.4f}")
+
+    print(f"\nvalidity in a verified span of rank m ({profile.name}, m=2):")
+    print(f"{'n':>5} {'verify_ms':>10}")
+    for n, (_, _, span_ms) in validity_ms.items():
+        print(f"{n:>5} {span_ms:>10.4f}")
 
     print(f"\npayload-independence ratios (verify time, n={hi_n} vs n={lo_n}, paired samples):")
     for proto in ("pip", "logpip"):

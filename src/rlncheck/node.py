@@ -16,6 +16,14 @@ either protocol, or, to a Log-PIP receiver, a Merkle root that the
 receiver challenges.  ``enter_epoch`` checks the epoch's master
 signature once; a packet's epoch reference must then equal it.
 
+A receiver also keeps, per epoch, the span of the packets whose
+validity signatures it has checked in full (``NodeState.verified``).
+The validity check of a packet inside that span skips the product over
+all n+m generators, so a receiver pays for that product at most m
+times per epoch when its packets pass; ``adjudicate`` keeps no span
+and checks every packet in full.  The verdicts are the same (see
+``validity``).
+
 Failures never abort a round; each parent gets a verdict and coding
 proceeds over the verified parents (a degraded round is the caller's
 policy decision).  ``build_draft`` is the shared tail of every
@@ -302,6 +310,11 @@ class NodeState:
     parents: dict = field(default_factory=dict)  # parent_id -> ParentInfo
     buffers: dict = field(default_factory=dict)  # parent_id -> verified Packet
     current_tree: pipcore.MerkleTreeState | None = None
+    # Rows coding_vector + payload of the packets whose validity signature
+    # passed the full check in this epoch, whatever the rest of the pipeline
+    # made of them; only validity.verify_validity adds to it, and
+    # enter_epoch starts an empty one.  None before the first epoch.
+    verified: gf.Span | None = None
 
     @property
     def node_id(self) -> bytes:
@@ -314,30 +327,34 @@ class NodeState:
         self.parents[parent_id] = info
 
     def enter_epoch(self, params: SourceEpochParams) -> None:
-        """Activate master-signed ``params`` (else ValueError); buffers do not carry over."""
+        """Activate master-signed ``params`` (else ValueError); buffers and
+        the verified span do not carry over."""
         if not validity.verify_epoch(params, self.master_pk):
             raise ValueError(f"epoch {params.k} parameters not signed by the master")
         self.params = params
         self.buffers.clear()
         self.current_tree = None
+        self.verified = gf.Span(params.q, params.m + params.n)
 
 
 def _check_packet(
     pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
     params: SourceEpochParams, protocol: Protocol, h_bytes: int,
+    verified: gf.Span | None = None,
 ) -> Violation | None:
     """Check one packet against the verifier's view of its sender.
 
     Order: attest signature, epoch binding, validity signature, token
     type and full PIP token (senders with a required set only), helper
     token.  Returns the first Violation, or None when the packet is good.
+    ``verified`` is the receiver's span for ``validity.verify_validity``.
     """
     sender_id = pkt.sender_id
     if not verify_attest(sender.pk, packet_signed_bytes(pkt, params, h_bytes), pkt.attest):
         return Violation(ViolationKind.BAD_ATTEST, sender_id)
     if pkt.epoch_ref != EpochRef(k=params.k, master_sig=params.master_sig):
         return Violation(ViolationKind.BAD_EPOCH, sender_id, f"epoch {pkt.epoch_ref.k}")
-    if not validity.verify_validity(params, pkt.E, pkt.sigma):
+    if not validity.verify_validity(params, pkt.E, pkt.sigma, verified):
         return Violation(ViolationKind.POLLUTED_PACKET, sender_id)
 
     if sender.required_set:
@@ -394,7 +411,8 @@ def verify_incoming(state: NodeState, pkt: Packet) -> Violation | None:
     if info is None:
         return Violation(ViolationKind.POLICY_VIOLATION, pkt.sender_id, "unregistered parent")
     return _check_packet(
-        pkt, info, state.node_id, state.seed, state.params, state.protocol, state.profile.h_bytes
+        pkt, info, state.node_id, state.seed, state.params, state.protocol,
+        state.profile.h_bytes, state.verified,
     )
 
 
@@ -489,17 +507,21 @@ def build_draft(
     theirs.  The test token commits to ``claims``: an honest node claims
     exactly what it coded, and a caller simulating an adversary passes
     whatever its token should state.  Under Log-PIP the node keeps the
-    tree so that it can answer challenges.
+    tree so that it can answer challenges; when the claims are what it
+    coded, the tree's root already carries the combined sigma.
     """
     params = state.params
-    sigma = validity.combine_validity(
-        [i.sigma for i in coded], [i.coeff for i in coded], params
-    )
     if state.protocol is Protocol.LOGPIP:
         token, state.current_tree = pipcore.logpip_build(claims, params, state.profile.h_bytes)
     else:
         token = pipcore.pip_combine(claims)
         state.current_tree = None
+    if state.current_tree is not None and sorted(coded) == sorted(claims):
+        sigma = state.current_tree.root.sigma
+    else:
+        sigma = validity.combine_validity(
+            [i.sigma for i in coded], [i.coeff for i in coded], params
+        )
     return OutgoingDraft(
         E=E,
         sigma=sigma,

@@ -769,11 +769,15 @@ class Simulation:
         are functions of the packet and of receiver state that is fixed
         within an epoch: ``verify_incoming`` reads the epoch parameters,
         the registered parents, the seed and the protocol, never the
-        buffers.  A response opens the sender's tree, which the packet's
-        root commits to (while a sender sends a packet it holds the tree
-        it built that packet from), and Ed25519 signing is deterministic,
-        so the same challenge gets the same response.  The memo is per
-        receiver because the checks read the receiver's id and registry.
+        buffers.  It also reads and grows the receiver's verified span
+        (``NodeState.verified``), which changes what a check costs but not
+        its verdict (``validity.verify_validity``); a second check of a
+        packet would not grow the span again.  A response opens the
+        sender's tree, which the packet's root commits to (while a sender
+        sends a packet it holds the tree it built that packet from), and
+        Ed25519 signing is deterministic, so the same challenge gets the
+        same response.  The memo is per receiver because the checks read
+        the receiver's id and registry.
         """
         sim_node = self.nodes[name]
         st, checked = sim_node.state, sim_node.checked

@@ -27,6 +27,22 @@ B[d], and returns prod B[d]^d as a running product over d = 2^w-1..1,
 in 2(2^w - 1) multiplications.  The digit width w is derived, not set:
 it minimises count * ceil(|q|/w) + 2^(w+1) over the number of bases,
 which gives w = 7 for 36 bases at 160 bits and w = 4 for 5 bases at 61.
+
+A receiver can skip the larger product, G(E) = prod g_i^{e_i} over all
+n+m chunks, for most packets.  It keeps a span, over GF(q), of the
+rows c | payload of the packets that passed the full check in this
+epoch, and passes it to ``verify_validity``.  A packet whose coding
+vector c lies in that span is valid iff its payload is the matching
+combination of theirs and sigma == H(c) = prod h_j^{c_j}; only a
+packet outside the span pays for G(E), and a packet that passes joins
+the span.  So a receiver computes G at most m times per epoch when its
+packets pass, however many it receives.  The two paths agree: every
+row in the span has G(row) = H(c_row), and both maps are homomorphic,
+so a matching payload gives G(E) = H(c) = sigma.  Conversely a packet
+that passes the full check has G(E) = H(c); if its payload differed
+from the matching combination P', then G(0 | payload - P') = 1, a
+discrete-log collision in the generators.  On such a collision, and
+only there, the span path rejects what the full check accepts.
 """
 
 from __future__ import annotations
@@ -36,7 +52,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 from . import sigcrypto
-from .gf import CodedVector
+from .gf import CodedVector, Span
 from .profiles import Profile
 
 
@@ -198,21 +214,40 @@ def sign_validity(params: SourceEpochParams, E: CodedVector) -> int:
     return params._generator_base.power(E.chunks)
 
 
-def verify_validity(params: SourceEpochParams, E: CodedVector, sigma: int) -> bool:
+def verify_validity(
+    params: SourceEpochParams, E: CodedVector, sigma: int, verified: Span | None = None
+) -> bool:
     """True iff sigma matches the packet AND the packet matches its claim.
 
     Two-sided check: sigma must equal prod g_i^{e_i} (content binding)
     and prod h_j^{c_j} (the combination of originals the coding vector
     claims).  Never raises on adversarial input; any inconsistency is
     simply False.
+
+    ``verified``, when given, is the receiver's span of the rows
+    coding_vector + payload that passed this check in full under
+    ``params`` (width m+n, empty at the start of an epoch).  A packet
+    whose coding vector lies in it is checked against it and against
+    prod h_j^{c_j} alone; any other packet is checked in full and, if
+    it passes, added to it.  The verdict is the same either way, save
+    on a discrete-log collision (see the module docstring).
     """
     if E.n != params.n or E.m != params.m:
         return False
     if not isinstance(sigma, int) or not 0 < sigma < params.p:
         return False
+    if verified is not None:
+        row = E.coding_vector + E.payload
+        residual = verified.residual(row)
+        if not any(residual[: params.m]):
+            return not any(residual[params.m :]) and sigma == params._hash_base.power(E.coding_vector)
     if sigma != params._generator_base.power(E.chunks):
         return False
-    return sigma == params._hash_base.power(E.coding_vector)
+    if sigma != params._hash_base.power(E.coding_vector):
+        return False
+    if verified is not None:
+        verified.add(row)
+    return True
 
 
 def combine_validity(sigmas: list[int], coeffs: list[int], params: SourceEpochParams) -> int:

@@ -124,6 +124,18 @@ class TestBench:
             assert float(cells[1]) > 0 and float(cells[2]) > 0
 
 
+    def test_bench_reports_verified_span_rows(self, capsys):
+        code, out = run_cli(["bench", "--trials", "1"], capsys)
+        assert code == 0
+        section = out.split("validity in a verified span of rank m (sim, m=2):\n", 1)[1]
+        lines = section.splitlines()
+        assert lines[0].split() == ["n", "verify_ms"]
+        for line, n in zip(lines[1:4], (10, 100, 1000)):
+            cells = line.split()
+            assert int(cells[0]) == n and float(cells[1]) > 0
+        assert lines[4] == ""
+
+
 class FakeClock:
     """A perf_counter that only the timed calls advance."""
 

@@ -294,6 +294,83 @@ class TestProcessRound:
         assert v is not None
 
 
+def generator_product_calls(monkeypatch, params):
+    """A list that grows by one on each (n+m)-base generator product under ``params``."""
+    calls = []
+    power = validity._FixedBase.power
+
+    def counted(base, exponents):
+        if base is params._generator_base:
+            calls.append(exponents)
+        return power(base, exponents)
+
+    monkeypatch.setattr(validity._FixedBase, "power", counted)
+    return calls
+
+
+class TestVerifiedSpan:
+    def test_receiver_checks_in_span_packets_without_generator_product(self, monkeypatch):
+        net = Net()
+        incoming, fresh = net.relay_packets(), net.relay_packets(combos=((6, 1), (3, 8)))
+        calls = generator_product_calls(monkeypatch, net.params)
+        _, verdicts = process_round(net.n_state, incoming)
+        assert all(v is None for _, v in verdicts) and len(calls) == 2
+        assert net.n_state.verified.dim == net.params.m
+        pkt, verdicts = net.n_packet(fresh)
+        assert all(v is None for _, v in verdicts) and len(calls) == 2
+        assert verify_incoming(net.c_state, pkt) is None and len(calls) == 3
+        # adjudicate keeps no span: it checks the packet in full every time
+        for _ in range(2):
+            out = adjudicate(build_misbehavior_proof(net.c_state, pkt), net.master.pk, net.master.pk)
+            assert out.verdict is Verdict.INNOCENT
+        assert len(calls) == 5
+
+    def test_polluted_packet_rejected_in_span(self):
+        net = Net()
+        process_round(net.n_state, net.relay_packets())
+        p1_pkt, _ = net.relay_packets(combos=((6, 1), (3, 8)))
+        bad_payload = ((p1_pkt.E.payload[0] + 1) % TEST.q,) + p1_pkt.E.payload[1:]
+        bad = replace(p1_pkt, E=gf.CodedVector(bad_payload, p1_pkt.E.coding_vector))
+        bad = replace(bad, attest=sigcrypto.sign(net.idents[b"p1"].sk,
+                                                 packet_signed_bytes(bad, net.params)))
+        span = net.n_state.verified.copy()
+        assert span.dim == net.params.m  # every coding vector lies in it
+        assert verify_incoming(net.n_state, bad).kind is ViolationKind.POLLUTED_PACKET
+        assert net.n_state.verified.basis == span.basis
+
+
+class TestBuildDraft:
+    @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
+    def test_sigma_is_the_combination_of_coded_inputs(self, monkeypatch, protocol):
+        """An honest Log-PIP draft takes sigma from its tree's root, with no
+        second combination; a draft claiming other entries combines what it coded."""
+        net = Net(protocol=protocol)
+        st = net.n_state
+        draft, _ = process_round(st, net.relay_packets())
+        inputs = [ParentInput(pid, st.buffers[pid].sigma, st.buffers[pid].helper,
+                              derive_coefficient(net.seed, pid, b"n",
+                                                 net.params.epoch_pk_bytes(), net.params.q))
+                  for pid in (b"p1", b"p2")]
+        expected = validity.combine_validity(
+            [i.sigma for i in inputs], [i.coeff for i in inputs], net.params
+        )
+        assert draft.sigma == expected
+
+        combined = []
+        combine = validity.combine_validity
+        monkeypatch.setattr(validity, "combine_validity",
+                            lambda *args: combined.append(args) or combine(*args))
+        again = node_mod.build_draft(st, draft.E, inputs, list(reversed(inputs)))
+        assert again.sigma == expected
+        assert len(combined) == (protocol is Protocol.PIP)
+
+        forward = [inputs[0]._replace(coeff=1)]
+        E = st.buffers[b"p1"].E
+        lying = node_mod.build_draft(st, E, forward, inputs)
+        assert lying.sigma == st.buffers[b"p1"].sigma
+        assert validity.verify_validity(net.params, E, lying.sigma)
+
+
 class TestPacketCodec:
     def test_roundtrip(self):
         net = Net()

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from rlncheck import node as node_mod, pipcore, sim
+from rlncheck import node as node_mod, pipcore, sim, validity
 from rlncheck.node import Verdict
 from rlncheck.pipcore import Protocol, ViolationKind
 from rlncheck.profiles import SIM
@@ -531,6 +531,68 @@ class TestCheckMemo:
         pkt = s.nodes["byz"].sent[1]["c1"]
         assert not s._accepts(1, "c2", "byz", pkt)
         assert s.report.verdicts[-1][3].kind is ViolationKind.BAD_HELPER_SIG
+
+
+@pytest.fixture
+def generator_products(monkeypatch):
+    """Calls of the epoch's (n+m)-base generator product made inside a
+    receiver's ``verify_incoming``, per (epoch, receiver id), and the
+    verified span each receiver held when its first check of an epoch began."""
+    calls, first_spans = {}, {}
+    power, verify = validity._FixedBase.power, node_mod.verify_incoming
+    receiver = []
+
+    def counted(base, exponents):
+        if receiver and base is receiver[-1].params._generator_base:
+            key = (receiver[-1].params.k, receiver[-1].node_id)
+            calls[key] = calls.get(key, 0) + 1
+        return power(base, exponents)
+
+    def checked(st, pkt):
+        key = (st.params.k, st.node_id)
+        first_spans.setdefault(key, (st.verified, st.verified.dim))
+        receiver.append(st)
+        try:
+            return verify(st, pkt)
+        finally:
+            receiver.pop()
+
+    monkeypatch.setattr(validity._FixedBase, "power", counted)
+    monkeypatch.setattr(node_mod, "verify_incoming", checked)
+    return calls, first_spans
+
+
+class TestVerifiedSpan:
+    """A receiver pays for the generator product only for packets outside
+    the span of those it has verified this epoch: at most m times."""
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("case", ["honest", "random"])
+    def test_generator_product_at_most_m_per_epoch(self, generator_products, proto, case):
+        topo = (random_topology(20, 90, 3, 0, rng_seed=5) if case == "honest"
+                else MEMO_CASES[case])
+        m = 3
+        report = sim.Simulation(topo, proto, m=m, rng_seed=8, epochs=2, challenges=1).run()
+        calls, first_spans = generator_products
+        receivers = {(k, name.encode()) for k in (1, 2) for _, name in topo.edges}
+        assert set(first_spans) == receivers
+        assert set(calls) == receivers
+        assert all(1 <= c <= m for c in calls.values()), calls
+        for k, rid in receivers:
+            span, dim = first_spans[(k, rid)]
+            assert dim == 0
+            if k == 2:
+                assert span is not first_spans[(1, rid)][0]
+        if case == "honest":
+            assert not report.detections and report.sink_ranks == {"t": m}
+
+    def test_enter_epoch_starts_an_empty_span(self):
+        s = sim.Simulation(_replay_topology(), Protocol.PIP, m=2, rng_seed=3)
+        s.run()
+        st = s.nodes["c"].state
+        assert st.verified.dim == 1  # the one packet byz sent
+        st.enter_epoch(s.params)
+        assert st.verified.dim == 0 and st.verified.width == s.m + s.payload_chunks
 
 
 class TestHonestThroughput:

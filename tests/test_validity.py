@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlncheck import gf, sigcrypto, validity
 from rlncheck.profiles import PRODUCTION, SIM, TEST
@@ -363,3 +365,133 @@ class TestMultiExponentiation:
         )
         assert validity.verify_validity(both_squared, E, sigma * sigma % p)
         assert validity.verify_validity(params, E, sigma)
+
+
+@pytest.fixture(scope="module")
+def sim_epoch():
+    """A sim-profile epoch of the network_sim shape (n=2, m=3)."""
+    rng = random.Random("verified-span")
+    master = sigcrypto.keygen(rng, b"src")
+    originals = gf.standard_basis_originals(
+        [[rng.randrange(SIM.q) for _ in range(2)] for _ in range(3)], SIM.q
+    )
+    return originals, validity.epoch_setup(master, originals, 1, rng, SIM)
+
+
+def verified_span(originals, params, count, rng):
+    """The span a receiver holds after ``count`` honest packets passed."""
+    span = gf.Span(params.q, params.m + params.n)
+    for _ in range(count):
+        E = gf.linear_combine(originals, [gf.random_nonzero(params.q, rng) for _ in originals],
+                              params.q)
+        assert validity.verify_validity(params, E, validity.sign_validity(params, E), span)
+    assert span.dim == count
+    return span
+
+
+def agrees(params, span, E, sigma):
+    """verify_validity with a copy of ``span`` gives the verdict of the full
+    check; the packet joins the copy iff it passes and lies outside it."""
+    trial = span.copy()
+    verdict = validity.verify_validity(params, E, sigma, trial)
+    assert verdict == validity.verify_validity(params, E, sigma)
+    row = E.coding_vector + E.payload
+    grew = verdict and not span.contains(row)
+    assert trial.dim == span.dim + grew
+    if not grew:
+        assert (trial.basis, trial.pivots) == (span.basis, span.pivots)
+    return verdict
+
+
+class TestVerifiedSpan:
+    """The span path of verify_validity gives the full check's verdict."""
+
+    coeffs = st.lists(st.integers(0, SIM.q - 1), min_size=3, max_size=3)
+    delta = st.integers(1, SIM.q - 1)
+    sigmas = st.one_of(
+        st.just(1), st.integers(2, SIM.p - 1), st.sampled_from([0, SIM.p, SIM.p + 1, -1]),
+        st.integers(SIM.p, 2 * SIM.p),
+    )
+
+    @given(coeffs=coeffs, seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_honest_combination(self, sim_epoch, coeffs, seed):
+        originals, params = sim_epoch
+        span = verified_span(originals, params, params.m, random.Random(seed))
+        E = gf.linear_combine(originals, coeffs, params.q)
+        assert agrees(params, span, E, validity.sign_validity(params, E))
+
+    @given(coeffs=coeffs, at=st.integers(0, 1), delta=delta, seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_changed_payload_chunk(self, sim_epoch, coeffs, at, delta, seed):
+        originals, params = sim_epoch
+        span = verified_span(originals, params, params.m, random.Random(seed))
+        E = gf.linear_combine(originals, coeffs, params.q)
+        payload = list(E.payload)
+        payload[at] += delta
+        polluted = gf.vector(payload, E.coding_vector, params.q)
+        assert not agrees(params, span, polluted, validity.sign_validity(params, E))
+
+    @given(coeffs=coeffs, sigma=sigmas, seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_changed_sigma(self, sim_epoch, coeffs, sigma, seed):
+        originals, params = sim_epoch
+        span = verified_span(originals, params, params.m, random.Random(seed))
+        E = gf.linear_combine(originals, coeffs, params.q)
+        assert agrees(params, span, E, sigma) == (sigma == validity.sign_validity(params, E))
+
+    @given(coeffs=coeffs, at=st.integers(0, 2), delta=delta, seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_changed_coding_chunk(self, sim_epoch, coeffs, at, delta, seed):
+        originals, params = sim_epoch
+        span = verified_span(originals, params, params.m, random.Random(seed))
+        E = gf.linear_combine(originals, coeffs, params.q)
+        coding = list(E.coding_vector)
+        coding[at] += delta
+        forged = gf.vector(E.payload, coding, params.q)
+        assert not agrees(params, span, forged, validity.sign_validity(params, E))
+        assert not agrees(params, span, forged, validity.sign_validity(params, forged))
+
+    @given(payload=st.lists(st.integers(0, SIM.q - 1), min_size=2, max_size=2).filter(any),
+           count=st.integers(0, 3), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_coding_vector_nonzero_payload(self, sim_epoch, payload, count, seed):
+        originals, params = sim_epoch
+        span = verified_span(originals, params, count, random.Random(seed))
+        E = gf.vector(payload, [0] * params.m, params.q)
+        for sigma in (1, validity.sign_validity(params, E)):
+            assert not agrees(params, span, E, sigma)
+
+    @given(count=st.integers(1, 2), coeffs=coeffs, seed=st.integers(0, 2**32),
+           tamper=st.sampled_from(["none", "payload", "sigma"]))
+    @settings(max_examples=60, deadline=None)
+    def test_outside_rank_deficient_span(self, sim_epoch, count, coeffs, tamper, seed):
+        originals, params = sim_epoch
+        span = verified_span(originals, params, count, random.Random(seed))
+        E = gf.linear_combine(originals, coeffs, params.q)
+        sigma = validity.sign_validity(params, E)
+        if tamper == "payload":
+            E = gf.vector([E.payload[0] + 1, E.payload[1]], E.coding_vector, params.q)
+        elif tamper == "sigma":
+            sigma = sigma * params.generators[0] % params.p
+        assert agrees(params, span, E, sigma) == (tamper == "none")
+
+    def test_span_path_skips_the_generator_product(self, sim_epoch, monkeypatch):
+        """Once the span has rank m, no packet pays for prod g_i^{e_i}."""
+        originals, params = sim_epoch
+        span = verified_span(originals, params, params.m, random.Random(1))
+        E = gf.linear_combine(originals, [5, 6, 7], params.q)
+        sigma = validity.sign_validity(params, E)
+        calls = []
+        power = validity._FixedBase.power
+
+        def counted(base, exponents):
+            calls.append(base is params._generator_base)
+            return power(base, exponents)
+
+        monkeypatch.setattr(validity._FixedBase, "power", counted)
+        assert validity.verify_validity(params, E, sigma, span)
+        assert not validity.verify_validity(params, E, sigma * sigma % params.p, span)
+        assert calls == [False, False]
+        assert validity.verify_validity(params, E, sigma)
+        assert calls[2:] == [True, False]
