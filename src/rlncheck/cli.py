@@ -49,7 +49,6 @@ def build_token_fixture(d: int, profile: Profile, seed: int = 1234, n_chunks: in
     )
     params = validity.epoch_setup(master, originals, 1, rng, profile)
     sender = sigcrypto.keygen(rng, b"nde")
-    receiver_id = b"rcv"
 
     inputs = []
     parent_pks = {}
@@ -70,7 +69,6 @@ def build_token_fixture(d: int, profile: Profile, seed: int = 1234, n_chunks: in
     ctx = {
         "master": master,
         "sender": sender,
-        "receiver_id": receiver_id,
         "parent_pks": parent_pks,
         "expected": expected,
         "originals": originals,
@@ -360,6 +358,25 @@ def _bench_validity(profile: Profile, n: int, samples: int) -> tuple[float, floa
     )
 
 
+PRODUCT_D = (1, 2, 10)  # signature counts of the combine_validity rows
+
+
+def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
+    """ms per combine_validity of d received signatures, for each d in
+    PRODUCT_D, and per H(c), the product a node signs its draft with."""
+    inputs, params, _ = build_token_fixture(max(PRODUCT_D), profile)
+    rng = random.Random(len(inputs))
+    c = tuple(gf.random_nonzero(profile.q, rng) for _ in range(params.m))
+    out = {}
+    for d in PRODUCT_D:
+        sigmas, coeffs = [i.sigma for i in inputs[:d]], [i.coeff for i in inputs[:d]]
+        out[f"combine d={d}"] = _time_op(
+            lambda: validity.combine_validity(sigmas, coeffs, params), samples
+        )
+    out["H(c)"] = _time_op(lambda: validity.claimed_validity(params, c), samples)
+    return out
+
+
 def cmd_bench(args) -> int:
     profile = _resolve_profile(args)
     payload_sizes = (10, 100, 1000)
@@ -373,7 +390,6 @@ def cmd_bench(args) -> int:
         for n in payload_sizes:
             inputs, params, ctx = build_token_fixture(d, profile, n_chunks=n)
             sender = ctx["sender"]
-            receiver = ctx["receiver_id"]
 
             prep_pip = functools.partial(pipcore.pip_combine, inputs)
             token = prep_pip()
@@ -390,12 +406,8 @@ def cmd_bench(args) -> int:
             proof = pipcore.logpip_respond(tree, 0, sender.sk)
             first = tree.inputs[0]
             ctx_obj = pipcore.ChallengeContext(
-                sender_id=sender.node_id, sender_pk=sender.pk, receiver_id=receiver,
-                packet_sigma=tree.root.sigma,
-                sender_helper_sig=pipcore.make_helper_token(
-                    sender.sk, tree.root.sigma, sender.node_id, receiver, params
-                ),
-                packet_coding_zero=False, params=params, h_bytes=profile.h_bytes,
+                sender_id=sender.node_id, packet_sigma=tree.root.sigma,
+                params=params, h_bytes=profile.h_bytes,
             )
             verify_logpip = functools.partial(
                 pipcore.logpip_verify, proof, log_token, ctx_obj, first.parent_id,
@@ -420,6 +432,11 @@ def cmd_bench(args) -> int:
     print(f"{'n':>5} {'verify_ms':>10}")
     for n, (_, _, span_ms) in validity_ms.items():
         print(f"{n:>5} {span_ms:>10.4f}")
+
+    print(f"\nvalidity products ({profile.name}, m=2):")
+    print(f"{'product':>12} {'ms':>10}")
+    for name, ms in _bench_products(profile, samples).items():
+        print(f"{name:>12} {ms:>10.4f}")
 
     print(f"\npayload-independence ratios (verify time, n={hi_n} vs n={lo_n}, paired samples):")
     for proto in ("pip", "logpip"):

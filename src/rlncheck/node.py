@@ -379,19 +379,14 @@ def _check_packet(
 
 
 def _check_response(
-    pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
+    pkt: Packet, sender: ParentInfo, seed: bytes,
     params: SourceEpochParams, h_bytes: int, target: bytes, proof: ChallengeProof,
 ) -> Violation | None:
-    """Check one opened Log-PIP path of ``pkt`` for the challenged parent ``target``."""
+    """Check one opened Log-PIP path of ``pkt`` for the challenged parent
+    ``target``; ``pkt`` must have passed ``_check_packet``, which checked
+    its sender's helper token."""
     ctx = ChallengeContext(
-        sender_id=pkt.sender_id,
-        sender_pk=sender.pk,
-        receiver_id=receiver_id,
-        packet_sigma=pkt.sigma,
-        sender_helper_sig=pkt.helper,
-        packet_coding_zero=all(c == 0 for c in pkt.E.coding_vector),
-        params=params,
-        h_bytes=h_bytes,
+        sender_id=pkt.sender_id, packet_sigma=pkt.sigma, params=params, h_bytes=h_bytes
     )
     return pipcore.logpip_verify(
         proof, pkt.test_token, ctx, target, sender.grandparent_pks[target],
@@ -442,6 +437,9 @@ def check_challenge(
     missing response (no retained tree) counts as a violation, which is
     how the simulator treats refusal to answer.  Returns (response or
     None, violation or None).
+
+    Call it on a packet that passed ``verify_incoming``: the response
+    check relies on that check of the sender's helper token.
     """
     params = state.params
     assert params is not None
@@ -456,7 +454,7 @@ def check_challenge(
         return None, Violation(ViolationKind.BAD_MERKLE_PATH, pkt.sender_id, "no response")
     info = state.parents[pkt.sender_id]
     return proof, _check_response(
-        pkt, info, state.node_id, state.seed, params, state.profile.h_bytes, target, proof
+        pkt, info, state.seed, params, state.profile.h_bytes, target, proof
     )
 
 
@@ -471,9 +469,11 @@ def challenge_parent(
     """Issue t Merkle challenges on a sender's packet and verify responses.
 
     Call it on a packet that passed ``verify_incoming``, which checked a
-    full PIP token in full.  It picks the targets (``challenge_targets``)
-    and checks each one afresh (``check_challenge``), returning
-    (target, response, violation) per challenge.
+    full PIP token in full and the sender's helper token; the responses
+    are not checked against that helper again.  It picks the targets
+    (``challenge_targets``) and checks each one afresh
+    (``check_challenge``), returning (target, response, violation) per
+    challenge.
     """
     return [
         (target, *check_challenge(state, pkt, target, sender_tree, sender_sk))
@@ -502,13 +502,19 @@ def build_draft(
 ) -> OutgoingDraft:
     """Sign one round's coded vector and build its test token.
 
-    ``E`` combines the packets of the parents in ``coded`` with their
-    coefficients, so its validity signature is the same combination of
-    theirs.  The test token commits to ``claims``: an honest node claims
-    exactly what it coded, and a caller simulating an adversary passes
-    whatever its token should state.  Under Log-PIP the node keeps the
-    tree so that it can answer challenges; when the claims are what it
-    coded, the tree's root already carries the combined sigma.
+    Precondition: ``E`` is sum a_i E_i mod q over the inputs in
+    ``coded`` (coefficient a_i), and every E_i is the vector of the
+    packet in ``state.buffers`` that carried sigma_i.  Each of those passed
+    ``validity.verify_validity``, on its span path or its full path, so
+    sigma_i == H(c_i); H is a homomorphism, so the combination
+    prod sigma_i^{a_i} is exactly H(c_E), and the draft is signed with
+    that one fixed-base product.
+
+    The test token commits to ``claims``: an honest node claims exactly
+    what it coded, and a caller simulating an adversary passes whatever
+    its token should state.  Under Log-PIP the node keeps the tree so
+    that it can answer challenges; when the claims are what it coded,
+    the tree's root already carries the combined sigma.
     """
     params = state.params
     if state.protocol is Protocol.LOGPIP:
@@ -519,9 +525,7 @@ def build_draft(
     if state.current_tree is not None and sorted(coded) == sorted(claims):
         sigma = state.current_tree.root.sigma
     else:
-        sigma = validity.combine_validity(
-            [i.sigma for i in coded], [i.coeff for i in coded], params
-        )
+        sigma = validity.claimed_validity(params, E.coding_vector)
     return OutgoingDraft(
         E=E,
         sigma=sigma,
@@ -715,7 +719,7 @@ def adjudicate(
             if pid not in proof.parent_pks:
                 return Adjudication(Verdict.INADMISSIBLE, reason="challenge outside required set")
             v = _check_response(
-                pkt, sender, proof.receiver_id, proof.seed, params, proof.h_bytes, pid, challenge
+                pkt, sender, proof.seed, params, proof.h_bytes, pid, challenge
             )
             if v is not None:
                 break

@@ -375,11 +375,7 @@ class ChallengeContext:
     """What a challenger already knows when verifying an opened path."""
 
     sender_id: bytes
-    sender_pk: bytes
-    receiver_id: bytes
     packet_sigma: int
-    sender_helper_sig: bytes
-    packet_coding_zero: bool
     params: SourceEpochParams
     h_bytes: int = 20
 
@@ -397,9 +393,13 @@ def logpip_verify(
     Checks, in order: the opened leaf belongs to the challenged parent
     (its helper verifies under that parent's key, for this sender) with
     the nonzero prescribed coefficient; the recomputed root hash equals
-    the token; the recomputed root sigma equals the packet's validity
-    signature; and the sender's own helper token passes check_helper.
-    Never raises on adversarial proofs.
+    the token; and the recomputed root sigma equals the packet's
+    validity signature.  Never raises on adversarial proofs.
+
+    Call it on a packet that passed ``node.verify_incoming`` (or, in
+    ``node.adjudicate``, the same ``_check_packet``): that check already
+    verified the sender's own helper token on the packet's sigma, so it
+    is not checked again here.
     """
     params = ctx.params
     pw, qw = params.p_bytes, params.q_bytes
@@ -432,16 +432,7 @@ def logpip_verify(
         return Violation(ViolationKind.BAD_MERKLE_PATH, ctx.sender_id)
     if node.sigma != ctx.packet_sigma:
         return Violation(ViolationKind.ROOT_SIG_MISMATCH, ctx.sender_id)
-
-    return check_helper(
-        ctx.packet_coding_zero,
-        ctx.packet_sigma,
-        ctx.sender_helper_sig,
-        ctx.sender_pk,
-        ctx.sender_id,
-        ctx.receiver_id,
-        params,
-    )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ lives in ``pipcore``.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,11 +35,30 @@ def hash_bytes(data: bytes, h_bytes: int = 20) -> bytes:
     return hashlib.sha256(data).digest()[:h_bytes]
 
 
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@lru_cache(maxsize=256)
+def _hmac_states(seed: bytes):
+    """SHA-256 states after HMAC's padded inner and outer key blocks
+    (RFC 2104), built once per seed: every PRF call under one seed
+    starts from the same two states."""
+    key = seed if len(seed) <= 64 else hashlib.sha256(seed).digest()
+    key = key.ljust(64, b"\x00")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
 def prf(seed: bytes, data: bytes) -> bytes:
     """Keyed PRF on the public seed: HMAC-SHA256(seed, data), 32 bytes."""
     if len(seed) < 16:
         raise ValueError("seed must be at least 16 bytes")
-    return hmac.digest(seed, data, "sha256")
+    inner_start, outer_start = _hmac_states(seed)
+    inner = inner_start.copy()
+    inner.update(data)
+    outer = outer_start.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def prf_to_field(seed: bytes, data: bytes, q: int) -> int:

@@ -16,17 +16,46 @@ sigma(E1)^a * sigma(E2)^b, which is what the token verification in
 ``pipcore`` relies on.  Rotating the generators every epoch makes
 replayed packets from earlier transmissions fail verification.
 
-Both products run over bases the epoch fixes (the generators, and the
-original hashes for the claimed side), so they use the fixed-base
-method of Brickell, Gordon, McCurley and Wilson (EUROCRYPT 1992).  For
-each base b the epoch keeps the powers b^(2^(w*k)) for k < ceil(|q|/w),
-built once per parameters object and cached on it.  One product
-prod b_i^{e_i} then reads every exponent (reduced mod q) w bits at a
-time, multiplies the table entry of each non-zero digit d into a bucket
-B[d], and returns prod B[d]^d as a running product over d = 2^w-1..1,
-in 2(2^w - 1) multiplications.  The digit width w is derived, not set:
-it minimises count * ceil(|q|/w) + 2^(w+1) over the number of bases,
-which gives w = 7 for 36 bases at 160 bits and w = 4 for 5 bases at 61.
+Products of powers prod b_i^{e_i} mod p take one of three routes.  The
+first two reduce each exponent mod q (the subgroup's order) and then
+give bit for bit what the powers taken one at a time with ``pow`` give;
+the third computes the same value as a different product:
+
+1. Fixed bases: G(E) = prod g_i^{e_i} and H(c) = prod h_j^{c_j} run over
+   bases the epoch fixes, so they use the fixed-base method of
+   Brickell, Gordon, McCurley and Wilson (EUROCRYPT 1992).  For each
+   base b the epoch keeps the powers b^(2^(w*k)) for k < ceil(|q|/w),
+   built once per parameters object and cached on it.  One product
+   prod b_i^{e_i} then reads every exponent (reduced mod q) w bits at a
+   time, multiplies the table entry of each non-zero digit d into a
+   bucket B[d], and returns prod B[d]^d as a running product over
+   d = 2^w-1..1, in 2(2^w - 1) multiplications.  The digit width w is
+   derived, not set: it minimises count * ceil(|q|/w) + 2^(w+1) over
+   the number of bases, which gives w = 7 for 36 bases at 160 bits and
+   w = 4 for 5 bases at 61.  The buckets only regroup the same factors.
+
+2. Per-packet bases: ``combine_validity`` raises validity signatures
+   that arrive with each packet, so no table can be kept.  With two or
+   more of them it interleaves their exponentiations (Straus 1964;
+   Möller, "Algorithms for multi-exponentiation", SAC 2001): each
+   exponent is cut, from its low end, into odd digits of at most w bits
+   at the positions where they start; each base gets a table of its odd
+   powers b, b^3, .., up to its largest digit; and one pass from the
+   top position down squares a single accumulator, shared by every
+   base, and multiplies in the table entries of the digits at each
+   position.  A product of d powers then costs |q| squarings plus, per
+   base, its table and one multiplication per digit, against d times
+   |q| squarings for d separate powers.  w minimises a base's own share,
+   2^(w-1) + |q|/(w+1), so it does not depend on d: 4 at 160 bits, 3 at
+   61.  A single power is builtin ``pow``.  Since every digit sits at
+   the position it came from, the pass computes prod sigma_i^{a_i mod q}
+   exactly, as the powers taken one at a time do.
+
+3. Drafts: a node that codes E = sum a_i E_i over packets that each
+   passed ``verify_validity`` knows sigma_i = H(c_i) for each, so the
+   homomorphism gives prod sigma_i^{a_i} = H(sum a_i c_i) = H(c_E).  It
+   signs its draft with ``claimed_validity`` (one fixed-base product
+   over m bases) instead of combining d received signatures.
 
 A receiver can skip the larger product, G(E) = prod g_i^{e_i} over all
 n+m chunks, for most packets.  It keeps a span, over GF(q), of the
@@ -49,7 +78,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property
 
 from . import sigcrypto
 from .gf import CodedVector, Span
@@ -240,24 +269,70 @@ def verify_validity(
         row = E.coding_vector + E.payload
         residual = verified.residual(row)
         if not any(residual[: params.m]):
-            return not any(residual[params.m :]) and sigma == params._hash_base.power(E.coding_vector)
+            return not any(residual[params.m :]) and sigma == claimed_validity(params, E.coding_vector)
     if sigma != params._generator_base.power(E.chunks):
         return False
-    if sigma != params._hash_base.power(E.coding_vector):
+    if sigma != claimed_validity(params, E.coding_vector):
         return False
     if verified is not None:
         verified.add(row)
     return True
 
 
+def claimed_validity(params: SourceEpochParams, coding_vector: tuple[int, ...]) -> int:
+    """H(c) = prod h_j^{c_j} mod p: the validity signature that coding
+    vector c claims, as a combination of the original packets."""
+    return params._hash_base.power(coding_vector)
+
+
+@cache
+def _interleave_window(bits: int) -> int:
+    """Digit width minimising one base's share of an interleaved product:
+    its table of odd powers plus one multiplication per digit."""
+    return min(range(1, bits + 1), key=lambda w: (1 << (w - 1)) + bits / (w + 1))
+
+
+def _interleaved_power(bases: list[int], exponents: list[int], p: int, q: int) -> int:
+    """prod b_i^(e_i mod q) mod p in one pass of shared squarings."""
+    mask = (1 << _interleave_window(q.bit_length())) - 1
+    slots: dict[int, int] = {}  # bit position -> product of the digits' powers there
+    for b, e in zip(bases, exponents):
+        e %= q
+        digits = []
+        while e:
+            lo = (e & -e).bit_length() - 1
+            d = (e >> lo) & mask
+            e ^= d << lo
+            digits.append((lo, d >> 1))
+        if not digits:
+            continue
+        table = [b % p]  # table[i] = b^(2i+1)
+        top = max(i for _, i in digits)
+        if top:
+            square = table[0] * table[0] % p
+            for _ in range(top):
+                table.append(table[-1] * square % p)
+        for lo, i in digits:
+            slots[lo] = slots[lo] * table[i] % p if lo in slots else table[i]
+    if not slots:
+        return 1
+    positions = sorted(slots, reverse=True)
+    acc = slots[positions[0]]
+    for hi, lo in zip(positions, positions[1:]):
+        acc = pow(acc, 1 << (hi - lo), p) * slots[lo] % p
+    return pow(acc, 1 << positions[-1], p)
+
+
 def combine_validity(sigmas: list[int], coeffs: list[int], params: SourceEpochParams) -> int:
-    """Homomorphic combination: prod sigma_i^{a_i} mod p."""
+    """Homomorphic combination: prod sigma_i^{a_i} mod p.
+
+    Exponents are reduced mod q and bases mod p, as ``pow`` reduces them;
+    two or more factors take one interleaved pass (see the module
+    docstring)."""
     if not sigmas or not coeffs:
         raise ValueError("combine_validity requires non-empty inputs")
     if len(sigmas) != len(coeffs):
         raise ValueError(f"{len(sigmas)} sigmas but {len(coeffs)} coefficients")
-    return reduce(
-        lambda acc, sa: (acc * pow(sa[0], sa[1] % params.q, params.p)) % params.p,
-        zip(sigmas, coeffs),
-        1,
-    )
+    if len(sigmas) == 1:
+        return pow(sigmas[0], coeffs[0] % params.q, params.p)
+    return _interleaved_power(sigmas, coeffs, params.p, params.q)

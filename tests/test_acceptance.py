@@ -252,7 +252,7 @@ def test_criterion_8_adjudication(soundness_results):
 
 
 def logpip_cheat_fixture(lab, d, zero_target=0):
-    ids, inputs, packets = lab.fresh_inputs(d)
+    ids, inputs, _ = lab.fresh_inputs(d)
     target = ids[zero_target]
     entries = [
         e if e.parent_id != target else ParentInput(e.parent_id, e.sigma, e.helper_sig, 0)
@@ -260,17 +260,11 @@ def logpip_cheat_fixture(lab, d, zero_target=0):
     ]
     token, tree = pipcore.logpip_build(entries, lab.params, lab.profile.h_bytes)
     use = {e.parent_id: e.coeff for e in entries}
-    E = gf.linear_combine(
-        [packets[e.parent_id] for e in entries], [use[e.parent_id] for e in entries], lab.q
-    )
     sigma = validity.combine_validity(
         [e.sigma for e in entries], [use[e.parent_id] for e in entries], lab.params
     )
-    helper = pipcore.make_helper_token(lab.byz.sk, sigma, b"byz", b"c", lab.params)
     ctx = pipcore.ChallengeContext(
-        sender_id=b"byz", sender_pk=lab.byz.pk, receiver_id=b"c",
-        packet_sigma=sigma, sender_helper_sig=helper,
-        packet_coding_zero=E.is_zero(), params=lab.params, h_bytes=lab.profile.h_bytes,
+        sender_id=b"byz", packet_sigma=sigma, params=lab.params, h_bytes=lab.profile.h_bytes,
     )
     expected = {
         pid: derive_coefficient(lab.seed, pid, b"byz", lab.params.epoch_pk_bytes(), lab.q)
@@ -433,12 +427,8 @@ def test_criterion_7_payload_independence():
             proof = pipcore.logpip_respond(tree, 0)
             first = tree.inputs[0]
             cctx = pipcore.ChallengeContext(
-                sender_id=sender.node_id, sender_pk=sender.pk,
-                receiver_id=ctx["receiver_id"], packet_sigma=tree.root.sigma,
-                sender_helper_sig=pipcore.make_helper_token(
-                    sender.sk, tree.root.sigma, sender.node_id, ctx["receiver_id"], params
-                ),
-                packet_coding_zero=False, params=params, h_bytes=SIM.h_bytes,
+                sender_id=sender.node_id, packet_sigma=tree.root.sigma,
+                params=params, h_bytes=SIM.h_bytes,
             )
 
             def verify_log():

@@ -135,6 +135,17 @@ class TestBench:
             assert int(cells[0]) == n and float(cells[1]) > 0
         assert lines[4] == ""
 
+    def test_bench_reports_validity_product_rows(self, capsys):
+        code, out = run_cli(["bench", "--trials", "1"], capsys)
+        assert code == 0
+        section = out.split("validity products (sim, m=2):\n", 1)[1]
+        lines = section.splitlines()
+        assert lines[0].split() == ["product", "ms"]
+        rows = [line.strip().rsplit(None, 1) for line in lines[1:5]]
+        assert [name for name, _ in rows] == ["combine d=1", "combine d=2", "combine d=10", "H(c)"]
+        assert all(float(ms) > 0 for _, ms in rows)
+        assert lines[5] == ""
+
 
 class FakeClock:
     """A perf_counter that only the timed calls advance."""

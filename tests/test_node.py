@@ -342,8 +342,9 @@ class TestVerifiedSpan:
 class TestBuildDraft:
     @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
     def test_sigma_is_the_combination_of_coded_inputs(self, monkeypatch, protocol):
-        """An honest Log-PIP draft takes sigma from its tree's root, with no
-        second combination; a draft claiming other entries combines what it coded."""
+        """An honest Log-PIP draft takes sigma from its tree's root; any other
+        draft reads it off its coding vector, H(c_E), which equals the
+        combination of what it coded.  Neither combines received sigmas."""
         net = Net(protocol=protocol)
         st = net.n_state
         draft, _ = process_round(st, net.relay_packets())
@@ -356,13 +357,15 @@ class TestBuildDraft:
         )
         assert draft.sigma == expected
 
-        combined = []
-        combine = validity.combine_validity
+        combined, claimed = [], []
+        combine, claim = validity.combine_validity, validity.claimed_validity
         monkeypatch.setattr(validity, "combine_validity",
                             lambda *args: combined.append(args) or combine(*args))
+        monkeypatch.setattr(validity, "claimed_validity",
+                            lambda *args: claimed.append(args) or claim(*args))
         again = node_mod.build_draft(st, draft.E, inputs, list(reversed(inputs)))
         assert again.sigma == expected
-        assert len(combined) == (protocol is Protocol.PIP)
+        assert len(combined) == 0 and len(claimed) == (protocol is Protocol.PIP)
 
         forward = [inputs[0]._replace(coeff=1)]
         E = st.buffers[b"p1"].E

@@ -207,13 +207,10 @@ def build_tree(d, tiny_params, rng, h_bytes=20):
             return inputs, pks, expected, token, tree
 
 
-def make_ctx(params, tree, sender, receiver=b"cld", h_bytes=20, sigma=None):
+def make_ctx(params, tree, sender, h_bytes=20, sigma=None):
     sigma = tree.root.sigma if sigma is None else sigma
-    helper = pipcore.make_helper_token(sender.sk, sigma, sender.node_id, receiver, params)
     return pipcore.ChallengeContext(
-        sender_id=sender.node_id, sender_pk=sender.pk, receiver_id=receiver,
-        packet_sigma=sigma, sender_helper_sig=helper, packet_coding_zero=False,
-        params=params, h_bytes=h_bytes,
+        sender_id=sender.node_id, packet_sigma=sigma, params=params, h_bytes=h_bytes,
     )
 
 

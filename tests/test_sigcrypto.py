@@ -104,6 +104,17 @@ class TestPrf:
             want = hmac.new(seed, data[:n], hashlib.sha256).digest()
             assert sigcrypto.prf(seed, data[:n]) == want
 
+    @pytest.mark.parametrize("key_len", [16, 32, 64, 65, 100])
+    def test_matches_hmac_digest_across_key_and_data_lengths(self, key_len):
+        """Keys up to and past SHA-256's 64-byte block (longer ones are
+        hashed first), and data from empty to several blocks."""
+        seed = bytes((7 * i + key_len) % 256 for i in range(key_len))
+        data = bytes((i * 31) % 251 for i in range(300))
+        for n in range(301):
+            assert sigcrypto.prf(seed, data[:n]) == hmac.digest(seed, data[:n], "sha256"), n
+        # a cached seed's states are copied per call, never advanced
+        assert sigcrypto.prf(seed, data) == hmac.digest(seed, data, "sha256")
+
     def test_no_collisions_over_corpus(self):
         seed = b"q" * 16
         outputs = {sigcrypto.prf(seed, i.to_bytes(4, "big")) for i in range(10_000)}

@@ -595,6 +595,31 @@ class TestVerifiedSpan:
         assert st.verified.dim == 0 and st.verified.width == s.m + s.payload_chunks
 
 
+class TestDraftSignatures:
+    @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("kind", sorted(BehaviorKind, key=lambda k: k.value))
+    def test_draft_sigma_is_combination_of_coded_inputs(self, monkeypatch, kind, protocol):
+        """A draft signed with H(c_E), or with its Log-PIP root, carries the
+        combination of the validity signatures it coded, for every node
+        of every behaviour, in both epochs."""
+        drafts = []
+        build = node_mod.build_draft
+
+        def recorded(state, E, coded, claims, degraded=False):
+            draft = build(state, E, coded, claims, degraded)
+            drafts.append((state.params, coded, draft.sigma))
+            return draft
+
+        monkeypatch.setattr(sim.node_mod, "build_draft", recorded)
+        topo = soundness_topology(Behavior(kind))
+        run_simulation(topo, protocol, m=2, rng_seed=13, profile=SIM, epochs=2)
+        assert {params.k for params, _, _ in drafts} == {1, 2}
+        for params, coded, sigma in drafts:
+            assert sigma == validity.combine_validity(
+                [i.sigma for i in coded], [i.coeff for i in coded], params
+            )
+
+
 class TestHonestThroughput:
     def test_random_dags_reach_cut_and_decode(self):
         """All-honest full-protocol runs: no verdicts, rank = min(cut, m),

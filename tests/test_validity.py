@@ -146,6 +146,38 @@ class TestCombineValidity:
         with pytest.raises(ValueError):
             validity.combine_validity([1, 2], [1], params)
 
+    @pytest.mark.parametrize("profile", [TEST, SIM, PRODUCTION], ids=lambda p: p.name)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_one_pow_per_term(self, profile, data):
+        """Bit-identical to one pow per factor for any integer sigma (reduced
+        mod p) and any coefficient (reduced mod q), d = 1..12."""
+        p, q = profile.p, profile.q
+        params = SourceEpochParams(k=1, p=p, q=q, generators=(), original_hashes=(), master_sig=b"")
+        sigma = st.one_of(
+            st.sampled_from([1, p - 1, p, p + 1, 2 * p + 3, 0, -1, -p - 2]),
+            st.integers(min_value=-3 * p, max_value=3 * p),
+        )
+        coeff = st.one_of(
+            st.sampled_from([0, 1, q, q + 1, -1, 2**200]),
+            st.integers(min_value=-(2**200), max_value=2**200),
+        )
+        d = data.draw(st.integers(min_value=1, max_value=12))
+        sigmas = data.draw(st.lists(sigma, min_size=d, max_size=d))
+        coeffs = data.draw(st.lists(coeff, min_size=d, max_size=d))
+        assert validity.combine_validity(sigmas, coeffs, params) == reference_product(
+            sigmas, coeffs, p, q
+        )
+
+    @pytest.mark.parametrize("profile", [TEST, SIM, PRODUCTION], ids=lambda p: p.name)
+    def test_zero_exponents_and_zero_bases(self, profile):
+        p, q = profile.p, profile.q
+        params = SourceEpochParams(k=1, p=p, q=q, generators=(), original_hashes=(), master_sig=b"")
+        assert validity.combine_validity([5, p - 1, 7], [q, 0, -q], params) == 1
+        assert validity.combine_validity([0, 2 * p], [0, q], params) == 1
+        assert validity.combine_validity([0, 3], [1, 1], params) == 0
+        assert validity.combine_validity([p - 1] * 12, [1] * 12, params) == 1
+
     def test_homomorphism_oracle(self, tiny_epoch, rng):
         """combine(sign(E_i), a_i) == sign(combine(E_i, a_i)), 500 cases."""
         _, originals, params = tiny_epoch
