@@ -377,6 +377,27 @@ def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
     return out
 
 
+ED25519_MESSAGE_BYTES = 256
+
+
+def _bench_ed25519(samples: int) -> dict[str, float]:
+    """µs per Ed25519 sign, per verify, and per repeat of a verify that
+    already passed inside a ``sigcrypto.shared_verifications()`` scope,
+    the repeat a simulation answers from its set."""
+    rng = random.Random(ED25519_MESSAGE_BYTES)
+    ident = sigcrypto.keygen(rng)
+    message = rng.randbytes(ED25519_MESSAGE_BYTES)
+    sig = sigcrypto.sign(ident.sk, message)
+    out = {
+        "sign": _time_op(lambda: sigcrypto.sign(ident.sk, message), samples),
+        "verify": _time_op(lambda: sigcrypto.verify(ident.pk, message, sig), samples),
+    }
+    with sigcrypto.shared_verifications():
+        sigcrypto.verify(ident.pk, message, sig)
+        out["repeat verify"] = _time_op(lambda: sigcrypto.verify(ident.pk, message, sig), samples)
+    return {name: ms * 1000.0 for name, ms in out.items()}
+
+
 def cmd_bench(args) -> int:
     profile = _resolve_profile(args)
     payload_sizes = (10, 100, 1000)
@@ -437,6 +458,11 @@ def cmd_bench(args) -> int:
     print(f"{'product':>12} {'ms':>10}")
     for name, ms in _bench_products(profile, samples).items():
         print(f"{name:>12} {ms:>10.4f}")
+
+    print(f"\nEd25519 ({ED25519_MESSAGE_BYTES}-byte message):")
+    print(f"{'operation':>14} {'us':>10}")
+    for name, us in _bench_ed25519(samples).items():
+        print(f"{name:>14} {us:>10.2f}")
 
     print(f"\npayload-independence ratios (verify time, n={hi_n} vs n={lo_n}, paired samples):")
     for proto in ("pip", "logpip"):

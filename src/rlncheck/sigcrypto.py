@@ -7,6 +7,15 @@ truncated to a configurable width (160 bits by default).  The PRF is
 HMAC-SHA256 keyed with a public seed; coefficient derivation maps its
 output into Z_q^* by rejection sampling over successive counters.
 
+Inside a ``shared_verifications()`` scope, ``verify`` runs OpenSSL's
+Ed25519 verification once per distinct (public key, message, signature)
+triple and answers a repeat from the scope's set of triples that passed.
+That is exact: verification is a deterministic function of the triple,
+and a failure is never stored, so every verdict is the one a fresh check
+would give.  ``sim.Simulation.run`` enters one scope per run, shared by
+all of that run's nodes; outside any scope every call does the full
+check.
+
 The Merkle tree of Log-PIP, with validity signatures at interior nodes,
 lives in ``pipcore``.
 """
@@ -15,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,13 +137,52 @@ def sign(sk: bytes, message: bytes) -> bytes:
     return _signing_key(sk).sign(message)
 
 
+# The triples that passed verification in the innermost active
+# shared_verifications() scope; None outside any scope.
+_verified: ContextVar[set | None] = ContextVar("rlncheck_verified", default=None)
+
+
+@contextmanager
+def shared_verifications():
+    """Scope in which ``verify`` checks each distinct triple once.
+
+    Each scope starts with an empty set and the enclosing one (or none)
+    is restored on exit, also after an exception.  The set lives in a
+    ``ContextVar``, so a scope covers only the thread or task that
+    entered it.
+    """
+    token = _verified.set(set())
+    try:
+        yield
+    finally:
+        _verified.reset(token)
+
+
+def _as_bytes(data) -> bytes:
+    """A bytes-like argument as hashable bytes; TypeError for anything else."""
+    return data if type(data) is bytes else bytes(memoryview(data))
+
+
 def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
-    """Deterministic verification; False on any malformed input."""
+    """Deterministic verification; False on any malformed input.
+
+    Inside a ``shared_verifications()`` scope a triple that already
+    passed in that scope returns True without running OpenSSL again.
+    Only passing triples are stored, so a forged or altered signature,
+    message or key is always checked in full.
+    """
+    key = (_as_bytes(pk), _as_bytes(message), _as_bytes(sig))
+    pk, message, sig = key
+    memo = _verified.get()
+    if memo is not None and key in memo:
+        return True
     try:
         Ed25519PublicKey.from_public_bytes(pk).verify(sig, message)
-        return True
     except (InvalidSignature, ValueError):
         return False
+    if memo is not None:
+        memo.add(key)
+    return True
 
 
 def _cert_message(pk: bytes, node_id: bytes, priority: bytes) -> bytes:

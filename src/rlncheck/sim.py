@@ -577,7 +577,10 @@ class Simulation:
     and each delivery gets a verdict (and, under Log-PIP, challenges)
     before it is accepted.  A receiver checks each distinct packet, and
     each challenge on it, once per epoch; a resent packet gets the
-    recorded result (``_accepts``).
+    recorded result (``_accepts``).  Below that per-receiver memo of
+    whole checks, ``run`` shares one ``sigcrypto.shared_verifications()``
+    scope among all the nodes, so each distinct Ed25519 signature that
+    passes is verified once per run, whichever node checks it first.
     """
 
     def __init__(
@@ -673,6 +676,21 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> TransmissionReport:
+        """Run every epoch and return the report.
+
+        The whole run is one ``sigcrypto.shared_verifications()`` scope,
+        shared by all of the run's nodes: an Ed25519 triple that passed at
+        one node is not verified again by another.  Those repeats are a
+        grandparent's helper signature, which a relay checks and each of
+        its children checks again, and the master signature on the epoch
+        parameters, which every node checks.  The scope covers signature
+        verifications only; whole packet checks are memoised per receiver
+        (``_accepts``).
+        """
+        with sigcrypto.shared_verifications():
+            return self._run()
+
+    def _run(self) -> TransmissionReport:
         for epoch in range(1, self.epochs + 1):
             self.originals = self._first_originals or self._draw_originals()
             self._first_originals = None
@@ -777,7 +795,10 @@ class Simulation:
         sends a packet it holds the tree it built that packet from), and
         Ed25519 signing is deterministic, so the same challenge gets the
         same response.  The memo is per receiver because the checks read
-        the receiver's id and registry.
+        the receiver's id and registry.  The signature verifications
+        inside a check are shared more widely: the run's
+        ``sigcrypto.shared_verifications()`` scope answers an Ed25519
+        triple that any node of the run already verified (``run``).
         """
         sim_node = self.nodes[name]
         st, checked = sim_node.state, sim_node.checked
@@ -963,7 +984,9 @@ def run_simulation(
     sweeps run; PIP and LOGPIP build, verify and (Log-PIP) challenge
     full packets, and report verdicts, detections and proofs: one
     verdict per delivery per round, where a receiver checks each
-    distinct packet once per epoch.  A node codes only once every
+    distinct packet once per epoch, and each distinct Ed25519 signature
+    that passes is verified once per run, whichever node checks it (see
+    ``Simulation.run``).  A node codes only once every
     required parent has delivered an accepted packet this epoch, so an
     honest node never emits a degraded packet.
     Byzantine nodes are omniscient and hold valid keys; each behavior

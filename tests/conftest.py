@@ -14,6 +14,34 @@ def rng():
 
 
 @pytest.fixture
+def openssl_verifies(monkeypatch):
+    """Every ((pk, message, sig), passed) that reached OpenSSL's Ed25519
+    verification, in call order."""
+    calls = []
+    real = sigcrypto.Ed25519PublicKey
+
+    class Counting:
+        def __init__(self, pk):
+            self.pk, self.key = pk, real.from_public_bytes(pk)
+
+        @classmethod
+        def from_public_bytes(cls, pk):
+            return cls(pk)
+
+        def verify(self, sig, message):
+            triple = (self.pk, bytes(message), bytes(sig))
+            try:
+                self.key.verify(sig, message)
+            except Exception:
+                calls.append((triple, False))
+                raise
+            calls.append((triple, True))
+
+    monkeypatch.setattr(sigcrypto, "Ed25519PublicKey", Counting)
+    return calls
+
+
+@pytest.fixture
 def tiny_epoch(rng):
     """p=23/q=11 epoch over two 2-chunk originals, plus its master identity."""
     master = sigcrypto.keygen(rng, b"src")

@@ -146,6 +146,17 @@ class TestBench:
         assert all(float(ms) > 0 for _, ms in rows)
         assert lines[5] == ""
 
+    def test_bench_reports_ed25519_rows(self, capsys):
+        code, out = run_cli(["bench", "--trials", "1"], capsys)
+        assert code == 0
+        section = out.split("Ed25519 (256-byte message):\n", 1)[1]
+        lines = section.splitlines()
+        assert lines[0].split() == ["operation", "us"]
+        rows = [line.strip().rsplit(None, 1) for line in lines[1:4]]
+        assert [name for name, _ in rows] == ["sign", "verify", "repeat verify"]
+        assert all(float(us) > 0 for _, us in rows)
+        assert lines[4] == ""
+
 
 class FakeClock:
     """A perf_counter that only the timed calls advance."""

@@ -56,6 +56,96 @@ class TestKeygenSignVerify:
         assert a.pk == b.pk
 
 
+class TestSharedVerifications:
+    """Inside a ``shared_verifications()`` scope a triple that passed is
+    answered without OpenSSL; everything else is checked in full."""
+
+    def test_passing_triple_is_remembered(self, rng, openssl_verifies):
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        with sigcrypto.shared_verifications():
+            assert all(sigcrypto.verify(ident.pk, b"abc", sig) for _ in range(3))
+        assert openssl_verifies == [((ident.pk, b"abc", sig), True)]
+
+    def test_altered_triples_are_checked_and_rejected(self, rng, openssl_verifies):
+        a, b = sigcrypto.keygen(rng), sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(a.sk, b"abc")
+        other = sigcrypto.sign(a.sk, b"abd")
+        forged = bytes([sig[0] ^ 1]) + sig[1:]
+        altered = [
+            (a.pk, b"abc", other),  # another valid signature, of another message
+            (a.pk, b"abc", forged),
+            (a.pk, b"abd", sig),  # changed message
+            (b.pk, b"abc", sig),  # another key
+        ]
+        with sigcrypto.shared_verifications():
+            assert sigcrypto.verify(a.pk, b"abc", sig)
+            for _ in range(2):
+                for triple in altered:
+                    assert not sigcrypto.verify(*triple), triple
+        assert openssl_verifies == [((a.pk, b"abc", sig), True)] + [(t, False) for t in altered] * 2
+
+    def test_failing_triple_is_never_stored(self, rng, openssl_verifies):
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        with sigcrypto.shared_verifications():
+            for _ in range(2):
+                assert not sigcrypto.verify(ident.pk, b"abd", sig)
+                assert not sigcrypto.verify(ident.pk, b"abc", b"junk")
+                assert not sigcrypto.verify(b"short", b"abc", sig)
+            assert sigcrypto._verified.get() == set()
+        assert [ok for _, ok in openssl_verifies] == [False] * 4
+
+    def test_nothing_is_remembered_outside_a_scope(self, rng, openssl_verifies):
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        assert all(sigcrypto.verify(ident.pk, b"abc", sig) for _ in range(2))
+        with sigcrypto.shared_verifications():
+            assert sigcrypto.verify(ident.pk, b"abc", sig)
+        assert sigcrypto.verify(ident.pk, b"abc", sig)
+        assert len(openssl_verifies) == 4
+
+    def test_scope_resets_after_an_exception(self, rng, openssl_verifies):
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        with pytest.raises(RuntimeError):
+            with sigcrypto.shared_verifications():
+                assert sigcrypto.verify(ident.pk, b"abc", sig)
+                raise RuntimeError
+        assert sigcrypto._verified.get() is None
+        assert sigcrypto.verify(ident.pk, b"abc", sig)
+        assert len(openssl_verifies) == 2
+
+    def test_nested_scope_starts_empty_and_restores_the_outer(self, rng, openssl_verifies):
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        with sigcrypto.shared_verifications():
+            assert sigcrypto.verify(ident.pk, b"abc", sig)
+            with sigcrypto.shared_verifications():
+                assert sigcrypto.verify(ident.pk, b"abc", sig)
+            assert len(openssl_verifies) == 2
+            assert sigcrypto.verify(ident.pk, b"abc", sig)
+            assert len(openssl_verifies) == 2
+        assert sigcrypto._verified.get() is None
+
+    def test_buffer_messages(self, rng, openssl_verifies):
+        """A bytearray or memoryview message gets the verdict of its
+        bytes, and is remembered as those bytes."""
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        with sigcrypto.shared_verifications():
+            assert sigcrypto.verify(ident.pk, bytearray(b"abc"), sig)
+            assert sigcrypto.verify(ident.pk, memoryview(bytearray(b"abc")), sig)
+            assert sigcrypto.verify(ident.pk, b"abc", memoryview(sig))
+            assert not sigcrypto.verify(ident.pk, bytearray(b"abd"), sig)
+            assert not sigcrypto.verify(ident.pk, memoryview(b"abd"), sig)
+        assert openssl_verifies == [
+            ((ident.pk, b"abc", sig), True),
+            ((ident.pk, b"abd", sig), False),
+            ((ident.pk, b"abd", sig), False),
+        ]
+
+
 class TestCertificates:
     def test_roundtrip(self, rng):
         auth = sigcrypto.keygen(rng)

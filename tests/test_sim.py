@@ -1,5 +1,6 @@
 """Topology generation, min-cut, behaviors, and network-wide detection."""
 
+import contextlib
 import itertools
 import json
 import logging
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from rlncheck import node as node_mod, pipcore, sim, validity
+from rlncheck import node as node_mod, pipcore, sigcrypto, sim, validity
 from rlncheck.node import Verdict
 from rlncheck.pipcore import Protocol, ViolationKind
 from rlncheck.profiles import SIM
@@ -531,6 +532,67 @@ class TestCheckMemo:
         pkt = s.nodes["byz"].sent[1]["c1"]
         assert not s._accepts(1, "c2", "byz", pkt)
         assert s.report.verdicts[-1][3].kind is ViolationKind.BAD_HELPER_SIG
+
+
+class TestSharedVerifications:
+    """``Simulation.run`` verifies each distinct Ed25519 triple once, for
+    all of its nodes; calls outside a run do the full work."""
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("kind", sorted(BehaviorKind, key=lambda k: k.value))
+    def test_report_equals_verifying_every_signature(self, monkeypatch, proto, kind):
+        """Ranks, decoding, verdicts, detections, proofs, fallbacks and
+        each proof's adjudication are those of a run without the scope."""
+        def run():
+            s = sim.Simulation(soundness_topology(Behavior(kind)), proto, m=2, rng_seed=13,
+                               epochs=2, challenges=3, collect_proofs=True)
+            report = s.run()
+            rulings = [node_mod.adjudicate(pf, s.master.pk, s.master.pk) for pf in report.proofs]
+            return _report_fields(report), rulings
+
+        shared = run()
+        monkeypatch.setattr(sim.sigcrypto, "shared_verifications", contextlib.nullcontext)
+        assert shared == run()
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("case", ["random", "forge"])
+    def test_each_passing_triple_verified_once_per_run(
+        self, monkeypatch, openssl_verifies, proto, case
+    ):
+        topo = (MEMO_CASES[case] if case == "random"
+                else soundness_topology(Behavior(BehaviorKind.FORGE_TOKEN)))
+        calls = []
+        verify = sigcrypto.verify
+
+        def counted(pk, message, sig):
+            ok = verify(pk, message, sig)
+            calls.append(((pk, bytes(message), sig), ok))
+            return ok
+
+        monkeypatch.setattr(sigcrypto, "verify", counted)
+        sim.Simulation(topo, proto, m=2, rng_seed=8, epochs=2, challenges=1).run()
+        passing = [t for t, ok in openssl_verifies if ok]
+        assert len(passing) == len(set(passing))
+        assert set(passing) == {t for t, ok in calls if ok}
+        assert [c for c in calls if not c[1]] == [c for c in openssl_verifies if not c[1]]
+        assert len(openssl_verifies) < len(calls)
+        if case == "forge":
+            assert any(not ok for _, ok in calls)
+
+    def test_checks_outside_a_run_verify_in_full(self, openssl_verifies):
+        """``verify_incoming`` and ``adjudicate`` called on their own, as
+        the production relay and adjudication do, run OpenSSL every time."""
+        s = sim.Simulation(soundness_topology(Behavior.honest()), Protocol.PIP, m=2, rng_seed=13)
+        s.run()
+        st, pkt = s.nodes["c1"].state, s.nodes["byz"].sent[1]["c1"]
+        proof = node_mod.build_misbehavior_proof(st, pkt)
+        for check in (lambda: node_mod.verify_incoming(st, pkt),
+                      lambda: node_mod.adjudicate(proof, s.master.pk, s.master.pk).violation):
+            openssl_verifies.clear()
+            assert check() is None
+            first = list(openssl_verifies)
+            assert check() is None
+            assert first and openssl_verifies == first * 2
 
 
 @pytest.fixture
