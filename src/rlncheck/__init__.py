@@ -16,12 +16,10 @@ from .gf import CodedVector, linear_combine, rank, random_nonzero, solve_origina
 from .node import (
     NodeState,
     Packet,
-    RequiredSetPolicy,
     adjudicate,
     build_misbehavior_proof,
     derive_coefficient,
     deserialize_packet,
-    policy_check,
     process_round,
     serialize_packet,
 )

@@ -178,9 +178,18 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-# One row per transmission and sink; fallbacks counts the rounds Mode-1
-# nodes coded honestly for want of a non-innovative choice.
+# One row per transmission and sink, the fields of sim.SweepRow; fallbacks
+# counts the rounds Mode-1 nodes coded honestly for want of a
+# non-innovative choice.
 RUN_COLUMNS = ["seed", "min_cut", "mode", "sink_id", "rank", "detections", "fallbacks"]
+
+
+def _write_runs(path: str, rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(RUN_COLUMNS)
+        for row in rows:
+            w.writerow([getattr(row, col) for col in RUN_COLUMNS])
 
 
 def cmd_simulate(args) -> int:
@@ -200,12 +209,7 @@ def cmd_simulate(args) -> int:
         )
         rows, summary = sim_mod.mode_sweep(config)
         runs_path = out_path + ".runs.csv"
-        with open(runs_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(RUN_COLUMNS)
-            for row in rows:
-                w.writerow([row.seed, row.min_cut, row.mode, row.sink_id, row.rank,
-                            row.detections, row.fallbacks])
+        _write_runs(runs_path, rows)
         with open(out_path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["min_cut", "mode", "mean_rank", "runs"])
@@ -222,23 +226,12 @@ def cmd_simulate(args) -> int:
     else:
         with open(args.topology) as f:
             topo = sim_mod.parse_topology(f.read())
-    with open(out_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RUN_COLUMNS)
-        sink = topo.sinks[0]
-        cut = sim_mod.min_cut(topo, topo.source, sink)
-        for trial in range(args.trials):
-            seed = args.seed + trial
-            for mode, kind in sim_mod.MODES.items():
-                t = topo
-                for byz in topo.byzantine:
-                    t = t.with_behavior(byz, Behavior(kind))
-                report = sim_mod.run_simulation(
-                    t, Protocol.NONE, args.packets, rng_seed=seed, profile=profile
-                )
-                for s, r in sorted(report.sink_ranks.items()):
-                    w.writerow([seed, cut, mode, s, r, len(report.detections),
-                                sum(report.fallbacks.values())])
+    cut = sim_mod.min_cut(topo, topo.source, topo.sinks[0])
+    _write_runs(out_path, [
+        row
+        for seed in range(args.seed, args.seed + args.trials)
+        for row in sim_mod.mode_rows(topo, cut, seed, args.packets, profile)
+    ])
     print(f"wrote {out_path}")
     return 0
 

@@ -3,7 +3,8 @@
 A node ingests one packet per parent per round, runs the check
 pipeline (attest signature, epoch binding, validity signature, token
 type and full PIP token, helper token), then codes over its required
-set with PRF-derived coefficients and assembles the outgoing packet:
+set, which is all of its registered parents, with PRF-derived
+coefficients and assembles the outgoing packet:
 
     E, sigma, test token, helper token, epoch reference, sender id,
     attest signature over all preceding bytes.
@@ -25,8 +26,8 @@ and checks every packet in full.  The verdicts are the same (see
 ``validity``).
 
 Failures never abort a round; each parent gets a verdict and coding
-proceeds over the verified parents (a degraded round is the caller's
-policy decision).  ``build_draft`` is the shared tail of every
+proceeds over the verified parents (whether to send a degraded draft
+is the caller's decision).  ``build_draft`` is the shared tail of every
 emission: it signs a coded vector and builds its test token, for
 ``process_round`` and for callers that choose their own coefficients
 and token entries.
@@ -108,122 +109,6 @@ def derive_coefficient(
 
 
 # ---------------------------------------------------------------------------
-# Required-set policies
-
-
-class PolicyKind(enum.Enum):
-    ALL = "all"
-    SPECIFIC = "specific"
-    THRESHOLD = "threshold"
-    SUBSET = "subset"
-    PRIORITY = "priority"
-
-
-@dataclass(frozen=True)
-class RequiredSetPolicy:
-    kind: PolicyKind
-    members: frozenset = frozenset()  # SPECIFIC / SUBSET
-    threshold: int = 0  # THRESHOLD / SUBSET
-    min_high: int = 0  # PRIORITY
-    min_total: int = 0  # PRIORITY
-    high_label: bytes = b"high"
-
-    @staticmethod
-    def all_parents() -> "RequiredSetPolicy":
-        return RequiredSetPolicy(kind=PolicyKind.ALL)
-
-    @staticmethod
-    def specific(members) -> "RequiredSetPolicy":
-        return RequiredSetPolicy(kind=PolicyKind.SPECIFIC, members=frozenset(members))
-
-    @staticmethod
-    def threshold(d: int) -> "RequiredSetPolicy":
-        if d < 1:
-            raise ValueError("threshold must be >= 1")
-        return RequiredSetPolicy(kind=PolicyKind.THRESHOLD, threshold=d)
-
-    @staticmethod
-    def subset(members, d: int) -> "RequiredSetPolicy":
-        return RequiredSetPolicy(
-            kind=PolicyKind.SUBSET, members=frozenset(members), threshold=d
-        )
-
-    @staticmethod
-    def priority(min_high: int, min_total: int) -> "RequiredSetPolicy":
-        return RequiredSetPolicy(
-            kind=PolicyKind.PRIORITY, min_high=min_high, min_total=min_total
-        )
-
-
-def policy_check(
-    policy: RequiredSetPolicy,
-    claimed_parents: list[tuple[bytes, bytes, sigcrypto.Certificate | None]],
-    authority_pk: bytes,
-    declared_parents: frozenset | None = None,
-) -> Violation | None:
-    """Check a claimed parent list (id, pk, cert) against the policy.
-
-    Membership policies compare against the declared registry or the
-    policy's member set; counting policies additionally require a valid
-    certificate for every parent that is counted.
-    """
-    claimed_ids = {pid for pid, _, _ in claimed_parents}
-    if len(claimed_ids) != len(claimed_parents):
-        return Violation(ViolationKind.POLICY_VIOLATION, b"", "duplicate claimed parent")
-
-    def certified() -> list[tuple[bytes, sigcrypto.Certificate]]:
-        good = []
-        for pid, pk, cert in claimed_parents:
-            if cert is None or not sigcrypto.verify_cert(cert, pk, pid, authority_pk):
-                return []
-            good.append((pid, cert))
-        return good
-
-    if policy.kind is PolicyKind.ALL:
-        want = declared_parents if declared_parents is not None else frozenset()
-        if claimed_ids != set(want):
-            return Violation(ViolationKind.POLICY_VIOLATION, b"", "must code over all parents")
-        return None
-    if policy.kind is PolicyKind.SPECIFIC:
-        if not set(policy.members) <= claimed_ids:
-            return Violation(ViolationKind.POLICY_VIOLATION, b"", "required parent set not covered")
-        return None
-    if policy.kind is PolicyKind.THRESHOLD:
-        good = certified()
-        if len(good) < policy.threshold:
-            return Violation(
-                ViolationKind.POLICY_VIOLATION, b"",
-                f"{len(good)} certified parents, need {policy.threshold}",
-            )
-        return None
-    if policy.kind is PolicyKind.SUBSET:
-        if not set(policy.members) <= claimed_ids:
-            return Violation(ViolationKind.POLICY_VIOLATION, b"", "required subset not covered")
-        good = certified()
-        if len(good) < policy.threshold:
-            return Violation(
-                ViolationKind.POLICY_VIOLATION, b"",
-                f"{len(good)} certified parents, need {policy.threshold}",
-            )
-        return None
-    if policy.kind is PolicyKind.PRIORITY:
-        good = certified()
-        high = sum(1 for _, cert in good if cert.priority == policy.high_label)
-        if len(good) < policy.min_total:
-            return Violation(
-                ViolationKind.POLICY_VIOLATION, b"",
-                f"{len(good)} certified parents, need {policy.min_total}",
-            )
-        if high < policy.min_high:
-            return Violation(
-                ViolationKind.POLICY_VIOLATION, b"",
-                f"{high} high-priority parents, need {policy.min_high}",
-            )
-        return None
-    raise ValueError(f"unknown policy kind {policy.kind}")
-
-
-# ---------------------------------------------------------------------------
 # Packet serialization (canonical field order; attest covers all prior bytes)
 
 
@@ -284,11 +169,6 @@ def verify_attest(pk: bytes, packet_bytes: bytes, sig: bytes) -> bool:
 # Node state and the per-round protocol
 
 
-def required_parents(policy: RequiredSetPolicy, parents) -> frozenset:
-    """The parent ids a node codes over: a SPECIFIC policy's members, else all."""
-    return frozenset(policy.members if policy.kind is PolicyKind.SPECIFIC else parents)
-
-
 @dataclass
 class ParentInfo:
     pk: bytes
@@ -305,7 +185,6 @@ class NodeState:
     master_pk: bytes
     profile: Profile
     protocol: Protocol = Protocol.PIP
-    policy: RequiredSetPolicy = field(default_factory=RequiredSetPolicy.all_parents)
     params: SourceEpochParams | None = None
     parents: dict = field(default_factory=dict)  # parent_id -> ParentInfo
     buffers: dict = field(default_factory=dict)  # parent_id -> verified Packet
@@ -319,9 +198,6 @@ class NodeState:
     @property
     def node_id(self) -> bytes:
         return self.identity.node_id
-
-    def required_set(self) -> frozenset:
-        return required_parents(self.policy, self.parents)
 
     def register_parent(self, parent_id: bytes, info: "ParentInfo") -> None:
         self.parents[parent_id] = info
@@ -397,7 +273,8 @@ def _check_response(
 def verify_incoming(state: NodeState, pkt: Packet) -> Violation | None:
     """Run the check pipeline on one parent packet, against the registered parent.
 
-    Merkle challenges are driven separately (``challenge_parent``).
+    Merkle challenges are driven separately: ``challenge_targets`` picks
+    the parents to challenge and ``check_challenge`` checks each response.
     Returns the first Violation, or None when the packet is good.
     """
     if state.params is None:
@@ -537,19 +414,17 @@ def build_draft(
 
 
 def process_round(
-    state: NodeState, incoming: list[Packet], protocol: Protocol | None = None
+    state: NodeState, incoming: list[Packet]
 ) -> tuple[OutgoingDraft | None, list[tuple[bytes, Violation | None]]]:
     """Ingest one round of parent packets and prepare the outgoing packet.
 
     Every incoming packet gets a verdict; verified packets are buffered
-    (latest per parent).  Once every required parent has a verified
-    packet buffered, the node codes over all of them with its
-    prescribed coefficients and builds the protocol's test token.  If a
-    required parent's packet failed checks this round, the draft is
-    built over the verified parents only and marked degraded.
+    (latest per parent).  The node codes over every registered parent
+    that has a verified packet buffered, with its prescribed
+    coefficients, and builds the protocol's test token.  If a parent has
+    none yet, or its packet failed checks this round, the draft is built
+    over the verified parents only and marked degraded.
     """
-    if protocol is not None:
-        state.protocol = protocol
     params = state.params
     if params is None:
         raise ValueError("node has no active epoch")
@@ -561,8 +436,7 @@ def process_round(
         if v is None:
             state.buffers[pkt.sender_id] = pkt
 
-    required = state.required_set()
-    available = [rp for rp in sorted(required) if rp in state.buffers]
+    available = [rp for rp in sorted(state.parents) if rp in state.buffers]
     if not available:
         return None, verdicts
 
@@ -577,7 +451,7 @@ def process_round(
     E = gf.linear_combine(
         [state.buffers[rp].E for rp in available], [i.coeff for i in inputs], params.q
     )
-    draft = build_draft(state, E, inputs, inputs, degraded=len(available) < len(required))
+    draft = build_draft(state, E, inputs, inputs, degraded=len(available) < len(state.parents))
     return draft, verdicts
 
 
@@ -633,7 +507,6 @@ class MisbehaviorProof:
     protocol: Protocol
     required_set: frozenset
     parent_pks: dict
-    parent_certs: dict
     params: SourceEpochParams
     seed: bytes
     transcript: tuple = ()  # (challenged parent_id, serialized ChallengeProof) pairs
@@ -661,7 +534,6 @@ def build_misbehavior_proof(
         protocol=state.protocol,
         required_set=frozenset(info.required_set),
         parent_pks=dict(info.grandparent_pks),
-        parent_certs={},
         params=state.params,
         seed=state.seed,
         transcript=serialized,

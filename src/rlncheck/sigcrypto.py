@@ -111,11 +111,10 @@ class NodeIdentity:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Authority signature binding (pk, node_id) plus a priority label."""
+    """Authority signature binding a public key to a node id."""
 
     node_id: bytes
     pk: bytes
-    priority: bytes
     sig: bytes
 
 
@@ -185,22 +184,21 @@ def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
     return True
 
 
-def _cert_message(pk: bytes, node_id: bytes, priority: bytes) -> bytes:
+def _cert_message(pk: bytes, node_id: bytes) -> bytes:
     return (
         _CERT_CONTEXT
         + len(pk).to_bytes(2, "big") + pk
         + len(node_id).to_bytes(2, "big") + node_id
-        + len(priority).to_bytes(2, "big") + priority
     )
 
 
-def certify(authority_sk: bytes, pk: bytes, node_id: bytes, priority: bytes = b"") -> Certificate:
-    """Authority signature over exactly (pk, node_id, priority)."""
-    sig = sign(authority_sk, _cert_message(pk, node_id, priority))
-    return Certificate(node_id=node_id, pk=pk, priority=priority, sig=sig)
+def certify(authority_sk: bytes, pk: bytes, node_id: bytes) -> Certificate:
+    """Authority signature over exactly (pk, node_id)."""
+    sig = sign(authority_sk, _cert_message(pk, node_id))
+    return Certificate(node_id=node_id, pk=pk, sig=sig)
 
 
 def verify_cert(cert: Certificate, pk: bytes, node_id: bytes, authority_pk: bytes) -> bool:
     if cert.pk != pk or cert.node_id != node_id:
         return False
-    return verify(authority_pk, _cert_message(pk, node_id, cert.priority), cert.sig)
+    return verify(authority_pk, _cert_message(pk, node_id), cert.sig)

@@ -3,8 +3,9 @@
 The transmission model: per epoch the source emits one fresh random
 combination of its m originals to each of its children in round 1;
 every other node sends a coded packet each round once it has accepted
-a packet from every required parent this epoch, the same packet to all
-children (shared coefficients).  Under that schedule a node contributes
+a packet from every parent this epoch, the same packet to all children
+(shared coefficients).  A node's required set, the parents it must
+code over, is all of its parents.  Under that schedule a node contributes
 at most one degree of freedom per epoch, so the throughput a sink can
 reach is min(min_cut, m) where min_cut is the max-flow with unit
 capacities on both edges and interior nodes.
@@ -16,8 +17,8 @@ Protocol.NONE a packet is its bare coded vector and every delivery is
 accepted.  Under PIP and Log-PIP a delivery is accepted only once it
 passes ``node.verify_incoming`` and, under Log-PIP, its Merkle
 challenges; a rejected packet is neither buffered nor coded onward.
-Because a node waits for an accepted packet from every required
-parent, an honest node never emits a degraded packet (one that leaves
+Because a node waits for an accepted packet from every parent, an
+honest node never emits a degraded packet (one that leaves
 out a parent), which its children would blame on it.
 
 A node's emission changes only when one of its accepted inputs does, so
@@ -61,7 +62,7 @@ from operator import mul
 
 from . import gf, node as node_mod, pipcore, sigcrypto, validity
 from .gf import CodedVector, Span
-from .node import NodeState, ParentInfo, Packet, RequiredSetPolicy
+from .node import NodeState, ParentInfo, Packet
 from .pipcore import ParentInput, Protocol, Violation, ViolationKind
 from .profiles import SIM, Profile
 
@@ -99,7 +100,6 @@ class Behavior:
 class NodeSpec:
     role: Role
     behavior: Behavior = field(default_factory=Behavior.honest)
-    policy: RequiredSetPolicy = field(default_factory=RequiredSetPolicy.all_parents)
 
 
 class InfeasibleTopologyError(Exception):
@@ -136,7 +136,7 @@ class Topology:
 
     def with_behavior(self, name: str, behavior: Behavior) -> "Topology":
         nodes = {
-            n: NodeSpec(role=s.role, behavior=behavior if n == name else s.behavior, policy=s.policy)
+            n: NodeSpec(role=s.role, behavior=behavior if n == name else s.behavior)
             for n, s in self.nodes.items()
         }
         return Topology(nodes=nodes, edges=list(self.edges), source=self.source,
@@ -155,32 +155,23 @@ def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
         if u not in names or v not in names:
             raise ValueError(f"edge ({u},{v}) references unknown node")
     parents, children = topo.adjacency()
-    order = _topological_order(parents, children)
-    if order is None:
+    indeg = {n: len(ps) for n, ps in parents.items()}
+    queue = deque(sorted(n for n, d in indeg.items() if d == 0))
+    order = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in children[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if len(order) != len(parents):
         raise ValueError("topology contains a cycle")
     reach = _reachable(children, topo.source)
     for n, spec in topo.nodes.items():
         if n != topo.source and spec.role is not Role.SOURCE and n not in reach:
             raise ValueError(f"node {n} unreachable from source")
     return parents, children, order
-
-
-def topological_order(topo: Topology) -> list[str] | None:
-    return _topological_order(*topo.adjacency())
-
-
-def _topological_order(parents: dict, children: dict) -> list[str] | None:
-    indeg = {n: len(ps) for n, ps in parents.items()}
-    queue = deque(sorted(n for n, d in indeg.items() if d == 0))
-    out = []
-    while queue:
-        u = queue.popleft()
-        out.append(u)
-        for v in children[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return out if len(out) == len(parents) else None
 
 
 def _reachable(children: dict, start: str) -> set[str]:
@@ -618,10 +609,6 @@ class Simulation:
 
     def _setup(self) -> None:
         topo, rng = self.topo, self.rng
-        self.required = {}
-        for n, spec in topo.nodes.items():
-            ids = node_mod.required_parents(spec.policy, [p.encode() for p in self.parents[n]])
-            self.required[n] = sorted(i.decode() for i in ids)
         self.seed = rng.randbytes(32)
         states: dict[str, NodeState] = {}
         self.master = self.source_state = None
@@ -638,7 +625,6 @@ class Simulation:
                     master_pk=self.master.pk,
                     profile=self.profile,
                     protocol=self.protocol,
-                    policy=topo.nodes[name].policy,
                 )
                 for p in self.parents[name]:
                     st.register_parent(p.encode(), ParentInfo(
@@ -705,7 +691,7 @@ class Simulation:
             self._honest = {
                 name: [(p, node_mod.derive_coefficient(
                     self.seed, p.encode(), name.encode(), context, self.q))
-                    for p in self.required[name]]
+                    for p in self.parents[name]]
                 for name in self._emit_order
             }
             for sim_node in self.nodes.values():
@@ -840,9 +826,9 @@ class Simulation:
             kind = sim_node.spec.behavior.kind
             recode = sim_node.stale or kind is BehaviorKind.NON_INNOVATIVE
             sim_node.stale = False
-            required = self.required[name]
+            required = self.parents[name]
             # Every node, honest or not, waits for a verified packet from every
-            # required parent this epoch: an honest node never codes a degraded
+            # parent this epoch: an honest node never codes a degraded
             # packet, which its children would blame on it.  Only a changed
             # input can make a node ready.
             recode = recode and bool(required) and all(p in sim_node.vectors for p in required)
@@ -907,7 +893,7 @@ class Simulation:
         st = self.nodes[name].state
         behavior = self.nodes[name].spec.behavior
         kind = behavior.kind
-        required = self.required[name]
+        required = self.parents[name]
         honest = self._honest[name]
         target = required[behavior.target % len(required)]
         coding = honest
@@ -949,7 +935,7 @@ class Simulation:
                     view.add(sent[0].coding_vector)
             views.append(view)
         vectors = self.nodes[name].vectors
-        required = self.required[name]
+        required = self.parents[name]
         alphas = _non_innovative_coeffs(
             {p: vectors[p] for p in required}, views, self.q, self.adversary_rng
         )
@@ -1035,6 +1021,28 @@ class SweepRow:
     fallbacks: int  # rounds a Mode-1 node coded honestly (TransmissionReport.fallbacks)
 
 
+def mode_rows(
+    topo: Topology, cut: int, seed: int, m: int, profile: Profile = SIM, payload_chunks: int = 2
+) -> list[SweepRow]:
+    """Run ``topo`` once per mode in MODES, every Byzantine node set to
+    that mode, under Protocol.NONE with ``rng_seed=seed``.  One row per
+    mode and sink, in that order; ``cut`` is copied into the rows."""
+    rows = []
+    for mode, kind in MODES.items():
+        t = topo
+        for byz in topo.byzantine:
+            t = t.with_behavior(byz, Behavior(kind))
+        report = run_simulation(
+            t, Protocol.NONE, m, rng_seed=seed, payload_chunks=payload_chunks, profile=profile
+        )
+        rows += [
+            SweepRow(seed=seed, min_cut=cut, mode=mode, sink_id=sink, rank=rank,
+                     detections=len(report.detections), fallbacks=sum(report.fallbacks.values()))
+            for sink, rank in sorted(report.sink_ranks.items())
+        ]
+    return rows
+
+
 def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str, float]]]:
     """Throughput of each Byzantine mode across min-cut values.
 
@@ -1055,21 +1063,10 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
             except InfeasibleTopologyError as e:
                 logger.info("mode_sweep: skipping cut %d, seed %d: %s", cut, seed, e)
                 continue
-            sink = topo.sinks[0]
-            for mode, kind in MODES.items():
-                t = topo
-                for byz in topo.byzantine:
-                    t = t.with_behavior(byz, Behavior(kind))
-                report = run_simulation(
-                    t, Protocol.NONE, config.m, rng_seed=seed,
-                    payload_chunks=config.payload_chunks, profile=config.profile,
-                )
-                per_mode[mode].append(report.sink_ranks[sink])
-                rows.append(SweepRow(
-                    seed=seed, min_cut=cut, mode=mode, sink_id=sink,
-                    rank=report.sink_ranks[sink], detections=len(report.detections),
-                    fallbacks=sum(report.fallbacks.values()),
-                ))
+            # A random topology has one sink, so this is one row per mode.
+            for row in mode_rows(topo, cut, seed, config.m, config.profile, config.payload_chunks):
+                per_mode[row.mode].append(row.rank)
+                rows.append(row)
         for mode, ranks in per_mode.items():
             if ranks:
                 summary.append((cut, mode, sum(ranks) / len(ranks)))

@@ -6,10 +6,10 @@ are reproducible.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 import random
-import statistics
 import time
 
 import pytest
@@ -394,19 +394,9 @@ def test_criterion_6_mode_sweep():
 # 7. Payload independence
 
 
-def _median_time(fn, reps=5, inner=40):
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples) / inner
-
-
 def test_criterion_7_payload_independence():
     with criterion(7, "verification time at n=1000 within 2x of n=10"):
-        times = {}
+        verifiers = {}
         for n in (10, 1000):
             inputs, params, ctx = cli.build_token_fixture(5, SIM, n_chunks=n)
             token = pipcore.pip_combine(inputs)
@@ -414,14 +404,10 @@ def test_criterion_7_payload_independence():
                 [e.sigma for e in token.entries], [e.coeff for e in token.entries], params
             )
             sender = ctx["sender"]
-
-            def verify():
-                assert pipcore.pip_verif_test(
-                    sigma, token, sender.node_id, set(ctx["parent_pks"]),
-                    ctx["parent_pks"], ctx["expected"], params,
-                ) is None
-
-            times[("pip", n)] = _median_time(verify)
+            verify = functools.partial(
+                pipcore.pip_verif_test, sigma, token, sender.node_id, set(ctx["parent_pks"]),
+                ctx["parent_pks"], ctx["expected"], params,
+            )
 
             log_token, tree = pipcore.logpip_build(inputs, params, SIM.h_bytes)
             proof = pipcore.logpip_respond(tree, 0)
@@ -430,17 +416,17 @@ def test_criterion_7_payload_independence():
                 sender_id=sender.node_id, packet_sigma=tree.root.sigma,
                 params=params, h_bytes=SIM.h_bytes,
             )
+            verify_log = functools.partial(
+                pipcore.logpip_verify, proof, log_token, cctx, first.parent_id,
+                ctx["parent_pks"][first.parent_id], ctx["expected"][first.parent_id],
+            )
+            assert verify() is None and verify_log() is None
+            verifiers[("pip", n)], verifiers[("logpip", n)] = verify, verify_log
 
-            def verify_log():
-                assert pipcore.logpip_verify(
-                    proof, log_token, cctx, first.parent_id,
-                    ctx["parent_pks"][first.parent_id], ctx["expected"][first.parent_id],
-                ) is None
-
-            times[("logpip", n)] = _median_time(verify_log)
-
+        # Paired, interleaved samples over loops of fixed length, as
+        # ``rlncheck bench`` measures the same ratio.
         for proto in ("pip", "logpip"):
-            ratio = times[(proto, 1000)] / times[(proto, 10)]
+            ratio = cli._time_ratio(verifiers[(proto, 1000)], verifiers[(proto, 10)], 30)
             assert 0.5 <= ratio <= 2.0, (proto, ratio)
 
 

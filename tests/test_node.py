@@ -1,4 +1,4 @@
-"""Node engine: coefficient derivation, policies, packets, adjudication."""
+"""Node engine: coefficient derivation, attestation, packets, rounds, adjudication."""
 
 import math
 import random
@@ -13,8 +13,6 @@ from rlncheck.node import (
     NodeState,
     Packet,
     ParentInfo,
-    PolicyKind,
-    RequiredSetPolicy,
     Verdict,
     adjudicate,
     attest_packet,
@@ -22,7 +20,6 @@ from rlncheck.node import (
     derive_coefficient,
     deserialize_packet,
     packet_signed_bytes,
-    policy_check,
     process_round,
     serialize_packet,
     verify_attest,
@@ -102,67 +99,6 @@ class TestAttest:
         child = sigcrypto.keygen(rng)
         sig = attest_packet(ident.sk, b"packet-bytes")
         assert not verify_attest(child.pk, b"packet-bytes", sig)
-
-
-def certified_parents(rng, auth, count, priorities=None):
-    out = []
-    for i in range(count):
-        pid = b"p%d" % i
-        ident = sigcrypto.keygen(rng, pid)
-        prio = (priorities or {}).get(i, b"")
-        cert = sigcrypto.certify(auth.sk, ident.pk, pid, priority=prio)
-        out.append((pid, ident.pk, cert))
-    return out
-
-
-class TestPolicyCheck:
-    def test_threshold_satisfied(self, rng):
-        auth = sigcrypto.keygen(rng)
-        claimed = certified_parents(rng, auth, 5)
-        assert policy_check(RequiredSetPolicy.threshold(5), claimed, auth.pk) is None
-
-    def test_threshold_invalid_cert(self, rng):
-        auth = sigcrypto.keygen(rng)
-        claimed = certified_parents(rng, auth, 5)
-        pid, pk, cert = claimed[2]
-        broken = sigcrypto.Certificate(cert.node_id, cert.pk, cert.priority, cert.sig[:-2] + b"xx")
-        claimed[2] = (pid, pk, broken)
-        v = policy_check(RequiredSetPolicy.threshold(5), claimed, auth.pk)
-        assert v is not None and v.kind is ViolationKind.POLICY_VIOLATION
-
-    def test_priority_needs_enough_high(self, rng):
-        auth = sigcrypto.keygen(rng)
-        claimed = certified_parents(rng, auth, 5, priorities={0: b"high"})
-        v = policy_check(RequiredSetPolicy.priority(2, 5), claimed, auth.pk)
-        assert v is not None and v.kind is ViolationKind.POLICY_VIOLATION
-
-    def test_priority_satisfied(self, rng):
-        auth = sigcrypto.keygen(rng)
-        claimed = certified_parents(rng, auth, 5, priorities={0: b"high", 3: b"high"})
-        assert policy_check(RequiredSetPolicy.priority(2, 5), claimed, auth.pk) is None
-
-    def test_all_requires_equality(self, rng):
-        auth = sigcrypto.keygen(rng)
-        claimed = certified_parents(rng, auth, 2)
-        declared = frozenset({b"p0", b"p1", b"p2"})
-        v = policy_check(RequiredSetPolicy.all_parents(), claimed, auth.pk, declared)
-        assert v is not None
-        assert policy_check(
-            RequiredSetPolicy.all_parents(), claimed, auth.pk, frozenset({b"p0", b"p1"})
-        ) is None
-
-    def test_specific_superset_ok(self, rng):
-        auth = sigcrypto.keygen(rng)
-        claimed = certified_parents(rng, auth, 3)
-        pol = RequiredSetPolicy.specific({b"p0", b"p1"})
-        assert policy_check(pol, claimed, auth.pk) is None
-
-    def test_subset_needs_both(self, rng):
-        auth = sigcrypto.keygen(rng)
-        claimed = certified_parents(rng, auth, 3)
-        assert policy_check(RequiredSetPolicy.subset({b"p0"}, 3), claimed, auth.pk) is None
-        v = policy_check(RequiredSetPolicy.subset({b"p9"}, 2), claimed, auth.pk)
-        assert v is not None
 
 
 # ---------------------------------------------------------------------------

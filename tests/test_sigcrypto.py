@@ -163,16 +163,8 @@ class TestCertificates:
         auth = sigcrypto.keygen(rng)
         ident = sigcrypto.keygen(rng, b"n1")
         cert = sigcrypto.certify(auth.sk, ident.pk, b"n1")
-        broken = sigcrypto.Certificate(cert.node_id, cert.pk, cert.priority, cert.sig[:-4])
+        broken = sigcrypto.Certificate(cert.node_id, cert.pk, cert.sig[:-4])
         assert not sigcrypto.verify_cert(broken, ident.pk, b"n1", auth.pk)
-
-    def test_priority_bound_into_cert(self, rng):
-        auth = sigcrypto.keygen(rng)
-        ident = sigcrypto.keygen(rng, b"n1")
-        cert = sigcrypto.certify(auth.sk, ident.pk, b"n1", priority=b"high")
-        forged = sigcrypto.Certificate(cert.node_id, cert.pk, b"low", cert.sig)
-        assert sigcrypto.verify_cert(cert, ident.pk, b"n1", auth.pk)
-        assert not sigcrypto.verify_cert(forged, ident.pk, b"n1", auth.pk)
 
 
 class TestPrf:

@@ -42,7 +42,10 @@ class TestButterfly:
 
     def test_acyclic(self):
         topo = butterfly_topology()
-        assert sim.topological_order(topo) is not None
+        topo.validate()
+        topo.edges.append(("n1c", "r1"))
+        with pytest.raises(ValueError, match="cycle"):
+            topo.validate()
 
 
 class TestMinCut:
