@@ -222,12 +222,35 @@ class TestProcessRound:
             net.c_state.enter_epoch(forged)
         assert net.c_state.params == net.params
 
+    def test_token_covers_every_registered_parent(self):
+        net = Net()
+        draft, _ = process_round(net.n_state, net.relay_packets())
+        assert not draft.degraded
+        assert [e.parent_id for e in draft.test_token.entries] == sorted(net.n_state.parents)
+
     def test_unregistered_sender(self):
         net = Net()
         pkt, _ = net.n_packet()
         stranger = replace(pkt, sender_id=b"zz")
         v = verify_incoming(net.c_state, stranger)
         assert v is not None
+
+
+class TestChallengeTargets:
+    def test_pip_packet_is_not_challenged(self):
+        net = Net()
+        pkt, _ = net.n_packet()
+        rng = random.Random(3)
+        assert node_mod.challenge_targets(net.c_state, pkt, 2, rng) == []
+        assert rng.random() == random.Random(3).random()
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    def test_logpip_targets_sampled_from_required_set(self, t):
+        net = Net(protocol=Protocol.LOGPIP)
+        pkt, _ = net.n_packet()
+        targets = node_mod.challenge_targets(net.c_state, pkt, t, random.Random(3))
+        assert len(set(targets)) == len(targets) == min(t, 2)
+        assert set(targets) <= {b"p1", b"p2"}
 
 
 def generator_product_calls(monkeypatch, params):
@@ -411,6 +434,24 @@ class TestAdjudication:
         out = adjudicate(proof, net.master.pk, net.master.pk)
         assert out.verdict is Verdict.INADMISSIBLE
         assert out.reason == "missing parent key"
+
+    @pytest.mark.parametrize("case", ["missing", "forged", "other_authority", "other_node"])
+    def test_uncertified_sender_inadmissible(self, case):
+        """Evidence is admissible only against a key the authority
+        certified for the named sender."""
+        net = Net()
+        pkt, _ = net.n_packet()
+        proof = build_misbehavior_proof(net.c_state, pkt)
+        stranger = sigcrypto.keygen(net.rng)
+        cert = {
+            "missing": None,
+            "forged": replace(proof.sender_cert, sig=bytes(64)),
+            "other_authority": sigcrypto.certify(stranger.sk, proof.sender_pk, b"n"),
+            "other_node": net.idents[b"p1"].cert,
+        }[case]
+        out = adjudicate(replace(proof, sender_cert=cert), net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.INADMISSIBLE
+        assert out.reason == "uncertified sender key"
 
     def test_collusion_cannot_cover_honest_parent(self):
         """A parent colluding with n cannot stand in for the honest p2:

@@ -154,6 +154,15 @@ class TestPipVerifTest:
         v = pipcore.pip_verif_test(sigma, token, b"nde", set(pks), pks, expected, params)
         assert v.kind is ViolationKind.MISSING_ENTRY
 
+    def test_entry_outside_required_set(self, pip_setup):
+        """A token must name exactly the required set: an extra entry,
+        even a well-formed one, is rejected."""
+        params, inputs, pks, expected, sigma = pip_setup
+        token = pipcore.pip_combine(inputs)
+        required = set(pks) - {inputs[0].parent_id}
+        v = pipcore.pip_verif_test(sigma, token, b"nde", required, pks, expected, params)
+        assert v.kind is ViolationKind.POLICY_VIOLATION
+
     def test_zero_coefficient(self, pip_setup):
         params, inputs, pks, expected, _ = pip_setup
         mutated = [ParentInput(inputs[0].parent_id, inputs[0].sigma, inputs[0].helper_sig, 0)] + inputs[1:]

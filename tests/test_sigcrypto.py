@@ -3,6 +3,7 @@
 import hashlib
 import hmac
 import random
+from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -165,6 +166,21 @@ class TestCertificates:
         cert = sigcrypto.certify(auth.sk, ident.pk, b"n1")
         broken = sigcrypto.Certificate(cert.node_id, cert.pk, cert.sig[:-4])
         assert not sigcrypto.verify_cert(broken, ident.pk, b"n1", auth.pk)
+
+    def test_other_authority(self, rng):
+        auth, other = sigcrypto.keygen(rng), sigcrypto.keygen(rng)
+        ident = sigcrypto.keygen(rng, b"n1")
+        cert = sigcrypto.certify(other.sk, ident.pk, b"n1")
+        assert not sigcrypto.verify_cert(cert, ident.pk, b"n1", auth.pk)
+
+    def test_signature_binds_key_and_node_id(self, rng):
+        """Rewriting a field and checking against the rewritten value
+        fails: the signature covers both the key and the node id."""
+        auth = sigcrypto.keygen(rng)
+        ident, other = sigcrypto.keygen(rng, b"n1"), sigcrypto.keygen(rng, b"n1")
+        cert = sigcrypto.certify(auth.sk, ident.pk, b"n1")
+        assert not sigcrypto.verify_cert(replace(cert, pk=other.pk), other.pk, b"n1", auth.pk)
+        assert not sigcrypto.verify_cert(replace(cert, node_id=b"n2"), ident.pk, b"n2", auth.pk)
 
 
 class TestPrf:
