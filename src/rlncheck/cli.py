@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
 import random
 import statistics
 import sys
@@ -23,11 +22,6 @@ from .profiles import PROFILES, TEST, Profile, get_profile
 from .sim import Behavior, BehaviorKind, SweepConfig
 
 TABLE_PARENT_COUNTS = (1, 2, 3, 5, 7, 10, 15, 50)
-
-
-def _resolve_profile(args) -> Profile:
-    name = os.environ.get("RLNC_PROFILE", args.profile)
-    return get_profile(name)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +187,7 @@ def _write_runs(path: str, rows) -> None:
 
 
 def cmd_simulate(args) -> int:
-    profile = _resolve_profile(args)
+    profile = get_profile(args.profile)
     out_path = args.out or "sweep.csv"
 
     if args.topology == "random":
@@ -278,7 +272,7 @@ def cmd_sizes(args) -> int:
     print("\nmeasured growth at the sim profile (PIP linear in d, Log-PIP root constant):")
     prev_pip = None
     for d in TABLE_PARENT_COUNTS:
-        r = measure_token_sizes(d, _resolve_profile(args))
+        r = measure_token_sizes(d, get_profile(args.profile))
         print(f"  d={d:>3}: pip={r['pip_measured_bits']} bits, "
               f"logpip token+challenge={r['logpip_measured_bits']} bits")
         if prev_pip is not None and r["pip_measured_bits"] <= prev_pip:
@@ -392,7 +386,7 @@ def _bench_ed25519(samples: int) -> dict[str, float]:
 
 
 def cmd_bench(args) -> int:
-    profile = _resolve_profile(args)
+    profile = get_profile(args.profile)
     payload_sizes = (10, 100, 1000)
     d_values = (1, 2, 3, 5, 7, 10, 15, 50)
     ratio_d = (3, 10)  # parent counts whose verify time is compared across payload sizes
@@ -474,7 +468,7 @@ def main(argv=None) -> int:
         description="Verified random linear network coding: demos, sweeps, audits.",
     )
     parser.add_argument("--profile", default="sim", choices=sorted(PROFILES),
-                        help="parameter profile (env RLNC_PROFILE overrides)")
+                        help="parameter profile")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_demo = sub.add_parser("demo", help="butterfly walkthrough with detection")

@@ -25,19 +25,19 @@ times per epoch when its packets pass; ``adjudicate`` keeps no span
 and checks every packet in full.  The verdicts are the same (see
 ``validity``).
 
-Failures never abort a round; each parent gets a verdict and coding
-proceeds over the verified parents (whether to send a degraded draft
-is the caller's decision).  ``build_draft`` is the shared tail of every
-emission: it signs a coded vector and builds its test token, for
-``process_round`` and for callers that choose their own coefficients
-and token entries.
+Failures never abort a round; each parent gets a verdict.  A node
+codes only once every registered parent has a verified packet
+buffered, because a child blames a packet that leaves out a parent on
+its sender.  ``build_draft`` is the shared tail of every emission: it
+signs a coded vector and builds its test token, for ``process_round``
+and for callers that choose their own coefficients and token entries.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import gf, pipcore, sigcrypto, validity
 from .gf import CodedVector
@@ -367,6 +367,7 @@ class OutgoingDraft:
     test_token: PipTestToken | LogPipTestToken
     epoch_ref: EpochRef
     sender_id: bytes
+    # Always False: no draft leaves out a parent.  Kept while rlnbench reads it.
     degraded: bool = False
 
 
@@ -375,7 +376,6 @@ def build_draft(
     E: CodedVector,
     coded: list[ParentInput],
     claims: list[ParentInput],
-    degraded: bool = False,
 ) -> OutgoingDraft:
     """Sign one round's coded vector and build its test token.
 
@@ -409,7 +409,6 @@ def build_draft(
         test_token=token,
         epoch_ref=EpochRef(k=params.k, master_sig=params.master_sig),
         sender_id=state.node_id,
-        degraded=degraded,
     )
 
 
@@ -419,11 +418,11 @@ def process_round(
     """Ingest one round of parent packets and prepare the outgoing packet.
 
     Every incoming packet gets a verdict; verified packets are buffered
-    (latest per parent).  The node codes over every registered parent
-    that has a verified packet buffered, with its prescribed
-    coefficients, and builds the protocol's test token.  If a parent has
-    none yet, or its packet failed checks this round, the draft is built
-    over the verified parents only and marked degraded.
+    (latest per parent).  Once every registered parent has a verified
+    packet buffered, the node codes over all of them with their
+    prescribed coefficients and builds the protocol's test token.  Until
+    then it returns no draft: a draft over fewer parents would break
+    the coding rule, and its children would find its sender guilty.
     """
     params = state.params
     if params is None:
@@ -436,8 +435,8 @@ def process_round(
         if v is None:
             state.buffers[pkt.sender_id] = pkt
 
-    available = [rp for rp in sorted(state.parents) if rp in state.buffers]
-    if not available:
+    parents = sorted(state.parents)
+    if not parents or any(rp not in state.buffers for rp in parents):
         return None, verdicts
 
     inputs = [
@@ -446,13 +445,12 @@ def process_round(
             derive_coefficient(state.seed, rp, state.node_id,
                                params.epoch_pk_bytes(), params.q),
         )
-        for rp in available
+        for rp in parents
     ]
     E = gf.linear_combine(
-        [state.buffers[rp].E for rp in available], [i.coeff for i in inputs], params.q
+        [state.buffers[rp].E for rp in parents], [i.coeff for i in inputs], params.q
     )
-    draft = build_draft(state, E, inputs, inputs, degraded=len(available) < len(state.parents))
-    return draft, verdicts
+    return build_draft(state, E, inputs, inputs), verdicts
 
 
 def finalize_packet(state: NodeState, draft: OutgoingDraft, child_id: bytes) -> Packet:
@@ -471,11 +469,7 @@ def finalize_packet(state: NodeState, draft: OutgoingDraft, child_id: bytes) -> 
         attest=b"",
     )
     signed = packet_signed_bytes(pkt, state.params, state.profile.h_bytes)
-    return Packet(
-        E=pkt.E, sigma=pkt.sigma, test_token=pkt.test_token, helper=pkt.helper,
-        epoch_ref=pkt.epoch_ref, sender_id=pkt.sender_id,
-        attest=attest_packet(state.identity.sk, signed),
-    )
+    return replace(pkt, attest=attest_packet(state.identity.sk, signed))
 
 
 # ---------------------------------------------------------------------------

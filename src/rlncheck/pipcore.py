@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import sigcrypto
@@ -59,7 +59,6 @@ class Violation:
     kind: ViolationKind
     culprit: bytes
     detail: str = ""
-    evidence: bytes = b""
 
     def __str__(self) -> str:
         who = self.culprit.decode("utf-8", "replace")
@@ -127,6 +126,30 @@ def check_helper(
     return None
 
 
+def _check_entry(
+    entry: ParentInput,
+    parent_id: bytes,
+    parent_pk: bytes,
+    sender_id: bytes,
+    expected_coeff: int,
+    params: SourceEpochParams,
+) -> Violation | None:
+    """The rule for one parent's entry, in a PIP token or an opened
+    Log-PIP leaf: the entry is ``parent_id``'s, its helper verifies under
+    that parent's key for this sender, and its coefficient is the
+    nonzero prescribed one."""
+    who = parent_id.decode("utf-8", "replace")
+    if entry.parent_id != parent_id or not verify_helper(
+        parent_pk, entry.sigma, parent_id, sender_id, entry.helper_sig, params
+    ):
+        return Violation(ViolationKind.BAD_HELPER_SIG, sender_id, who)
+    if entry.coeff % params.q == 0:
+        return Violation(ViolationKind.ZERO_COEFFICIENT, sender_id, who)
+    if entry.coeff % params.q != expected_coeff % params.q:
+        return Violation(ViolationKind.WRONG_COEFFICIENT, sender_id, who)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # PIP: full test token
 
@@ -173,13 +196,9 @@ def pip_verif_test(
     if len(token.entries) != len(required_set):
         return Violation(ViolationKind.POLICY_VIOLATION, sender_id, "entry outside required set")
     for rp in sorted(required_set):
-        e = entries[rp]
-        if not verify_helper(parent_pks[rp], e.sigma, rp, sender_id, e.helper_sig, params):
-            return Violation(ViolationKind.BAD_HELPER_SIG, sender_id, rp.decode("utf-8", "replace"))
-        if e.coeff % params.q == 0:
-            return Violation(ViolationKind.ZERO_COEFFICIENT, sender_id, rp.decode("utf-8", "replace"))
-        if e.coeff % params.q != expected_coeffs[rp] % params.q:
-            return Violation(ViolationKind.WRONG_COEFFICIENT, sender_id, rp.decode("utf-8", "replace"))
+        v = _check_entry(entries[rp], rp, parent_pks[rp], sender_id, expected_coeffs[rp], params)
+        if v is not None:
+            return v
     combined = combine_validity(
         [e.sigma for e in token.entries], [e.coeff for e in token.entries], params
     )
@@ -220,7 +239,6 @@ class MerkleTreeState:
     levels: tuple[tuple[TreeNode, ...], ...]
     p_bytes: int
     q_bytes: int
-    h_bytes: int
 
     @property
     def root(self) -> TreeNode:
@@ -239,9 +257,24 @@ def _node_bytes(node: TreeNode, p_bytes: int) -> bytes:
     return node.digest + node.sigma.to_bytes(p_bytes, "big")
 
 
-def _hash_pair(left: TreeNode, right: TreeNode, p_bytes: int, h_bytes: int) -> bytes:
-    return sigcrypto.hash_bytes(
-        _TREE_INTERIOR + _node_bytes(left, p_bytes) + _node_bytes(right, p_bytes), h_bytes
+def _leaf_node(inp: ParentInput, params: SourceEpochParams, h_bytes: int) -> TreeNode:
+    """A first-level node: the leaf hash paired with sigma^coeff."""
+    return TreeNode(
+        digest=sigcrypto.hash_bytes(
+            _TREE_LEAF + _leaf_bytes(inp, params.p_bytes, params.q_bytes), h_bytes
+        ),
+        sigma=pow(inp.sigma, inp.coeff % params.q, params.p),
+    )
+
+
+def _join(left: TreeNode, right: TreeNode, params: SourceEpochParams, h_bytes: int) -> TreeNode:
+    """An interior node: the hash of both children and the product of their sigmas."""
+    return TreeNode(
+        digest=sigcrypto.hash_bytes(
+            _TREE_INTERIOR + _node_bytes(left, params.p_bytes) + _node_bytes(right, params.p_bytes),
+            h_bytes,
+        ),
+        sigma=(left.sigma * right.sigma) % params.p,
     )
 
 
@@ -264,33 +297,17 @@ def logpip_build(
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate parent_id in tree inputs")
     inputs = tuple(sorted(parent_inputs, key=lambda e: e.parent_id))
-    pw, qw = params.p_bytes, params.q_bytes
-
-    level = [
-        TreeNode(
-            digest=sigcrypto.hash_bytes(_TREE_LEAF + _leaf_bytes(inp, pw, qw), h_bytes),
-            sigma=pow(inp.sigma, inp.coeff % params.q, params.p),
-        )
-        for inp in inputs
-    ]
+    level = [_leaf_node(inp, params, h_bytes) for inp in inputs]
     levels = [tuple(level)]
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            left, right = level[i], level[i + 1]
-            nxt.append(
-                TreeNode(
-                    digest=_hash_pair(left, right, pw, h_bytes),
-                    sigma=(left.sigma * right.sigma) % params.p,
-                )
-            )
+        nxt = [_join(level[i], level[i + 1], params, h_bytes) for i in range(0, len(level) - 1, 2)]
         if len(level) % 2 == 1:
             nxt.append(level[-1])
         level = nxt
         levels.append(tuple(level))
 
     state = MerkleTreeState(
-        inputs=inputs, levels=tuple(levels), p_bytes=pw, q_bytes=qw, h_bytes=h_bytes
+        inputs=inputs, levels=tuple(levels), p_bytes=params.p_bytes, q_bytes=params.q_bytes
     )
     return LogPipTestToken(root=state.root.digest), state
 
@@ -345,20 +362,12 @@ def logpip_respond(
     )
     if responder_sk is not None:
         body = response_signed_bytes(proof, state.root.digest, state.p_bytes, state.q_bytes)
-        proof = ChallengeProof(
-            parent_index=proof.parent_index,
-            parent_id=proof.parent_id,
-            leaf=proof.leaf,
-            path=proof.path,
-            response_sig=sigcrypto.sign(responder_sk, body),
-        )
+        proof = replace(proof, response_sig=sigcrypto.sign(responder_sk, body))
     return proof
 
 
-def response_signed_bytes(proof: ChallengeProof, root: bytes, p_bytes: int, q_bytes: int) -> bytes:
-    """Bytes covered by the responder's signature: root plus opened data."""
-    w = Writer()
-    w.raw(_RESPONSE_CONTEXT).raw(root)
+def _write_proof_body(w: Writer, proof: ChallengeProof, p_bytes: int, q_bytes: int) -> Writer:
+    """The opened data of a response: index, parent id, leaf and path."""
     w.u16(proof.parent_index).var_bytes(proof.parent_id)
     w.uint(proof.leaf.sigma, p_bytes).raw(proof.leaf.helper_sig)
     w.uint(proof.leaf.coeff, q_bytes)
@@ -367,7 +376,14 @@ def response_signed_bytes(proof: ChallengeProof, root: bytes, p_bytes: int, q_by
         w.u8(lvl.side)
         if lvl.side != 2:
             w.raw(lvl.digest).uint(lvl.sigma, p_bytes)
-    return w.getvalue()
+    return w
+
+
+def response_signed_bytes(proof: ChallengeProof, root: bytes, p_bytes: int, q_bytes: int) -> bytes:
+    """Bytes covered by the responder's signature: a context string, the
+    root, then the opened data as ``serialize_proof`` writes it."""
+    w = Writer().raw(_RESPONSE_CONTEXT).raw(root)
+    return _write_proof_body(w, proof, p_bytes, q_bytes).getvalue()
 
 
 @dataclass(frozen=True)
@@ -402,21 +418,14 @@ def logpip_verify(
     is not checked again here.
     """
     params = ctx.params
-    pw, qw = params.p_bytes, params.q_bytes
-    leaf = proof.leaf
-    if proof.parent_id != parent_id or not verify_helper(
-        parent_pk, leaf.sigma, parent_id, ctx.sender_id, leaf.helper_sig, params
-    ):
-        return Violation(ViolationKind.BAD_HELPER_SIG, ctx.sender_id, parent_id.decode("utf-8", "replace"))
-    if leaf.coeff % params.q == 0:
-        return Violation(ViolationKind.ZERO_COEFFICIENT, ctx.sender_id, parent_id.decode("utf-8", "replace"))
-    if leaf.coeff % params.q != expected_coeff % params.q:
-        return Violation(ViolationKind.WRONG_COEFFICIENT, ctx.sender_id, parent_id.decode("utf-8", "replace"))
+    # The response names its parent in ``proof.parent_id``, which its
+    # signature covers; the leaf's copy of the id is not serialized.
+    leaf = proof.leaf._replace(parent_id=proof.parent_id)
+    v = _check_entry(leaf, parent_id, parent_pk, ctx.sender_id, expected_coeff, params)
+    if v is not None:
+        return v
 
-    node = TreeNode(
-        digest=sigcrypto.hash_bytes(_TREE_LEAF + _leaf_bytes(leaf, pw, qw), ctx.h_bytes),
-        sigma=pow(leaf.sigma, leaf.coeff % params.q, params.p),
-    )
+    node = _leaf_node(leaf, params, ctx.h_bytes)
     for lvl in proof.path:
         if lvl.side == 2:
             continue
@@ -424,10 +433,7 @@ def logpip_verify(
             return Violation(ViolationKind.BAD_MERKLE_PATH, ctx.sender_id, "malformed level")
         sib = TreeNode(digest=lvl.digest, sigma=lvl.sigma)
         left, right = (sib, node) if lvl.side == 0 else (node, sib)
-        node = TreeNode(
-            digest=_hash_pair(left, right, pw, ctx.h_bytes),
-            sigma=(left.sigma * right.sigma) % params.p,
-        )
+        node = _join(left, right, params, ctx.h_bytes)
     if node.digest != token.root:
         return Violation(ViolationKind.BAD_MERKLE_PATH, ctx.sender_id)
     if node.sigma != ctx.packet_sigma:
@@ -474,15 +480,7 @@ def parse_token(r: Reader, params: SourceEpochParams, h_bytes: int = 20) -> PipT
 
 
 def serialize_proof(proof: ChallengeProof, params: SourceEpochParams, h_bytes: int = 20) -> bytes:
-    w = Writer()
-    w.u16(proof.parent_index).var_bytes(proof.parent_id)
-    w.uint(proof.leaf.sigma, params.p_bytes).raw(proof.leaf.helper_sig)
-    w.uint(proof.leaf.coeff, params.q_bytes)
-    w.u8(len(proof.path))
-    for lvl in proof.path:
-        w.u8(lvl.side)
-        if lvl.side != 2:
-            w.raw(lvl.digest).uint(lvl.sigma, params.p_bytes)
+    w = _write_proof_body(Writer(), proof, params.p_bytes, params.q_bytes)
     w.raw(proof.response_sig if proof.response_sig else bytes(sigcrypto.SIG_BYTES))
     return w.getvalue()
 

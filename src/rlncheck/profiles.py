@@ -53,7 +53,6 @@ class Profile:
     q: int  # prime subgroup order == coefficient field modulus
     g: int  # generator of the order-q subgroup of Z_p^*
     h_bytes: int = 20  # hash output width |h| (160 bits by default)
-    sig_bytes: int = 64  # Ed25519 signature width |sig|
 
     @property
     def p_bytes(self) -> int:

@@ -89,7 +89,6 @@ class BehaviorKind(enum.Enum):
 @dataclass(frozen=True)
 class Behavior:
     kind: BehaviorKind
-    target: int = 0  # index into the node's sorted required set, where applicable
 
     @staticmethod
     def honest() -> "Behavior":
@@ -221,8 +220,12 @@ def _split_graph(topo: Topology, src: str, dst: str):
     return cap
 
 
-def _max_flow(cap: dict[tuple[str, str], int], src: str, dst: str) -> tuple[int, dict]:
-    """Edmonds-Karp on an arc-capacity dict; returns (value, residual)."""
+def _max_flow(cap: dict[tuple[str, str], int], src: str, dst: str) -> tuple[int, set[str]]:
+    """Edmonds-Karp on an arc-capacity dict; returns (value, reach).
+
+    ``reach`` is the set of nodes the last search reached in the residual
+    graph, the source side of a minimum cut.
+    """
     residual = dict(cap)
     adj: dict[str, set[str]] = {}
     for (u, v) in cap:
@@ -239,7 +242,7 @@ def _max_flow(cap: dict[tuple[str, str], int], src: str, dst: str) -> tuple[int,
                     parent[v] = u
                     queue.append(v)
         if dst not in parent:
-            return flow, residual
+            return flow, set(parent)
         v = dst
         while parent[v] is not None:
             u = parent[v]
@@ -260,22 +263,11 @@ def min_cut(topo: Topology, src: str, dst: str) -> int:
     return value
 
 
-def _cut_nodes(topo: Topology, src: str, dst: str) -> list[str]:
-    """Interior nodes incident to the minimum cut, nearest first."""
+def _cut_nodes(topo: Topology, src: str, dst: str) -> tuple[int, list[str]]:
+    """The max-flow value, and the interior nodes incident to the minimum
+    cut, nearest first."""
     cap = _split_graph(topo, src, dst)
-    _, residual = _max_flow(cap, src, dst)
-    reach = {src}
-    stack = [src]
-    adj: dict[str, set[str]] = {}
-    for (u, v) in cap:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in reach and residual.get((u, v), 0) > 0:
-                reach.add(v)
-                stack.append(v)
+    value, reach = _max_flow(cap, src, dst)
     candidates: list[str] = []
     for (u, v), c in cap.items():
         if c > 0 and u in reach and v not in reach:
@@ -283,7 +275,7 @@ def _cut_nodes(topo: Topology, src: str, dst: str) -> list[str]:
                 name = endpoint.split("#")[0]
                 if name not in (src, dst) and name not in candidates:
                     candidates.append(name)
-    return candidates
+    return value, candidates
 
 
 def butterfly_topology() -> Topology:
@@ -309,25 +301,27 @@ def butterfly_topology() -> Topology:
     return topo
 
 
+_TOPOLOGY_ATTEMPTS = 40
+
+
 def random_topology(
     node_count: int,
     edge_count: int,
     target_min_cut: int,
     byzantine_count: int,
     rng_seed: int,
-    max_retries: int = 40,
 ) -> Topology:
     """Layered random DAG adjusted until max-flow(source, sink) hits target.
 
     Byzantine nodes are chosen on a minimum cut (removal of the first
     one provably drops the max-flow).  Deterministic per seed; raises
     InfeasibleTopologyError when the parameters cannot be met within
-    the retry budget.
+    _TOPOLOGY_ATTEMPTS attempts.
     """
     if node_count < 4 or target_min_cut < 1:
         raise InfeasibleTopologyError("need at least 4 nodes and min-cut >= 1")
     rng = random.Random(rng_seed)
-    for attempt in range(max_retries):
+    for _ in range(_TOPOLOGY_ATTEMPTS):
         topo = _random_topology_attempt(node_count, edge_count, target_min_cut, rng)
         if topo is None:
             continue
@@ -375,16 +369,10 @@ def _random_topology_attempt(
 
     # Repair: every interior node reachable from the source (dead-end
     # interiors are fine; only the sink must be fed at full capacity).
-    children_map: dict[str, list[str]] = {}
+    children_map: dict[str, list[str]] = {n: [] for n in layer}
     for u, v in edges:
-        children_map.setdefault(u, []).append(v)
-    seen, stack = {src}, [src]
-    while stack:
-        u = stack.pop()
-        for v in children_map.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
+        children_map[u].append(v)
+    seen = _reachable(children_map, src)
     for name in interior:
         if name not in seen:
             feeders = [u for u in [src] + interior if layer[u] < layer[name] and u in seen]
@@ -421,8 +409,7 @@ def _place_byzantine(topo: Topology, count: int) -> list[str] | None:
     if count == 0:
         return []
     dst = topo.sinks[0]
-    base = min_cut(topo, topo.source, dst)
-    candidates = _cut_nodes(topo, topo.source, dst)
+    base, candidates = _cut_nodes(topo, topo.source, dst)
     chosen: list[str] = []
     for name in candidates:
         if len(chosen) == count:
@@ -479,6 +466,9 @@ class TransmissionReport:
 _UNPROVABLE = frozenset({ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH})
 
 _UNCHECKED = object()
+
+# Chunks in each original payload, in every simulation.
+PAYLOAD_CHUNKS = 2
 
 
 def _memo(checked: dict, key, compute, *args):
@@ -562,6 +552,9 @@ class _SimNode:
 class Simulation:
     """One transmission over a topology, under any protocol; deterministic per seed.
 
+    Each epoch sends m originals of PAYLOAD_CHUNKS chunks each and lasts
+    as many rounds as the longest path from the source, plus m.
+
     Under Protocol.NONE a packet is just its CodedVector and nothing is
     verified.  Under PIP and Log-PIP every node holds a ``NodeState``,
     packets are built by ``node.build_draft`` and ``node.finalize_packet``,
@@ -579,10 +572,8 @@ class Simulation:
         topo: Topology,
         protocol: Protocol,
         m: int,
-        rounds: int | None = None,
         rng_seed: int = 0,
         profile: Profile = SIM,
-        payload_chunks: int = 2,
         epochs: int = 1,
         challenges: int = 1,
         collect_proofs: bool = False,
@@ -593,10 +584,9 @@ class Simulation:
         self.protocol = protocol
         self.verified = protocol is not Protocol.NONE
         self.m = m
-        self.rounds = rounds if rounds is not None else _longest_path(children, order) + m
+        self.rounds = _longest_path(children, order) + m
         self.profile = profile
         self.q = profile.q
-        self.payload_chunks = payload_chunks
         self.epochs = epochs
         self.challenges = challenges
         self.collect_proofs = collect_proofs
@@ -654,7 +644,7 @@ class Simulation:
 
     def _draw_originals(self) -> list[CodedVector]:
         return gf.standard_basis_originals(
-            [[self.rng.randrange(self.q) for _ in range(self.payload_chunks)]
+            [[self.rng.randrange(self.q) for _ in range(PAYLOAD_CHUNKS)]
              for _ in range(self.m)],
             self.q,
         )
@@ -883,19 +873,18 @@ class Simulation:
         - FORWARD_ONLY (Mode 2): coefficient 1 on the first required
           parent alone, while the token claims honest coding.
         - SKIP_PARENT, ZERO_COEFFICIENT, WRONG_COEFFICIENT: honest coding
-          with the target parent dropped, zeroed or off by one, claimed
-          as coded.
+          with the first required parent (the target) dropped, zeroed or
+          off by one, claimed as coded.
         - FORGE_TOKEN: honest coding; the target's token entry carries a
           helper signature of the node's own making.
 
         REPLAY_OLD's later epochs resend stored packets (``_emit_round``).
         """
         st = self.nodes[name].state
-        behavior = self.nodes[name].spec.behavior
-        kind = behavior.kind
+        kind = self.nodes[name].spec.behavior.kind
         required = self.parents[name]
         honest = self._honest[name]
-        target = required[behavior.target % len(required)]
+        target = required[0]
         coding = honest
         if kind is BehaviorKind.SKIP_PARENT:
             coding = [(p, a) for p, a in honest if p != target]
@@ -955,10 +944,8 @@ def run_simulation(
     topo: Topology,
     protocol: Protocol,
     m: int,
-    rounds: int | None = None,
     rng_seed: int = 0,
     profile: Profile = SIM,
-    payload_chunks: int = 2,
     epochs: int = 1,
     challenges: int = 1,
 ) -> TransmissionReport:
@@ -982,8 +969,8 @@ def run_simulation(
     if m < 1:
         raise ValueError("m must be >= 1")
     return Simulation(
-        topo, protocol, m, rounds=rounds, rng_seed=rng_seed, profile=profile,
-        payload_chunks=payload_chunks, epochs=epochs, challenges=challenges,
+        topo, protocol, m, rng_seed=rng_seed, profile=profile, epochs=epochs,
+        challenges=challenges,
     ).run()
 
 
@@ -1006,7 +993,6 @@ class SweepConfig:
     min_cuts: tuple = tuple(range(1, 11))
     byzantine_count: int = 1
     seeds: tuple = tuple(range(20))
-    payload_chunks: int = 2
     profile: Profile = SIM
 
 
@@ -1022,7 +1008,7 @@ class SweepRow:
 
 
 def mode_rows(
-    topo: Topology, cut: int, seed: int, m: int, profile: Profile = SIM, payload_chunks: int = 2
+    topo: Topology, cut: int, seed: int, m: int, profile: Profile = SIM
 ) -> list[SweepRow]:
     """Run ``topo`` once per mode in MODES, every Byzantine node set to
     that mode, under Protocol.NONE with ``rng_seed=seed``.  One row per
@@ -1032,9 +1018,7 @@ def mode_rows(
         t = topo
         for byz in topo.byzantine:
             t = t.with_behavior(byz, Behavior(kind))
-        report = run_simulation(
-            t, Protocol.NONE, m, rng_seed=seed, payload_chunks=payload_chunks, profile=profile
-        )
+        report = run_simulation(t, Protocol.NONE, m, rng_seed=seed, profile=profile)
         rows += [
             SweepRow(seed=seed, min_cut=cut, mode=mode, sink_id=sink, rank=rank,
                      detections=len(report.detections), fallbacks=sum(report.fallbacks.values()))
@@ -1064,7 +1048,7 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
                 logger.info("mode_sweep: skipping cut %d, seed %d: %s", cut, seed, e)
                 continue
             # A random topology has one sink, so this is one row per mode.
-            for row in mode_rows(topo, cut, seed, config.m, config.profile, config.payload_chunks):
+            for row in mode_rows(topo, cut, seed, config.m, config.profile):
                 per_mode[row.mode].append(row.rank)
                 rows.append(row)
         for mode, ranks in per_mode.items():

@@ -205,15 +205,35 @@ class TestProcessRound:
         v = verify_incoming(net.c_state, pkt)
         assert v is not None and v.kind is ViolationKind.BAD_EPOCH
 
-    def test_degraded_round_marked(self):
-        net = Net()
+    @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
+    def test_no_draft_until_every_parent_verified(self, protocol):
+        """A node that codes over fewer than all its parents would be found
+        guilty by its child, so it builds no draft until each has a
+        verified packet; then its draft covers both and the child accepts it."""
+        net = Net(protocol=protocol)
         p1_pkt, p2_pkt = net.relay_packets()
         bad = replace(p1_pkt, attest=b"\x00" * 64)
         draft, verdicts = process_round(net.n_state, [bad, p2_pkt])
         assert {s: v.kind for s, v in verdicts if v is not None} == {
             b"p1": ViolationKind.BAD_ATTEST
         }
-        assert draft is not None and draft.degraded
+        assert draft is None
+
+        pkt, verdicts = net.n_packet([p1_pkt])
+        assert verdicts == [(b"p1", None)]
+        assert sorted(net.n_state.buffers) == [b"p1", b"p2"]
+        assert verify_incoming(net.c_state, pkt) is None
+        transcript = []
+        for target in node_mod.challenge_targets(net.c_state, pkt, 2, random.Random(1)):
+            proof, v = node_mod.check_challenge(
+                net.c_state, pkt, target, net.n_state.current_tree, net.idents[b"n"].sk
+            )
+            assert v is None
+            transcript.append((target, proof))
+        assert len(transcript) == (2 if protocol is Protocol.LOGPIP else 0)
+        evidence = build_misbehavior_proof(net.c_state, pkt, transcript)
+        out = adjudicate(evidence, net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.INNOCENT
 
     def test_unsigned_epoch_rejected(self):
         net = Net()

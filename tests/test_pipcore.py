@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -314,10 +315,8 @@ class TestLogPipTree:
                     ):
                         levels = [list(lv) for lv in tree.levels]
                         levels[lvl_i][node_i] = mutate(node)
-                        yield field_name, lvl_i, node_i, pipcore.MerkleTreeState(
-                            inputs=tree.inputs,
-                            levels=tuple(tuple(lv) for lv in levels),
-                            p_bytes=tree.p_bytes, q_bytes=tree.q_bytes, h_bytes=tree.h_bytes,
+                        yield field_name, lvl_i, node_i, replace(
+                            tree, levels=tuple(tuple(lv) for lv in levels)
                         )
 
         tampered_any = 0

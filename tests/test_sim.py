@@ -1,6 +1,7 @@
 """Topology generation, min-cut, behaviors, and network-wide detection."""
 
 import contextlib
+import hashlib
 import itertools
 import json
 import logging
@@ -158,6 +159,26 @@ class TestRandomTopology:
             )
             assert min_cut(pruned, "s", "t") == 3
 
+    # (node_count, edge_count, target_min_cut, byzantine_count, rng_seed) -> SHA-256
+    # prefix of json [edges, byzantine], as generated at e988a03
+    PINNED = {
+        (50, 1000, 1, 1, 1001): "335b6972443c6a6f",
+        (50, 1000, 3, 1, 3): "998f5350190844eb",
+        (50, 1000, 5, 1, 7005): "4e4019ce290db22d",
+        (30, 200, 3, 2, 9): "0596c71e3dd714b0",
+        (30, 200, 4, 2, 2): "a7e81880e1660910",
+        (20, 100, 1, 1, 3): "e8eaff8a9f55f02c",
+        (24, 150, 2, 0, 5): "949b83ce647df318",
+        (40, 500, 4, 3, 4): "c1070241902148e5",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_edges_and_byzantine(self, case):
+        """Generation and Byzantine placement stay what they were."""
+        topo = random_topology(*case[:4], rng_seed=case[4])
+        digest = hashlib.sha256(json.dumps([topo.edges, topo.byzantine]).encode())
+        assert digest.hexdigest()[:16] == self.PINNED[case]
+
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleTopologyError):
             random_topology(5, 4, 4, 0, rng_seed=1)
@@ -210,7 +231,7 @@ class TestLiteSimulation:
     def test_unverified_deviations_act(self, kind):
         """Without verification nothing stops a node from dropping a parent:
         n1 codes over r2 alone, so n1c relays nothing new to n3."""
-        topo = butterfly_topology().with_behavior("n1", Behavior(kind, target=0))
+        topo = butterfly_topology().with_behavior("n1", Behavior(kind))
         report = run_simulation(topo, Protocol.NONE, m=2, rng_seed=7)
         assert report.sink_ranks == {"n2": 2, "n3": 1}
 
@@ -657,7 +678,7 @@ class TestVerifiedSpan:
         st = s.nodes["c"].state
         assert st.verified.dim == 1  # the one packet byz sent
         st.enter_epoch(s.params)
-        assert st.verified.dim == 0 and st.verified.width == s.m + s.payload_chunks
+        assert st.verified.dim == 0 and st.verified.width == s.m + sim.PAYLOAD_CHUNKS
 
 
 class TestDraftSignatures:
@@ -670,8 +691,8 @@ class TestDraftSignatures:
         drafts = []
         build = node_mod.build_draft
 
-        def recorded(state, E, coded, claims, degraded=False):
-            draft = build(state, E, coded, claims, degraded)
+        def recorded(state, E, coded, claims):
+            draft = build(state, E, coded, claims)
             drafts.append((state.params, coded, draft.sigma))
             return draft
 
