@@ -99,7 +99,7 @@ def measure_token_sizes(d: int, profile: Profile) -> dict:
     promoted = sum(1 for lvl in proof.path if lvl.side == 2)
     log_framing_bits = 8 * (
         1  # token tag
-        + 2 + 1 + len(proof.parent_id)  # challenge index + id
+        + 2 + 1 + len(proof.leaf.parent_id)  # challenge index + id
         + params.q_bytes  # opened coefficient
         + 1 + len(proof.path)  # level count + side bytes
         + sigcrypto.SIG_BYTES  # signed response (non-repudiation)

@@ -25,6 +25,15 @@ times per epoch when its packets pass; ``adjudicate`` keeps no span
 and checks every packet in full.  The verdicts are the same (see
 ``validity``).
 
+Of the pipeline, the attest and helper signatures belong to one edge;
+the rest, the packet's content, is the same for every child of a
+sender.  Inside a ``shared_content_checks()`` scope, which
+``sim.Simulation.run`` enters for a whole run, the content verdict is
+computed once for every receiver with the same view of the sender and
+reused by the others (``_check_packet``).  Outside a scope, as in
+``adjudicate`` and in a caller that drives nodes itself, every check
+does the full work.
+
 Failures never abort a round; each parent gets a verdict.  A node
 codes only once every registered parent has a verified packet
 buffered, because a child blames a packet that leaves out a parent on
@@ -37,6 +46,8 @@ from __future__ import annotations
 
 import enum
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 from . import gf, pipcore, sigcrypto, validity
@@ -191,8 +202,9 @@ class NodeState:
     current_tree: pipcore.MerkleTreeState | None = None
     # Rows coding_vector + payload of the packets whose validity signature
     # passed the full check in this epoch, whatever the rest of the pipeline
-    # made of them; only validity.verify_validity adds to it, and
-    # enter_epoch starts an empty one.  None before the first epoch.
+    # made of them; only validity.verify_validity adds to it (or
+    # validity.record_verified, for a check shared with another receiver),
+    # and enter_epoch starts an empty one.  None before the first epoch.
     verified: gf.Span | None = None
 
     @property
@@ -213,25 +225,50 @@ class NodeState:
         self.verified = gf.Span(params.q, params.m + params.n)
 
 
-def _check_packet(
-    pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
-    params: SourceEpochParams, protocol: Protocol, h_bytes: int,
-    verified: gf.Span | None = None,
-) -> Violation | None:
-    """Check one packet against the verifier's view of its sender.
+# Content verdicts of the innermost active shared_content_checks() scope,
+# keyed by everything _check_content reads; None outside any scope.
+_shared_content: ContextVar[dict | None] = ContextVar("rlncheck_shared_content", default=None)
 
-    Order: attest signature, epoch binding, validity signature, token
-    type and full PIP token (senders with a required set only), helper
-    token.  Returns the first Violation, or None when the packet is good.
-    ``verified`` is the receiver's span for ``validity.verify_validity``.
+
+@contextmanager
+def shared_content_checks():
+    """Scope in which ``_check_packet`` checks each packet content once.
+
+    The content of a packet (``_check_content``: epoch binding, validity
+    signature, token type and full PIP token) is the part of the check
+    that does not depend on who receives it: a sender sends every child
+    the same E, sigma and token, and only the helper token and the
+    attest signature differ per edge.  Inside a scope the first receiver
+    to reach that stage runs it, and every later receiver of the same
+    content, under the same view of its sender, takes the stored
+    verdict.  Each scope starts empty and the enclosing one (or none) is
+    restored on exit, also after an exception; it yields its dict of
+    verdicts.  The dict lives in a ``ContextVar``, so a scope covers
+    only the thread or task that entered it.  ``sim.Simulation.run``
+    enters one per run; outside any scope every check does the full
+    work.
     """
+    verdicts: dict = {}
+    token = _shared_content.set(verdicts)
+    try:
+        yield verdicts
+    finally:
+        _shared_content.reset(token)
+
+
+def _check_content(
+    pkt: Packet, sender: ParentInfo, seed: bytes, params: SourceEpochParams,
+    protocol: Protocol, verified: gf.Span | None,
+) -> tuple[Violation | None, bool]:
+    """The receiver-independent stage of ``_check_packet``: epoch binding,
+    validity signature, then token type and full PIP token (senders with
+    a required set only).  Returns the first Violation or None, and
+    whether the validity signature passed."""
     sender_id = pkt.sender_id
-    if not verify_attest(sender.pk, packet_signed_bytes(pkt, params, h_bytes), pkt.attest):
-        return Violation(ViolationKind.BAD_ATTEST, sender_id)
     if pkt.epoch_ref != EpochRef(k=params.k, master_sig=params.master_sig):
-        return Violation(ViolationKind.BAD_EPOCH, sender_id, f"epoch {pkt.epoch_ref.k}")
+        return Violation(ViolationKind.BAD_EPOCH, sender_id, f"epoch {pkt.epoch_ref.k}"), False
     if not validity.verify_validity(params, pkt.E, pkt.sigma, verified):
-        return Violation(ViolationKind.POLLUTED_PACKET, sender_id)
+        return Violation(ViolationKind.POLLUTED_PACKET, sender_id), False
 
     if sender.required_set:
         if isinstance(pkt.test_token, PipTestToken):
@@ -244,9 +281,55 @@ def _check_packet(
                 set(sender.required_set), sender.grandparent_pks, expected, params,
             )
             if v is not None:
-                return v
+                return v, True
         elif protocol is not Protocol.LOGPIP:
-            return Violation(ViolationKind.MISSING_ENTRY, sender_id, "wrong token type")
+            return Violation(ViolationKind.MISSING_ENTRY, sender_id, "wrong token type"), True
+    return None, True
+
+
+def _check_packet(
+    pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
+    params: SourceEpochParams, protocol: Protocol, h_bytes: int,
+    verified: gf.Span | None = None,
+) -> Violation | None:
+    """Check one packet against the verifier's view of its sender.
+
+    Order: attest signature, content (``_check_content``: epoch binding,
+    validity signature, token type and full PIP token), helper token.
+    Returns the first Violation, or None when the packet is good.
+    ``verified`` is the receiver's span for ``validity.verify_validity``.
+
+    The attest and helper signatures belong to one edge and are checked
+    for every receiver.  Inside a ``shared_content_checks()`` scope the
+    content verdict is shared: it is stored under every input
+    ``_check_content`` reads but the receiver's span, so a receiver with
+    another view of the sender (its key registry, its required set) gets
+    a verdict of its own.  A receiver that takes a stored verdict grows
+    its span as its own check would have (``validity.record_verified``);
+    the verdict of ``verify_validity`` does not depend on the span, save
+    on a discrete-log collision (see ``validity``).
+    """
+    sender_id = pkt.sender_id
+    if not verify_attest(sender.pk, packet_signed_bytes(pkt, params, h_bytes), pkt.attest):
+        return Violation(ViolationKind.BAD_ATTEST, sender_id)
+    shared = _shared_content.get()
+    if shared is None:
+        v, _ = _check_content(pkt, sender, seed, params, protocol, verified)
+    else:
+        key = (
+            sender_id, pkt.E, pkt.sigma, pkt.test_token, pkt.epoch_ref,
+            frozenset(sender.required_set), frozenset(sender.grandparent_pks.items()),
+            seed, params, protocol,
+        )
+        found = shared.get(key)
+        if found is None:
+            v, _ = shared[key] = _check_content(pkt, sender, seed, params, protocol, verified)
+        else:
+            v, valid = found
+            if valid and verified is not None:
+                validity.record_verified(params, pkt.E, verified)
+    if v is not None:
+        return v
 
     return pipcore.check_helper(
         all(c == 0 for c in pkt.E.coding_vector),

@@ -324,8 +324,10 @@ class ProofLevel:
 
 @dataclass(frozen=True)
 class ChallengeProof:
+    """One opened path: the challenged leaf, which names its parent, and
+    the sibling at each level up to the root."""
+
     parent_index: int
-    parent_id: bytes
     leaf: ParentInput
     path: tuple[ProofLevel, ...]
     response_sig: bytes = b""
@@ -355,10 +357,7 @@ def logpip_respond(
             path.append(ProofLevel(side=2))
         pos //= 2
     proof = ChallengeProof(
-        parent_index=parent_index,
-        parent_id=state.inputs[parent_index].parent_id,
-        leaf=state.inputs[parent_index],
-        path=tuple(path),
+        parent_index=parent_index, leaf=state.inputs[parent_index], path=tuple(path)
     )
     if responder_sk is not None:
         body = response_signed_bytes(proof, state.root.digest, state.p_bytes, state.q_bytes)
@@ -367,8 +366,9 @@ def logpip_respond(
 
 
 def _write_proof_body(w: Writer, proof: ChallengeProof, p_bytes: int, q_bytes: int) -> Writer:
-    """The opened data of a response: index, parent id, leaf and path."""
-    w.u16(proof.parent_index).var_bytes(proof.parent_id)
+    """The opened data of a response: index, the leaf (its parent id
+    first) and the path."""
+    w.u16(proof.parent_index).var_bytes(proof.leaf.parent_id)
     w.uint(proof.leaf.sigma, p_bytes).raw(proof.leaf.helper_sig)
     w.uint(proof.leaf.coeff, q_bytes)
     w.u8(len(proof.path))
@@ -418,14 +418,11 @@ def logpip_verify(
     is not checked again here.
     """
     params = ctx.params
-    # The response names its parent in ``proof.parent_id``, which its
-    # signature covers; the leaf's copy of the id is not serialized.
-    leaf = proof.leaf._replace(parent_id=proof.parent_id)
-    v = _check_entry(leaf, parent_id, parent_pk, ctx.sender_id, expected_coeff, params)
+    v = _check_entry(proof.leaf, parent_id, parent_pk, ctx.sender_id, expected_coeff, params)
     if v is not None:
         return v
 
-    node = _leaf_node(leaf, params, ctx.h_bytes)
+    node = _leaf_node(proof.leaf, params, ctx.h_bytes)
     for lvl in proof.path:
         if lvl.side == 2:
             continue
@@ -506,7 +503,6 @@ def parse_proof(data: bytes, params: SourceEpochParams, h_bytes: int = 20) -> Ch
     r.expect_end()
     return ChallengeProof(
         parent_index=parent_index,
-        parent_id=parent_id,
         leaf=ParentInput(parent_id, sigma, helper, coeff),
         path=tuple(path),
         response_sig=response_sig,

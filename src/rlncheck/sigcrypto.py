@@ -146,13 +146,14 @@ def shared_verifications():
     """Scope in which ``verify`` checks each distinct triple once.
 
     Each scope starts with an empty set and the enclosing one (or none)
-    is restored on exit, also after an exception.  The set lives in a
-    ``ContextVar``, so a scope covers only the thread or task that
-    entered it.
+    is restored on exit, also after an exception; it yields that set.
+    The set lives in a ``ContextVar``, so a scope covers only the thread
+    or task that entered it.
     """
-    token = _verified.set(set())
+    passed: set = set()
+    token = _verified.set(passed)
     try:
-        yield
+        yield passed
     finally:
         _verified.reset(token)
 

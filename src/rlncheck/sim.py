@@ -28,10 +28,13 @@ Mode-1 adversary is the exception: it re-codes every round.  Under
 Protocol.NONE a resent vector is not delivered again, as it adds
 nothing to a child's span or decoding; under PIP and Log-PIP every
 packet is still delivered every round and gets a verdict (and, under
-Log-PIP, fresh challenge picks) each time, but a receiver runs the
-checks on a packet, and each challenge on it, once per epoch and
-reuses the result (``Simulation._accepts``).  The outputs are those of
-re-coding and re-checking everything every round.
+Log-PIP, fresh challenge picks) each time, but a receiver checks a
+packet once per epoch and reuses the verdict (``Simulation._accepts``).
+Work that does not depend on the receiver is shared by all the nodes of
+a run: the content of a packet (epoch binding, validity signature,
+token), each Log-PIP challenge and each passing Ed25519 signature are
+checked once (``Simulation.run``).  The outputs are those of re-coding
+and re-checking everything every round at every receiver.
 
 The adversary model: Byzantine nodes are omniscient (they code after
 the round's honest emissions and see every child's span) and hold
@@ -544,8 +547,7 @@ class _SimNode:
     sent: tuple | None = None
     stale: bool = True  # its inputs changed since it last coded
     stored_old: tuple | None = None  # REPLAY_OLD: (vector, packets per child) of epoch 1
-    # This epoch's check results as a receiver (see Simulation._accepts):
-    # Packet -> verdict, and (Packet, challenged parent) -> (response, violation)
+    # This epoch's verdicts as a receiver, Packet -> verdict (see Simulation._accepts)
     checked: dict = field(default_factory=dict)
 
 
@@ -559,12 +561,13 @@ class Simulation:
     verified.  Under PIP and Log-PIP every node holds a ``NodeState``,
     packets are built by ``node.build_draft`` and ``node.finalize_packet``,
     and each delivery gets a verdict (and, under Log-PIP, challenges)
-    before it is accepted.  A receiver checks each distinct packet, and
-    each challenge on it, once per epoch; a resent packet gets the
-    recorded result (``_accepts``).  Below that per-receiver memo of
-    whole checks, ``run`` shares one ``sigcrypto.shared_verifications()``
-    scope among all the nodes, so each distinct Ed25519 signature that
-    passes is verified once per run, whichever node checks it first.
+    before it is accepted.  A receiver checks each distinct packet once
+    per epoch; a resent packet gets the recorded verdict (``_accepts``).
+    What does not depend on the receiver is shared by all the nodes of a
+    run (``run``): the content of a packet (epoch binding, validity
+    signature, token), each Log-PIP challenge and its response, and each
+    distinct Ed25519 signature that passes.  The attest and helper
+    signatures of each edge are checked by its receiver.
     """
 
     def __init__(
@@ -595,6 +598,9 @@ class Simulation:
             sink_ranks={}, detections=[], verdicts=[], rounds=0
         )
         self.params: validity.SourceEpochParams | None = None
+        # This epoch's Log-PIP challenges, shared by all receivers (see _accepts):
+        # (sender, packet sigma, test token, challenged parent) -> (response, violation)
+        self._challenges: dict = {}
         self._setup()
 
     def _setup(self) -> None:
@@ -654,19 +660,44 @@ class Simulation:
     def run(self) -> TransmissionReport:
         """Run every epoch and return the report.
 
-        The whole run is one ``sigcrypto.shared_verifications()`` scope,
-        shared by all of the run's nodes: an Ed25519 triple that passed at
-        one node is not verified again by another.  Those repeats are a
-        grandparent's helper signature, which a relay checks and each of
-        its children checks again, and the master signature on the epoch
-        parameters, which every node checks.  The scope covers signature
-        verifications only; whole packet checks are memoised per receiver
-        (``_accepts``).
-        """
-        with sigcrypto.shared_verifications():
-            return self._run()
+        The whole run is one ``node.shared_content_checks()`` scope and
+        one ``sigcrypto.shared_verifications()`` scope, shared by all of
+        the run's nodes.  In the first, the content of a packet (epoch
+        binding, validity signature, token type and full PIP token) is
+        checked once, by the first of the sender's children to get it,
+        and the others take that verdict; each child still checks the
+        attest and helper signatures of its own edge.  In the second, an
+        Ed25519 triple that passed at one node is not verified again by
+        another: a grandparent's helper signature, which a relay checks
+        and each of its children checks again, and the master signature
+        on the epoch parameters, which every node checks.  Each Log-PIP
+        challenge is built, signed and checked once per epoch for all of
+        the sender's children (``_accepts``).
 
-    def _run(self) -> TransmissionReport:
+        At the end it logs one DEBUG record on ``rlncheck.sim`` with the
+        work done, read from the memo sizes so the checks pay nothing for
+        it: deliveries given a verdict, per-receiver checks, shared content
+        checks, challenges, and distinct Ed25519 triples that passed.  Its
+        ``args`` is a dict of those counts, under the keys ``deliveries``,
+        ``checks``, ``contents``, ``challenges`` and ``triples``; under
+        Protocol.NONE, which checks nothing, all of them are 0.
+        """
+        with (sigcrypto.shared_verifications() as triples,
+              node_mod.shared_content_checks() as contents):
+            report, checks, challenges = self._run()
+        logger.debug(
+            "run: %(deliveries)d deliveries, %(checks)d per-receiver checks, "
+            "%(contents)d shared content checks, %(challenges)d challenges, "
+            "%(triples)d distinct Ed25519 triples",
+            {"deliveries": len(report.verdicts), "checks": checks,
+             "contents": len(contents or ()), "challenges": challenges,
+             "triples": len(triples or ())},
+        )
+        return report
+
+    def _run(self) -> tuple[TransmissionReport, int, int]:
+        """The report, with the per-receiver checks and the challenges run."""
+        checks = challenges = 0
         for epoch in range(1, self.epochs + 1):
             self.originals = self._first_originals or self._draw_originals()
             self._first_originals = None
@@ -693,11 +724,14 @@ class Simulation:
                 sim_node.sent = None
                 sim_node.stale = True
                 sim_node.checked.clear()
+            self._challenges.clear()
 
             deliveries = self._source_round()
             for r in range(1, self.rounds + 1):
                 self._ingest_round(r, deliveries)
                 deliveries = self._emit_round(epoch)
+            checks += sum(len(sim_node.checked) for sim_node in self.nodes.values())
+            challenges += len(self._challenges)
 
         ranks, decoded = {}, {}
         for s in self.topo.sinks:
@@ -708,7 +742,7 @@ class Simulation:
         self.report.sink_ranks = ranks
         self.report.decoded = decoded
         self.report.rounds = self.rounds * self.epochs
-        return self.report
+        return self.report, checks, challenges
 
     def _source_round(self) -> dict[str, list]:
         """One fresh random combination of the originals per source child."""
@@ -757,28 +791,33 @@ class Simulation:
         Every delivery gets a verdict, its detections and proofs, and,
         under Log-PIP, this round's challenge picks from
         ``challenge_rng``.  The checks themselves run once per epoch for
-        each distinct packet at a receiver, and once for each (packet,
-        challenged parent); the receiver's ``checked`` memo, cleared at
-        each epoch start, holds the results.  That is sound because both
-        are functions of the packet and of receiver state that is fixed
-        within an epoch: ``verify_incoming`` reads the epoch parameters,
-        the registered parents, the seed and the protocol, never the
-        buffers.  It also reads and grows the receiver's verified span
-        (``NodeState.verified``), which changes what a check costs but not
-        its verdict (``validity.verify_validity``); a second check of a
-        packet would not grow the span again.  A response opens the
-        sender's tree, which the packet's root commits to (while a sender
-        sends a packet it holds the tree it built that packet from), and
-        Ed25519 signing is deterministic, so the same challenge gets the
-        same response.  The memo is per receiver because the checks read
-        the receiver's id and registry.  The signature verifications
-        inside a check are shared more widely: the run's
-        ``sigcrypto.shared_verifications()`` scope answers an Ed25519
-        triple that any node of the run already verified (``run``).
+        each distinct packet at a receiver: the receiver's ``checked``
+        memo, cleared at each epoch start, holds the verdicts.  That is
+        sound because a verdict is a function of the packet and of
+        receiver state that is fixed within an epoch: ``verify_incoming``
+        reads the epoch parameters, the registered parents, the seed and
+        the protocol, never the buffers.  It also reads and grows the
+        receiver's verified span (``NodeState.verified``), which changes
+        what a check costs but not its verdict
+        (``validity.verify_validity``); a second check of a packet would
+        not grow the span again.  This memo is per receiver because each
+        edge has its own attest and helper signatures; the content stage
+        of the check is shared by all receivers (``run``).
+
+        Each challenge is checked once per epoch for all of the sender's
+        children: ``_challenges``, cleared at each epoch start, is keyed
+        on (sender, packet sigma, test token, challenged parent).  That
+        tuple, the run's constants (epoch parameters, seed, profile, and
+        the registries ``_setup`` gave every child of a sender alike) and
+        the sender's retained tree are all ``check_challenge`` reads.  A
+        response opens the sender's tree, which the packet's root commits
+        to (while a sender sends a packet it holds the tree it built that
+        packet from), and Ed25519 signing is deterministic, so the same
+        challenge gets the same response, whichever child asks.
         """
         sim_node = self.nodes[name]
-        st, checked = sim_node.state, sim_node.checked
-        v = _memo(checked, pkt, node_mod.verify_incoming, st, pkt)
+        st = sim_node.state
+        v = _memo(sim_node.checked, pkt, node_mod.verify_incoming, st, pkt)
         self.report.verdicts.append((r, name, sender, v))
         # (violation, challenge transcript); no transcript when the sender did not answer
         failures = [] if v is None else [(v, [])]
@@ -786,7 +825,8 @@ class Simulation:
             sender_state = self.nodes[sender].state
             for target in node_mod.challenge_targets(st, pkt, self.challenges, self.challenge_rng):
                 proof, cv = _memo(
-                    checked, (pkt, target), node_mod.check_challenge,
+                    self._challenges, (sender, pkt.sigma, pkt.test_token, target),
+                    node_mod.check_challenge,
                     st, pkt, target, sender_state.current_tree, sender_state.identity.sk,
                 )
                 if cv is not None:
@@ -957,8 +997,9 @@ def run_simulation(
     sweeps run; PIP and LOGPIP build, verify and (Log-PIP) challenge
     full packets, and report verdicts, detections and proofs: one
     verdict per delivery per round, where a receiver checks each
-    distinct packet once per epoch, and each distinct Ed25519 signature
-    that passes is verified once per run, whichever node checks it (see
+    distinct packet once per epoch, and a packet's content, each
+    challenge and each distinct Ed25519 signature that passes are
+    checked once per run, whichever node checks them first (see
     ``Simulation.run``).  A node codes only once every
     required parent has delivered an accepted packet this epoch, so an
     honest node never emits a degraded packet.

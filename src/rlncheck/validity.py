@@ -279,6 +279,15 @@ def verify_validity(
     return True
 
 
+def record_verified(params: SourceEpochParams, E: CodedVector, verified: Span) -> None:
+    """Grow ``verified`` as a passing ``verify_validity`` of ``E`` would:
+    add its row when its coding vector lies outside the span.  For a
+    packet whose validity signature another receiver already checked."""
+    row = E.coding_vector + E.payload
+    if any(verified.residual(row)[: params.m]):
+        verified.add(row)
+
+
 def claimed_validity(params: SourceEpochParams, coding_vector: tuple[int, ...]) -> int:
     """H(c) = prod h_j^{c_j} mod p: the validity signature that coding
     vector c claims, as a combination of the original packets."""

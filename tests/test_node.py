@@ -318,6 +318,54 @@ class TestVerifiedSpan:
         assert net.n_state.verified.basis == span.basis
 
 
+class TestSharedContentChecks:
+    def test_scope_nests_and_resets_after_an_exception(self):
+        """Each scope starts empty and restores the enclosing one (or none)."""
+        assert node_mod._shared_content.get() is None
+        with node_mod.shared_content_checks() as outer:
+            assert outer == {} and node_mod._shared_content.get() is outer
+            with node_mod.shared_content_checks() as inner:
+                assert inner == {} and inner is not outer
+                assert node_mod._shared_content.get() is inner
+            assert node_mod._shared_content.get() is outer
+        assert node_mod._shared_content.get() is None
+        with pytest.raises(RuntimeError):
+            with node_mod.shared_content_checks():
+                raise RuntimeError
+        assert node_mod._shared_content.get() is None
+
+    def test_second_receiver_takes_the_verdict_and_grows_its_span(self, monkeypatch):
+        """n and its twin m get the same relay drafts, each with its own
+        helper and attest.  In a scope the content of each draft is checked
+        once; m's span grows as its own check would have grown it, and
+        each edge's helper is still checked: a packet addressed to n is
+        rejected at m."""
+        net = Net()
+        m_ident = sigcrypto.keygen(net.rng, b"m")
+        twin = NodeState(identity=m_ident, seed=net.seed, authority_pk=net.master.pk,
+                         master_pk=net.master.pk, profile=TEST, protocol=net.protocol)
+        twin.enter_epoch(net.params)
+        twin.parents = dict(net.n_state.parents)
+        to_n, to_m = [], []
+        for name, combo in zip((b"p1", b"p2"), ((2, 3), (4, 5))):
+            st = net.relays[name]
+            src = source_packet(net.master, net.originals, net.params, name, combo)
+            draft, _ = process_round(st, [src])
+            to_n.append(node_mod.finalize_packet(st, draft, b"n"))
+            to_m.append(node_mod.finalize_packet(st, draft, b"m"))
+        checked = []
+        real = validity.verify_validity
+        monkeypatch.setattr(validity, "verify_validity", lambda *a: checked.append(a) or real(*a))
+        with node_mod.shared_content_checks() as shared:
+            assert all(verify_incoming(net.n_state, pkt) is None for pkt in to_n)
+            assert all(verify_incoming(twin, pkt) is None for pkt in to_m)
+            assert len(shared) == len(checked) == 2
+            assert twin.verified.basis == net.n_state.verified.basis and twin.verified.dim == 2
+            v = verify_incoming(twin, to_n[0])
+            assert v is not None and v.kind is ViolationKind.BAD_HELPER_SIG
+        assert len(checked) == 2
+
+
 class TestBuildDraft:
     @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
     def test_sigma_is_the_combination_of_coded_inputs(self, monkeypatch, protocol):

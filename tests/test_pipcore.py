@@ -1,5 +1,6 @@
 """Test tokens, the challenge tree, and size formulas."""
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -276,6 +277,31 @@ class TestLogPipTree:
                 proof = pipcore.logpip_respond(tree, i, sender.sk)
                 raw = pipcore.serialize_proof(proof, params)
                 assert pipcore.parse_proof(raw, params) == proof
+
+    # SHA-256 prefixes of every response's serialize_proof and
+    # response_signed_bytes at d parents, recorded before ChallengeProof
+    # lost its separate parent_id field.
+    PINNED_PROOF_BYTES = {
+        1: "b65db3d663d03d2a",
+        2: "b22e22c34dccba70",
+        3: "93827a04915abb83",
+        5: "55e4eaa53492af69",
+        10: "aa743a5610631b32",
+    }
+
+    @pytest.mark.parametrize("d", sorted(PINNED_PROOF_BYTES))
+    def test_proof_bytes_pinned(self, tiny_epoch, d):
+        _, _, params = tiny_epoch
+        rng = random.Random(d)
+        sender = sigcrypto.keygen(rng, b"nde")
+        _, _, _, token, tree = build_tree(d, params, rng)
+        digest = hashlib.sha256()
+        for i in range(d):
+            proof = pipcore.logpip_respond(tree, i, sender.sk)
+            digest.update(pipcore.serialize_proof(proof, params))
+            digest.update(pipcore.response_signed_bytes(
+                proof, token.root, params.p_bytes, params.q_bytes))
+        assert digest.hexdigest()[:16] == self.PINNED_PROOF_BYTES[d]
 
     def test_zeroed_parent_detected_when_challenged(self, tiny_epoch, rng):
         _, _, params = tiny_epoch

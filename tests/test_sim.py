@@ -1,6 +1,7 @@
 """Topology generation, min-cut, behaviors, and network-wide detection."""
 
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -493,8 +494,9 @@ MEMO_CASES = {
 
 
 class TestCheckMemo:
-    """A receiver checks each distinct packet, and each challenge on it,
-    once per epoch; the report is that of checking every delivery."""
+    """A receiver checks each distinct packet once per epoch, and each
+    challenge is checked once per epoch for all of the sender's children;
+    the report is that of checking every delivery."""
 
     @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
     @pytest.mark.parametrize("case", MEMO_CASES)
@@ -508,7 +510,8 @@ class TestCheckMemo:
     @pytest.mark.parametrize("case", MEMO_CASES)
     def test_challenges_drawn_every_delivery_checked_once(self, check_calls, case):
         """Every accepted delivery of a Log-PIP root draws this round's
-        targets; each (packet, target) is challenged once per epoch."""
+        targets; each (sender, sigma, token, target) is challenged once
+        per epoch, whichever of the sender's children draws it."""
         report = sim.Simulation(MEMO_CASES[case], Protocol.LOGPIP, m=2, rng_seed=8, epochs=2,
                                 challenges=1).run()
         rooted = [
@@ -517,7 +520,8 @@ class TestCheckMemo:
             if v is None and isinstance(pkt.test_token, pipcore.LogPipTestToken)
         ]
         assert rooted and check_calls["targets"] == rooted
-        challenged = check_calls["challenge"]
+        challenged = [(k, pkt.sender_id, pkt.sigma, pkt.test_token, target)
+                      for k, _, pkt, target in check_calls["challenge"]]
         assert len(challenged) == len(set(challenged)) < len(rooted)
 
     @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
@@ -619,25 +623,150 @@ class TestSharedVerifications:
             assert first and openssl_verifies == first * 2
 
 
+def _spans_at_epoch_ends(monkeypatch):
+    """Every receiver's verified span, as (node id, pivots, basis), recorded
+    when its next epoch starts; ``NodeState.enter_epoch`` clears it."""
+    spans = []
+    enter = node_mod.NodeState.enter_epoch
+
+    def recorded(st, params):
+        if st.verified is not None:
+            spans.append((st.node_id, list(st.verified.pivots), [list(b) for b in st.verified.basis]))
+        enter(st, params)
+
+    monkeypatch.setattr(node_mod.NodeState, "enter_epoch", recorded)
+    return spans
+
+
+class TestSharedContent:
+    """``Simulation.run`` checks the content of a packet (epoch binding,
+    validity signature, token) once for all of its sender's children;
+    each child checks its own edge's attest and helper signatures."""
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("kind", sorted(BehaviorKind, key=lambda k: k.value))
+    def test_report_equals_checking_content_per_receiver(self, monkeypatch, proto, kind):
+        """Ranks, verdicts, detections, proofs, fallbacks, adjudications
+        and every receiver's verified span, at the end of each epoch, are
+        those of a run in which every receiver checks the content itself."""
+        spans = _spans_at_epoch_ends(monkeypatch)
+
+        def run():
+            spans.clear()
+            s = sim.Simulation(soundness_topology(Behavior(kind)), proto, m=2, rng_seed=13,
+                               epochs=2, challenges=3, collect_proofs=True)
+            report = s.run()
+            rulings = [node_mod.adjudicate(pf, s.master.pk, s.master.pk) for pf in report.proofs]
+            final = [(n.state.node_id, n.state.verified.pivots, n.state.verified.basis)
+                     for _, n in sorted(s.nodes.items())]
+            return _report_fields(report), rulings, list(spans), final
+
+        shared = run()
+        monkeypatch.setattr(sim.node_mod, "shared_content_checks", contextlib.nullcontext)
+        alone = run()
+        assert shared == alone
+        assert any(pivots for _, pivots, _ in shared[3])
+
+    def test_checks_outside_a_run_do_the_full_work(self, monkeypatch):
+        """``verify_incoming`` and ``adjudicate`` called on their own run
+        the validity check and the PIP token check every time."""
+        s = sim.Simulation(soundness_topology(Behavior.honest()), Protocol.PIP, m=2, rng_seed=13)
+        s.run()
+        st, pkt = s.nodes["c1"].state, s.nodes["byz"].sent[1]["c1"]
+        proof = node_mod.build_misbehavior_proof(st, pkt)
+        calls = []
+        for module, name in ((validity, "verify_validity"), (pipcore, "pip_verif_test")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for check in (lambda: node_mod.verify_incoming(st, pkt),
+                      lambda: node_mod.adjudicate(proof, s.master.pk, s.master.pk).violation):
+            calls.clear()
+            assert check() is None and check() is None
+            assert calls == ["verify_validity", "pip_verif_test"] * 2
+
+    @pytest.mark.parametrize("doctored", ["c1", "c2"])
+    @pytest.mark.parametrize("field, kind", [("grandparent_pks", ViolationKind.BAD_HELPER_SIG),
+                                              ("required_set", ViolationKind.MISSING_ENTRY)])
+    def test_other_view_of_the_sender_gets_its_own_verdict(self, doctored, field, kind):
+        """One child registers byz with another grandparent key, or another
+        required set; it rejects byz's packets, and the other child, which
+        gets the same content, accepts them, whichever checks first."""
+        s = sim.Simulation(soundness_topology(Behavior.honest()), Protocol.PIP, m=2, rng_seed=13)
+        info = s.nodes[doctored].state.parents[b"byz"]
+        if field == "grandparent_pks":
+            change = {"grandparent_pks": {**info.grandparent_pks, b"a": s.master.pk}}
+        else:
+            change = {"required_set": info.required_set | {b"s"}}
+        s.nodes[doctored].state.parents[b"byz"] = dataclasses.replace(info, **change)
+        report = s.run()
+        from_byz = [(verifier, v) for _, verifier, sender, v in report.verdicts if sender == "byz"]
+        assert {verifier for verifier, _ in from_byz} == {"c1", "c2"}
+        for verifier, v in from_byz:
+            if verifier == doctored:
+                assert v is not None and v.kind is kind, v
+            else:
+                assert v is None, v
+
+
+class TestRunCounts:
+    """``Simulation.run`` logs one DEBUG record of the work it did."""
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    def test_counts_match_the_work_done(self, monkeypatch, caplog, openssl_verifies, proto):
+        counted = {"checks": 0, "contents": 0, "challenges": 0}
+        for name, key in (("verify_incoming", "checks"), ("_check_content", "contents"),
+                          ("check_challenge", "challenges")):
+            real = getattr(node_mod, name)
+
+            def wrapped(*args, real=real, key=key):
+                counted[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(node_mod, name, wrapped)
+        caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
+        report = sim.Simulation(MEMO_CASES["random"], proto, m=2, rng_seed=8, epochs=2,
+                                challenges=2).run()
+        records = [r for r in caplog.records if r.name == "rlncheck.sim"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        counts = records[0].args
+        assert counts == {
+            "deliveries": len(report.verdicts), **counted,
+            "triples": len({t for t, ok in openssl_verifies if ok}),
+        }
+        assert counts["deliveries"] > counts["checks"] > counts["contents"] > 0
+        assert (counts["challenges"] > 0) == (proto is Protocol.LOGPIP)
+        assert "shared content checks" in records[0].getMessage()
+
+    def test_unverified_run_counts_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
+        sim.Simulation(MEMO_CASES["random"], Protocol.NONE, m=2, rng_seed=8).run()
+        (record,) = [r for r in caplog.records if r.name == "rlncheck.sim"]
+        assert set(record.args.values()) == {0}
+
+
 @pytest.fixture
 def generator_products(monkeypatch):
     """Calls of the epoch's (n+m)-base generator product made inside a
-    receiver's ``verify_incoming``, per (epoch, receiver id), and the
-    verified span each receiver held when its first check of an epoch began."""
-    calls, first_spans = {}, {}
+    receiver's ``verify_incoming``, per (epoch, receiver id); the (E, sigma)
+    of each such full check, in call order; and the verified span each
+    receiver held when its first check of an epoch began."""
+    calls, full, first_spans = {}, [], {}
     power, verify = validity._FixedBase.power, node_mod.verify_incoming
     receiver = []
 
     def counted(base, exponents):
-        if receiver and base is receiver[-1].params._generator_base:
-            key = (receiver[-1].params.k, receiver[-1].node_id)
+        if receiver and base is receiver[-1][0].params._generator_base:
+            st, pkt = receiver[-1]
+            key = (st.params.k, st.node_id)
             calls[key] = calls.get(key, 0) + 1
+            full.append((pkt.E, pkt.sigma))
         return power(base, exponents)
 
     def checked(st, pkt):
         key = (st.params.k, st.node_id)
         first_spans.setdefault(key, (st.verified, st.verified.dim))
-        receiver.append(st)
+        receiver.append((st, pkt))
         try:
             return verify(st, pkt)
         finally:
@@ -645,12 +774,16 @@ def generator_products(monkeypatch):
 
     monkeypatch.setattr(validity._FixedBase, "power", counted)
     monkeypatch.setattr(node_mod, "verify_incoming", checked)
-    return calls, first_spans
+    return calls, full, first_spans
 
 
 class TestVerifiedSpan:
     """A receiver pays for the generator product only for packets outside
-    the span of those it has verified this epoch: at most m times."""
+    the span of those it has verified this epoch: at most m times.  Inside
+    a run the content check is shared by a sender's children, so each
+    distinct (E, sigma) is checked in full at most once, by whichever
+    receiver checks it first; a receiver whose packets were all checked
+    elsewhere pays for no product at all."""
 
     @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
     @pytest.mark.parametrize("case", ["honest", "random"])
@@ -659,11 +792,12 @@ class TestVerifiedSpan:
                 else MEMO_CASES[case])
         m = 3
         report = sim.Simulation(topo, proto, m=m, rng_seed=8, epochs=2, challenges=1).run()
-        calls, first_spans = generator_products
+        calls, full, first_spans = generator_products
         receivers = {(k, name.encode()) for k in (1, 2) for _, name in topo.edges}
         assert set(first_spans) == receivers
-        assert set(calls) == receivers
+        assert set(calls) <= receivers and {k for k, _ in calls} == {1, 2}
         assert all(1 <= c <= m for c in calls.values()), calls
+        assert full and len(full) == len(set(full))
         for k, rid in receivers:
             span, dim = first_spans[(k, rid)]
             assert dim == 0
