@@ -57,8 +57,10 @@ derive from the one seed.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import random
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from operator import mul
@@ -200,59 +202,102 @@ def _longest_path(children: dict, order: list[str]) -> int:
 # Max-flow / min-cut with unit capacities on edges and interior nodes
 
 
-def _split_graph(topo: Topology, src: str, dst: str):
-    """Arc-capacity map for the node-split graph.
+class _Flow:
+    """Unit-capacity max-flow on the node-split graph of a topology.
 
-    Interior node v becomes v_in -> v_out with capacity 1; src and dst
-    are not split (the source owns all m degrees of freedom, the sink
-    only collects).
+    Interior node v becomes two integer slots, v_in and v_out, joined by
+    one arc of capacity 1; src and dst are one slot each (the source owns
+    all m degrees of freedom, the sink only collects).  Each edge is one
+    arc of capacity 1, so a duplicate edge is a second arc.  Arcs come in
+    pairs: arc e and its reverse e ^ 1, whose residuals sum to 1.  An edge
+    with an endpoint outside the node set carries no flow and is left out.
+
+    ``augment`` raises the flow along shortest residual paths until none
+    is left, from whatever flow the graph holds, so arcs can be added
+    between calls; ``reach`` is then the set of slots the last search
+    reached.  Neither the value nor ``reach`` depends on the order paths
+    are found in: the max-flow value is unique (Ford and Fulkerson), and
+    the slots reachable in the residual graph of *any* maximum flow are
+    the source side of the smallest minimum cut.
     """
-    cap: dict[tuple[str, str], int] = {}
 
-    def inp(n: str) -> str:
-        return n if n in (src, dst) else n + "#in"
+    def __init__(self, nodes, edges, src: str, dst: str):
+        self.src, self.dst = src, dst
+        self.inp: dict[str, int] = {}
+        self.out: dict[str, int] = {}
+        self.head: list[int] = []
+        self.residual: list[int] = []
+        self.adj: list[list[int]] = []
+        for n in nodes:
+            self.inp[n] = len(self.adj)
+            self.adj.append([])
+            if n in (src, dst):
+                self.out[n] = self.inp[n]
+            else:
+                self.out[n] = len(self.adj)
+                self.adj.append([])
+                self._arc(self.inp[n], self.out[n])
+        for u, v in edges:
+            self.add_edge(u, v)
+        self.value = 0
+        self.reach: list[bool] = []
 
-    def outp(n: str) -> str:
-        return n if n in (src, dst) else n + "#out"
+    def _arc(self, a: int, b: int) -> None:
+        e = len(self.head)
+        self.head += (b, a)
+        self.residual += (1, 0)
+        self.adj[a].append(e)
+        self.adj[b].append(e ^ 1)
 
-    for n in topo.nodes:
-        if n not in (src, dst):
-            cap[(inp(n), outp(n))] = cap.get((inp(n), outp(n)), 0) + 1
-    for u, v in topo.edges:
-        cap[(outp(u), inp(v))] = cap.get((outp(u), inp(v)), 0) + 1
-    return cap
+    def add_edge(self, u: str, v: str) -> None:
+        if u in self.out and v in self.inp:
+            self._arc(self.out[u], self.inp[v])
 
+    def augment(self) -> int:
+        """Push units along shortest residual paths (Edmonds-Karp) until
+        dst is unreachable; returns the flow value and sets ``reach``."""
+        adj, head, residual = self.adj, self.head, self.residual
+        s, t = self.out[self.src], self.inp[self.dst]
+        while True:
+            via = [-1] * len(adj)  # the arc each slot was reached by
+            via[s] = -2
+            queue = [s]
+            for u in queue:
+                for e in adj[u]:
+                    v = head[e]
+                    if via[v] == -1 and residual[e]:
+                        via[v] = e
+                        queue.append(v)
+                if via[t] != -1:
+                    break
+            if via[t] == -1:
+                self.reach = [x != -1 for x in via]
+                return self.value
+            v = t
+            while v != s:
+                e = via[v]
+                residual[e] -= 1
+                residual[e ^ 1] += 1
+                v = head[e ^ 1]
+            self.value += 1
 
-def _max_flow(cap: dict[tuple[str, str], int], src: str, dst: str) -> tuple[int, set[str]]:
-    """Edmonds-Karp on an arc-capacity dict; returns (value, reach).
+    def cut_candidates(self, topo: Topology) -> list[str]:
+        """The interior nodes incident to the smallest minimum cut, once
+        the flow is maximum: the endpoints of each cut arc, split arcs in
+        ``topo.nodes`` order first, then edges in ``topo.edges`` order,
+        each node once.
 
-    ``reach`` is the set of nodes the last search reached in the residual
-    graph, the source side of a minimum cut.
-    """
-    residual = dict(cap)
-    adj: dict[str, set[str]] = {}
-    for (u, v) in cap:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    flow = 0
-    while True:
-        parent: dict[str, str | None] = {src: None}
-        queue = deque([src])
-        while queue and dst not in parent:
-            u = queue.popleft()
-            for v in sorted(adj.get(u, ())):
-                if v not in parent and residual.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if dst not in parent:
-            return flow, set(parent)
-        v = dst
-        while parent[v] is not None:
-            u = parent[v]
-            residual[(u, v)] = residual.get((u, v), 0) - 1
-            residual[(v, u)] = residual.get((v, u), 0) + 1
-            v = u
-        flow += 1
+        Removing any one of them lowers the max-flow by exactly one unit.
+        It deletes at least one arc of the cut, whose other arcs still
+        separate src from dst, and it carries at most one unit (node
+        capacity 1), so the rest of the flow survives it.
+        """
+        reach, inp, out = self.reach, self.inp, self.out
+        ends = (self.src, self.dst)
+        arcs = [(n, n) for n in topo.nodes
+                if n not in ends and reach[inp[n]] and not reach[out[n]]]
+        arcs += [(u, v) for u, v in topo.edges if reach[out[u]] and not reach[inp[v]]]
+        return list(dict.fromkeys(n for arc in arcs for n in arc if n not in ends))
 
 
 def min_cut(topo: Topology, src: str, dst: str) -> int:
@@ -261,24 +306,7 @@ def min_cut(topo: Topology, src: str, dst: str) -> int:
         raise ValueError("src/dst not in topology")
     if src == dst:
         return 0
-    cap = _split_graph(topo, src, dst)
-    value, _ = _max_flow(cap, src, dst)
-    return value
-
-
-def _cut_nodes(topo: Topology, src: str, dst: str) -> tuple[int, list[str]]:
-    """The max-flow value, and the interior nodes incident to the minimum
-    cut, nearest first."""
-    cap = _split_graph(topo, src, dst)
-    value, reach = _max_flow(cap, src, dst)
-    candidates: list[str] = []
-    for (u, v), c in cap.items():
-        if c > 0 and u in reach and v not in reach:
-            for endpoint in (u, v):
-                name = endpoint.split("#")[0]
-                if name not in (src, dst) and name not in candidates:
-                    candidates.append(name)
-    return value, candidates
+    return _Flow(topo.nodes, topo.edges, src, dst).augment()
 
 
 def butterfly_topology() -> Topology:
@@ -316,22 +344,27 @@ def random_topology(
 ) -> Topology:
     """Layered random DAG adjusted until max-flow(source, sink) hits target.
 
-    Byzantine nodes are chosen on a minimum cut (removal of the first
-    one provably drops the max-flow).  Deterministic per seed; raises
+    Byzantine nodes are the first ``_Flow.cut_candidates`` of the
+    sink's smallest minimum cut, so removing any one of them provably
+    drops the max-flow by one.  Deterministic per seed; raises
     InfeasibleTopologyError when the parameters cannot be met within
     _TOPOLOGY_ATTEMPTS attempts.
+
+    Each attempt builds one integer-indexed flow graph (``_Flow``) and
+    keeps it: feeding a starving tail adds one arc and augments from the
+    current flow, and the placement reads the cut from that flow.
     """
     if node_count < 4 or target_min_cut < 1:
         raise InfeasibleTopologyError("need at least 4 nodes and min-cut >= 1")
     rng = random.Random(rng_seed)
     for _ in range(_TOPOLOGY_ATTEMPTS):
-        topo = _random_topology_attempt(node_count, edge_count, target_min_cut, rng)
-        if topo is None:
+        attempt = _random_topology_attempt(node_count, edge_count, target_min_cut, rng)
+        if attempt is None:
             continue
-        byz = _place_byzantine(topo, byzantine_count)
-        if byz is None:
+        topo, flow = attempt
+        topo.byzantine = flow.cut_candidates(topo)[:byzantine_count]
+        if len(topo.byzantine) < byzantine_count:
             continue
-        topo.byzantine = byz
         topo.validate()
         return topo
     raise InfeasibleTopologyError(
@@ -341,10 +374,11 @@ def random_topology(
 
 def _random_topology_attempt(
     node_count: int, edge_count: int, target: int, rng: random.Random
-) -> Topology | None:
+) -> tuple[Topology, _Flow] | None:
     """One generation attempt: layered interior graph, exactly ``target``
     sink in-edges (which caps the max-flow at the target), then add
-    upstream capacity until the flow reaches it."""
+    upstream capacity until the flow reaches it.  Returns the topology
+    and its maximum flow to the sink."""
     src, dst = "s", "t"
     interior = [f"n{i:03d}" for i in range(node_count - 2)]
     if target > len(interior):
@@ -387,50 +421,20 @@ def _random_topology_attempt(
     nodes = {src: NodeSpec(role=Role.SOURCE), dst: NodeSpec(role=Role.SINK)}
     for name in interior:
         nodes[name] = NodeSpec(role=Role.INTERIOR)
-    topo = Topology(nodes=nodes, edges=sorted(edges), source=src)
+    flow = _Flow(nodes, sorted(edges), src, dst)
 
     # The sink in-degree bounds the flow by `target`; raise the flow up to
-    # it by feeding starving tails straight from the source.
+    # it by feeding starving tails straight from the source, augmenting
+    # from the flow already found.
     for _ in range(2 * target + 4):
-        flow = min_cut(topo, src, dst)
-        if flow == target:
-            return topo
-        added = False
-        for u in tails:
-            if (src, u) not in topo.edges:
-                topo = Topology(
-                    nodes=nodes, edges=sorted(set(topo.edges) | {(src, u)}), source=src
-                )
-                added = True
-                break
-        if not added:
+        if flow.augment() == target:
+            return Topology(nodes=nodes, edges=sorted(edges), source=src), flow
+        u = next((u for u in tails if (src, u) not in edges), None)
+        if u is None:
             return None
+        edges.add((src, u))
+        flow.add_edge(src, u)
     return None
-
-
-def _place_byzantine(topo: Topology, count: int) -> list[str] | None:
-    if count == 0:
-        return []
-    dst = topo.sinks[0]
-    base, candidates = _cut_nodes(topo, topo.source, dst)
-    chosen: list[str] = []
-    for name in candidates:
-        if len(chosen) == count:
-            break
-        if not chosen:
-            # The first Byzantine sits where its silence provably costs a unit.
-            pruned = Topology(
-                nodes={n: s for n, s in topo.nodes.items() if n != name},
-                edges=[e for e in topo.edges if name not in e],
-                source=topo.source,
-            )
-            try:
-                if min_cut(pruned, topo.source, dst) != base - 1:
-                    continue
-            except ValueError:
-                continue
-        chosen.append(name)
-    return chosen if len(chosen) == count else None
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +484,26 @@ def _memo(checked: dict, key, compute, *args):
     if result is _UNCHECKED:
         result = checked[key] = compute(*args)
     return result
+
+
+@functools.lru_cache(maxsize=4)
+def _honest_table(seed: bytes, context: bytes, q: int, plan: tuple) -> tuple:
+    """The prescribed coefficients of every coding node, as a tuple of
+    (node, ((parent, coefficient), ...)) pairs in ``plan`` order.
+
+    ``plan`` holds (node, parents) pairs; with ``seed``, ``context`` (the
+    epoch key bytes, or b"lite") and q it is every input of
+    ``node.derive_coefficient``, so a table is shared only by runs that
+    would derive the same one.  The coefficients are public PRF outputs;
+    no verdict, signature or check is shared.  Tuples, so that no run can
+    change another's table.  The three mode runs of a sweep point use one
+    seed and topology, so two of every three find their table here.
+    """
+    return tuple(
+        (name, tuple((p, node_mod.derive_coefficient(seed, p.encode(), name.encode(), context, q))
+                     for p in parents))
+        for name, parents in plan
+    )
 
 
 def _non_innovative_coeffs(
@@ -568,6 +592,12 @@ class Simulation:
     signature, token), each Log-PIP challenge and its response, and each
     distinct Ed25519 signature that passes.  The attest and helper
     signatures of each edge are checked by its receiver.
+
+    The prescribed coefficients of each epoch come from a table shared
+    across runs (``_honest_table``), keyed on every input of their PRF:
+    the seed, the epoch key bytes (b"lite" without one), q and each
+    coding node's parents.  The mode runs of one sweep point share a seed
+    and a topology, so only the first derives the table.
     """
 
     def __init__(
@@ -647,6 +677,9 @@ class Simulation:
             (n for n in self.nodes if self.topo.nodes[n].role is not Role.SINK),
             key=lambda n: (self.topo.nodes[n].behavior.kind is BehaviorKind.NON_INNOVATIVE, n),
         )
+        # The key of this run's honest-coefficient table: by name, not in
+        # emit order, so runs that differ only in who is Mode 1 share it.
+        self._plan = tuple((n, tuple(self.parents[n])) for n in sorted(self._emit_order))
 
     def _draw_originals(self) -> list[CodedVector]:
         return gf.standard_basis_originals(
@@ -709,12 +742,7 @@ class Simulation:
             # Honest coefficients are PRF outputs bound to the epoch key; with
             # no epoch key, the crypto-free runs bind them to b"lite".
             context = self.params.epoch_pk_bytes() if self.verified else b"lite"
-            self._honest = {
-                name: [(p, node_mod.derive_coefficient(
-                    self.seed, p.encode(), name.encode(), context, self.q))
-                    for p in self.parents[name]]
-                for name in self._emit_order
-            }
+            self._honest = dict(_honest_table(self.seed, context, self.q, self._plan))
             for sim_node in self.nodes.values():
                 if sim_node.state is not None:
                     sim_node.state.enter_epoch(self.params)
@@ -1073,13 +1101,17 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
 
     Returns (per-run rows, summary rows of (min_cut, mode, mean rank)).
     Infeasible (cut, seed) pairs are skipped for all modes so the
-    comparison stays paired; each skip is logged at INFO.
+    comparison stays paired; each skip is logged at INFO.  Each pair run
+    logs one DEBUG record on ``rlncheck.sim`` whose ``args`` holds
+    ``cut``, ``seed``, ``topology_s`` (seconds generating the topology)
+    and ``runs_s`` (seconds in its mode runs).
     """
     rows: list[SweepRow] = []
     summary: list[tuple[int, str, float]] = []
     for cut in config.min_cuts:
         per_mode: dict[str, list[int]] = {mode: [] for mode in MODES}
         for seed in config.seeds:
+            start = time.perf_counter()
             try:
                 topo = random_topology(
                     config.node_count, config.edge_count, cut,
@@ -1088,10 +1120,18 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
             except InfeasibleTopologyError as e:
                 logger.info("mode_sweep: skipping cut %d, seed %d: %s", cut, seed, e)
                 continue
+            generated = time.perf_counter()
             # A random topology has one sink, so this is one row per mode.
             for row in mode_rows(topo, cut, seed, config.m, config.profile):
                 per_mode[row.mode].append(row.rank)
                 rows.append(row)
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "mode_sweep: cut %(cut)d, seed %(seed)d: topology %(topology_s).3f s, "
+                    "mode runs %(runs_s).3f s",
+                    {"cut": cut, "seed": seed, "topology_s": generated - start,
+                     "runs_s": time.perf_counter() - generated},
+                )
         for mode, ranks in per_mode.items():
             if ranks:
                 summary.append((cut, mode, sum(ranks) / len(ranks)))

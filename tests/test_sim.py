@@ -1,7 +1,9 @@
 """Topology generation, min-cut, behaviors, and network-wide detection."""
 
+import collections
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -73,6 +75,32 @@ class TestMinCut:
         )
         assert min_cut(topo, "s", "t") == 1
 
+    def test_hash_in_node_names(self):
+        """A sink named ``a#in`` is its own vertex, not interior node a's
+        in-half: the only path to it runs through b."""
+        nodes = {"s": NodeSpec(Role.SOURCE), "a": NodeSpec(Role.INTERIOR),
+                 "b": NodeSpec(Role.INTERIOR), "a#in": NodeSpec(Role.SINK)}
+        topo = Topology(nodes=nodes, edges=[("s", "a"), ("s", "b"), ("b", "a#in")], source="s")
+        assert min_cut(topo, "s", "a#in") == 1
+        parsed = sim.parse_topology(sim.format_topology(topo))
+        assert min_cut(parsed, "s", "a#in") == 1
+        assert sim.Simulation(parsed, Protocol.NONE, m=2).run().sink_ranks == {"a#in": 1}
+
+    def test_edge_to_unknown_node_carries_nothing(self):
+        topo = Topology(
+            nodes={"s": NodeSpec(Role.SOURCE), "a": NodeSpec(Role.INTERIOR),
+                   "t": NodeSpec(Role.SINK)},
+            edges=[("s", "a"), ("a", "t"), ("s", "x"), ("x", "t")],
+            source="s",
+        )
+        assert min_cut(topo, "s", "t") == 1
+
+    def test_unknown_endpoints_and_same_node(self):
+        topo = butterfly_topology()
+        with pytest.raises(ValueError, match="not in topology"):
+            min_cut(topo, "s", "zz")
+        assert min_cut(topo, "s", "s") == 0
+
     def brute_force_mixed_cut(self, topo, src, dst):
         """Oracle: smallest set of edges plus interior nodes whose removal
         disconnects src from dst (unit capacities on both)."""
@@ -125,6 +153,165 @@ class TestMinCut:
         assert checked == 40
 
 
+def _ref_split_graph(topo, src, dst):
+    """Reference: the string-keyed node-split graph the flow code used
+    before it moved to integer slots."""
+    cap = {}
+
+    def inp(n):
+        return n if n in (src, dst) else n + "#in"
+
+    def outp(n):
+        return n if n in (src, dst) else n + "#out"
+
+    for n in topo.nodes:
+        if n not in (src, dst):
+            cap[(inp(n), outp(n))] = cap.get((inp(n), outp(n)), 0) + 1
+    for u, v in topo.edges:
+        cap[(outp(u), inp(v))] = cap.get((outp(u), inp(v)), 0) + 1
+    return cap
+
+
+def _ref_max_flow(cap, src, dst):
+    """Reference Edmonds-Karp on an arc-capacity dict: (value, reach)."""
+    residual = dict(cap)
+    adj = {}
+    for (u, v) in cap:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    flow = 0
+    while True:
+        parent = {src: None}
+        queue = collections.deque([src])
+        while queue and dst not in parent:
+            u = queue.popleft()
+            for v in sorted(adj.get(u, ())):
+                if v not in parent and residual.get((u, v), 0) > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if dst not in parent:
+            return flow, set(parent)
+        v = dst
+        while parent[v] is not None:
+            u = parent[v]
+            residual[(u, v)] = residual.get((u, v), 0) - 1
+            residual[(v, u)] = residual.get((v, u), 0) + 1
+            v = u
+        flow += 1
+
+
+def _ref_cut_nodes(topo, src, dst):
+    """Reference: (max-flow value, interior nodes incident to the cut)."""
+    cap = _ref_split_graph(topo, src, dst)
+    value, reach = _ref_max_flow(cap, src, dst)
+    candidates = []
+    for (u, v), c in cap.items():
+        if c > 0 and u in reach and v not in reach:
+            for endpoint in (u, v):
+                name = endpoint.split("#")[0]
+                if name not in (src, dst) and name not in candidates:
+                    candidates.append(name)
+    return value, candidates
+
+
+def _ref_value_without(topo, name, dst):
+    """Reference max-flow value of ``topo`` with node ``name`` and its
+    edges removed."""
+    pruned = Topology(
+        nodes={n: s for n, s in topo.nodes.items() if n != name},
+        edges=[e for e in topo.edges if name not in e],
+        source=topo.source,
+    )
+    return _ref_max_flow(_ref_split_graph(pruned, topo.source, dst), topo.source, dst)[0]
+
+
+def _ref_place_byzantine(topo, count, dst):
+    """Reference placement: the first candidate whose removal, solved on a
+    pruned topology, costs exactly one unit; then the next candidates."""
+    if count == 0:
+        return []
+    base, candidates = _ref_cut_nodes(topo, topo.source, dst)
+    chosen = []
+    for name in candidates:
+        if len(chosen) == count:
+            break
+        if not chosen and _ref_value_without(topo, name, dst) != base - 1:
+            continue
+        chosen.append(name)
+    return chosen if len(chosen) == count else None
+
+
+def _hand_built_dags(count, rng):
+    """Small random DAGs over s, n00..n0k, t with duplicate edges, edges
+    straight from s to t and interior nodes with no way on."""
+    for _ in range(count):
+        k = rng.randint(3, 9)
+        names = ["s"] + [f"n{i:02d}" for i in range(k)] + ["t"]
+        pool = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+        edges = rng.sample(pool, rng.randint(k, min(len(pool), 3 * k)))
+        edges += rng.sample(edges, rng.randint(1, 3))  # duplicates
+        rng.shuffle(edges)
+        nodes = {n: NodeSpec(Role.SOURCE if n == "s" else Role.SINK if n == "t"
+                             else Role.INTERIOR) for n in names}
+        yield Topology(nodes=nodes, edges=edges, source="s")
+
+
+@functools.cache
+def _oracle_topologies():
+    """The criterion-6 shape at cuts 1-10, the network_sim shape with 0-3
+    Byzantine nodes, and hand-built DAGs: about 100 topologies."""
+    topos = [random_topology(50, 1000, cut, 1, rng_seed=seed * 1000 + cut)
+             for cut in range(1, 11) for seed in (0, 1, 2)]
+    for cut, byz, seed in itertools.product((2, 3, 4), (0, 1, 2, 3), (0, 1)):
+        with contextlib.suppress(InfeasibleTopologyError):
+            topos.append(random_topology(30, 200, cut, byz, rng_seed=seed))
+    return topos + list(_hand_built_dags(50, random.Random(14)))
+
+
+class TestFlowOracle:
+    """The integer-indexed flow against the string-keyed Edmonds-Karp it
+    replaced: same value, same cut candidates in the same order, and the
+    same Byzantine placement as checking each first candidate's removal
+    on a pruned topology."""
+
+    def test_matches_reference(self):
+        topos = _oracle_topologies()
+        assert len(topos) >= 100
+        for i, topo in enumerate(topos):
+            value, candidates = _ref_cut_nodes(topo, "s", "t")
+            assert min_cut(topo, "s", "t") == value, i
+            flow = sim._Flow(topo.nodes, topo.edges, "s", "t")
+            assert flow.augment() == value, i
+            assert flow.cut_candidates(topo) == candidates, i
+            for count in range(4):
+                placed = candidates[:count] if len(candidates) >= count else None
+                assert placed == _ref_place_byzantine(topo, count, "t"), (i, count)
+            if topo.byzantine:
+                assert topo.byzantine == _ref_place_byzantine(topo, len(topo.byzantine), "t"), i
+
+    def test_every_candidate_costs_one_unit(self):
+        """Removing any cut candidate, solved again on the pruned topology,
+        lowers the max-flow by exactly one, so generation need not check."""
+        for i, topo in enumerate(_oracle_topologies()):
+            value, candidates = _ref_cut_nodes(topo, "s", "t")
+            for name in candidates:
+                assert _ref_value_without(topo, name, "t") == value - 1, (i, name)
+
+    def test_augmenting_from_a_partial_flow(self):
+        """Arcs added after a flow was found, each followed by augmenting
+        from the current flow, reach the flow and cut of solving once."""
+        for i, topo in enumerate(_oracle_topologies()[::7]):
+            half = len(topo.edges) // 2
+            flow = sim._Flow(topo.nodes, topo.edges[:half], "s", "t")
+            flow.augment()
+            for u, v in topo.edges[half:]:
+                flow.add_edge(u, v)
+                flow.augment()
+            value, candidates = _ref_cut_nodes(topo, "s", "t")
+            assert flow.value == value, i
+            assert flow.cut_candidates(topo) == candidates, i
+
+
 class TestRandomTopology:
     def test_paper_parameters(self):
         topo = random_topology(50, 1000, 5, 1, rng_seed=7)
@@ -171,6 +358,10 @@ class TestRandomTopology:
         (20, 100, 1, 1, 3): "e8eaff8a9f55f02c",
         (24, 150, 2, 0, 5): "949b83ce647df318",
         (40, 500, 4, 3, 4): "c1070241902148e5",
+        # recorded at 3880d85, before the integer-indexed flow
+        (50, 1000, 8, 2, 8): "825856f6049d59d8",
+        (50, 1000, 10, 2, 10): "ecaed8f073f538b5",
+        (50, 1000, 6, 3, 6006): "ecd964cd1cce90dd",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -922,6 +1113,73 @@ class TestModeSweep:
         assert {row.min_cut for row in quiet[0]} == {1}
         skipped = [r.args[:2] for r in caplog.records if r.name == "rlncheck.sim"]
         assert skipped == [(5, 0), (5, 1)]
+
+    def test_stage_times_logged_per_pair(self, caplog):
+        cfg = sim.SweepConfig(node_count=6, edge_count=12, m=2, min_cuts=(1, 5), seeds=(0, 1))
+        quiet = mode_sweep(cfg)
+        with caplog.at_level(logging.DEBUG, logger="rlncheck.sim"):
+            logged = mode_sweep(cfg)
+        assert logged == quiet
+        pairs = [r for r in caplog.records
+                 if r.levelno == logging.DEBUG and r.getMessage().startswith("mode_sweep:")]
+        assert [(r.args["cut"], r.args["seed"]) for r in pairs] == [(1, 0), (1, 1)]
+        for r in pairs:
+            assert r.args["topology_s"] > 0 and r.args["runs_s"] > 0
+
+
+class TestHonestTable:
+    """The prescribed coefficients, derived once per (seed, epoch key, q,
+    topology) and shared by the runs that would derive the same table."""
+
+    def _topology(self):
+        return random_topology(30, 200, 3, 2, rng_seed=9)
+
+    def test_mode_rows_derive_one_table(self):
+        topo = self._topology()
+        sim._honest_table.cache_clear()
+        sim.mode_rows(topo, 3, seed=4, m=3)
+        info = sim._honest_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_rows_equal_deriving_every_run(self, monkeypatch):
+        topo = self._topology()
+        shared = [sim.mode_rows(topo, 3, seed, m=3) for seed in range(4)]
+        table = sim._honest_table
+
+        def uncached(*args):
+            table.cache_clear()
+            return table(*args)
+
+        monkeypatch.setattr(sim, "_honest_table", uncached)
+        assert [sim.mode_rows(topo, 3, seed, m=3) for seed in range(4)] == shared
+
+    def test_verified_run_keys_on_its_epoch_key(self):
+        topo = butterfly_topology()
+        sim._honest_table.cache_clear()
+        run_simulation(topo, Protocol.NONE, m=2, rng_seed=7)
+        before = sim._honest_table.cache_info()
+        run_simulation(topo, Protocol.PIP, m=2, rng_seed=7)
+        after = sim._honest_table.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+
+    def test_entries_are_the_prf_coefficients(self):
+        topo = self._topology()
+        honest = sim.Simulation(topo, Protocol.NONE, m=3, rng_seed=2)
+        attacked = topo
+        for byz in topo.byzantine:
+            attacked = attacked.with_behavior(byz, Behavior(BehaviorKind.NON_INNOVATIVE))
+        mode1 = sim.Simulation(attacked, Protocol.NONE, m=3, rng_seed=2)
+        assert mode1._emit_order != honest._emit_order and mode1._plan == honest._plan
+        table = sim._honest_table(honest.seed, b"lite", honest.q, honest._plan)
+        assert isinstance(table, tuple) and all(isinstance(pairs, tuple) for _, pairs in table)
+        assert [name for name, _ in table] == sorted(honest._emit_order)
+        for name, pairs in table:
+            assert [p for p, _ in pairs] == honest.parents[name]
+            for p, a in pairs:
+                assert a == node_mod.derive_coefficient(
+                    honest.seed, p.encode(), name.encode(), b"lite", honest.q)
+        honest.run()
+        assert honest._honest == dict(table)
 
 
 class TestTopologyFile:
