@@ -33,8 +33,15 @@ packet once per epoch and reuses the verdict (``Simulation._accepts``).
 Work that does not depend on the receiver is shared by all the nodes of
 a run: the content of a packet (epoch binding, validity signature,
 token), each Log-PIP challenge and each passing Ed25519 signature are
-checked once (``Simulation.run``).  The outputs are those of re-coding
-and re-checking everything every round at every receiver.
+checked once (``Simulation.run``).  Only two things read a node's span:
+the sinks' ranks at the end and a Mode-1 node's view of its children.
+So a span takes in the node's received vectors only when it is read
+(``_SimNode.span``), and a Mode-1 node neither copies nor extends the
+view of a child whose span is full, since a full span constrains
+nothing.  The mode runs of one sweep point check and build their
+topology's adjacency once (``_run_shape``).  The outputs are those of
+re-coding and re-checking everything every round at every receiver,
+with every span kept up to date.
 
 The adversary model: Byzantine nodes are omniscient (they code after
 the round's honest emissions and see every child's span) and hold
@@ -64,6 +71,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from operator import mul
+from types import MappingProxyType
 
 from . import gf, node as node_mod, pipcore, sigcrypto, validity
 from .gf import CodedVector, Span
@@ -196,6 +204,27 @@ def _longest_path(children: dict, order: list[str]) -> int:
         for v in children[u]:
             dist[v] = max(dist[v], dist[u] + 1)
     return max(dist.values(), default=0)
+
+
+@functools.lru_cache(maxsize=4)
+def _run_shape(edges: tuple, roles: tuple, source: str) -> tuple:
+    """(parents, children, longest path) of a valid topology, for a run.
+
+    ``roles`` holds the (node, role) pairs of ``Topology.nodes`` in order.
+    Parents and children are sorted tuples in read-only mappings, and no
+    child is the source, which receives nothing.  The key holds every
+    input of ``_checked_adjacency`` and no behaviour, so the mode runs of
+    one sweep point build and check their topology once; an invalid one
+    raises each time, since ``lru_cache`` stores no exception.
+    """
+    topo = Topology(nodes={n: NodeSpec(role=role) for n, role in roles},
+                    edges=list(edges), source=source)
+    parents, children, order = _checked_adjacency(topo)
+    return (
+        MappingProxyType({n: tuple(ps) for n, ps in parents.items()}),
+        MappingProxyType({n: tuple(c for c in cs if c != source) for n, cs in children.items()}),
+        _longest_path(children, order),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +551,12 @@ def _non_innovative_coeffs(
     residual is linear: r(x) = x M for an m x m matrix M.  So the
     solutions are the left nullspace of X [M_1 | M_2 | ...], which is
     that of X B for any B with the same column space, at most m columns.
+
+    A full span holds every vector, so it constrains nothing: its M is
+    zero and it gives no columns.  Zero columns change neither the
+    reduced basis B nor the nullspace, so leaving them out changes no
+    coefficient and no draw from ``rng``.  A full span is not empty, so
+    it still keeps the caller from falling back.
     """
     parents = sorted(received)
     vecs = [received[p] for p in parents]
@@ -530,7 +565,7 @@ def _non_innovative_coeffs(
         return None
     m = spans[0].width
     unit = [[int(i == j) for i in range(m)] for j in range(m)]
-    columns = [col for s in spans for col in zip(*[s.residual(e) for e in unit])]
+    columns = [col for s in spans if s.dim < m for col in zip(*[s.residual(e) for e in unit])]
     reduced, pivots = gf.row_reduce(columns, q)
     rows = [
         [sum(map(mul, v.coding_vector, b)) % q for b in reduced[:len(pivots)]]
@@ -558,7 +593,6 @@ def _non_innovative_coeffs(
 @dataclass
 class _SimNode:
     spec: NodeSpec
-    span: Span  # span of the accepted coding vectors, this epoch
     state: NodeState | None = None  # None under Protocol.NONE
     vectors: dict = field(default_factory=dict)  # parent -> latest accepted CodedVector
     # Accepted deliveries this epoch that differ from the sender's previous
@@ -566,6 +600,10 @@ class _SimNode:
     # re-coding (under Protocol.NONE it does not deliver it again), and an
     # unchanged packet adds nothing to the span or to decoding.
     received_vectors: list = field(default_factory=list)
+    # The span of received_vectors[:synced], which ``span`` brings up to
+    # date; synced is None until the span is first read this epoch.
+    rows: Span | None = None
+    synced: int | None = None
     # (vector, packets per child) it sends each round until it re-codes; for a
     # node later in this round's emit order, what it sent last round
     sent: tuple | None = None
@@ -573,6 +611,17 @@ class _SimNode:
     stored_old: tuple | None = None  # REPLAY_OLD: (vector, packets per child) of epoch 1
     # This epoch's verdicts as a receiver, Packet -> verdict (see Simulation._accepts)
     checked: dict = field(default_factory=dict)
+
+    @property
+    def span(self) -> Span:
+        """The span of this epoch's accepted coding vectors.  The vectors
+        received since the last read go in when it is read, in arrival
+        order, so the basis is the one adding each on arrival would give."""
+        pending = self.received_vectors[self.synced or 0:]
+        for vec in pending:
+            self.rows.add(vec.coding_vector)
+        self.synced = len(self.received_vectors)
+        return self.rows
 
 
 class Simulation:
@@ -597,7 +646,16 @@ class Simulation:
     across runs (``_honest_table``), keyed on every input of their PRF:
     the seed, the epoch key bytes (b"lite" without one), q and each
     coding node's parents.  The mode runs of one sweep point share a seed
-    and a topology, so only the first derives the table.
+    and a topology, so only the first derives the table.  Likewise the
+    parents, children and longest path come from ``_run_shape``, keyed on
+    the edges, the roles and the source, so only the first checks the
+    topology and builds them; ``parents`` and ``children`` are read-only
+    mappings of tuples.
+
+    A node's span is read, and so brought up to date, only for a sink's
+    rank and for a Mode-1 node's view of its children (``_SimNode.span``);
+    the other nodes' spans are left unbuilt.  A Mode-1 node takes a
+    child's full span as it is, without copying or extending it.
     """
 
     def __init__(
@@ -611,13 +669,15 @@ class Simulation:
         challenges: int = 1,
         collect_proofs: bool = False,
     ):
-        self.parents, children, order = _checked_adjacency(topo)
-        self.children = {n: [c for c in cs if c != topo.source] for n, cs in children.items()}
+        self.parents, self.children, longest = _run_shape(
+            tuple(topo.edges), tuple((n, spec.role) for n, spec in topo.nodes.items()),
+            topo.source,
+        )
         self.topo = topo
         self.protocol = protocol
         self.verified = protocol is not Protocol.NONE
         self.m = m
-        self.rounds = _longest_path(children, order) + m
+        self.rounds = longest + m
         self.profile = profile
         self.q = profile.q
         self.epochs = epochs
@@ -668,7 +728,7 @@ class Simulation:
         self._first_originals = None if self.verified else self._draw_originals()
         self.adversary_rng = random.Random(rng.getrandbits(64))
         self.nodes: dict[str, _SimNode] = {
-            name: _SimNode(spec=topo.nodes[name], span=Span(self.q, self.m), state=states.get(name))
+            name: _SimNode(spec=topo.nodes[name], state=states.get(name))
             for name in sorted(topo.nodes) if name != topo.source
         }
         # Omniscient adversaries code last, after observing this round's
@@ -679,7 +739,7 @@ class Simulation:
         )
         # The key of this run's honest-coefficient table: by name, not in
         # emit order, so runs that differ only in who is Mode 1 share it.
-        self._plan = tuple((n, tuple(self.parents[n])) for n in sorted(self._emit_order))
+        self._plan = tuple((n, self.parents[n]) for n in sorted(self._emit_order))
 
     def _draw_originals(self) -> list[CodedVector]:
         return gf.standard_basis_originals(
@@ -708,29 +768,32 @@ class Simulation:
         the sender's children (``_accepts``).
 
         At the end it logs one DEBUG record on ``rlncheck.sim`` with the
-        work done, read from the memo sizes so the checks pay nothing for
-        it: deliveries given a verdict, per-receiver checks, shared content
-        checks, challenges, and distinct Ed25519 triples that passed.  Its
-        ``args`` is a dict of those counts, under the keys ``deliveries``,
-        ``checks``, ``contents``, ``challenges`` and ``triples``; under
-        Protocol.NONE, which checks nothing, all of them are 0.
+        work done, read from the memo sizes and the nodes' span counters so
+        the run pays nothing for it: deliveries given a verdict,
+        per-receiver checks, shared content checks, challenges, distinct
+        Ed25519 triples that passed, and spans read (one per node and
+        epoch in which its span was read).  Its ``args`` is a dict of those
+        counts, under the keys ``deliveries``, ``checks``, ``contents``,
+        ``challenges``, ``triples`` and ``spans``; under Protocol.NONE,
+        which checks nothing, all but ``spans`` are 0.
         """
         with (sigcrypto.shared_verifications() as triples,
               node_mod.shared_content_checks() as contents):
-            report, checks, challenges = self._run()
+            report, checks, challenges, spans = self._run()
         logger.debug(
             "run: %(deliveries)d deliveries, %(checks)d per-receiver checks, "
             "%(contents)d shared content checks, %(challenges)d challenges, "
-            "%(triples)d distinct Ed25519 triples",
+            "%(triples)d distinct Ed25519 triples, %(spans)d spans read",
             {"deliveries": len(report.verdicts), "checks": checks,
              "contents": len(contents or ()), "challenges": challenges,
-             "triples": len(triples or ())},
+             "triples": len(triples or ()), "spans": spans},
         )
         return report
 
-    def _run(self) -> tuple[TransmissionReport, int, int]:
-        """The report, with the per-receiver checks and the challenges run."""
-        checks = challenges = 0
+    def _run(self) -> tuple[TransmissionReport, int, int, int]:
+        """The report, with the per-receiver checks and the challenges run
+        and the spans read, each summed over the epochs."""
+        checks = challenges = spans = 0
         for epoch in range(1, self.epochs + 1):
             self.originals = self._first_originals or self._draw_originals()
             self._first_originals = None
@@ -746,9 +809,11 @@ class Simulation:
             for sim_node in self.nodes.values():
                 if sim_node.state is not None:
                     sim_node.state.enter_epoch(self.params)
+                spans += sim_node.synced is not None  # read in the previous epoch
                 sim_node.vectors.clear()
                 sim_node.received_vectors = []
-                sim_node.span = Span(self.q, self.m)
+                sim_node.rows = Span(self.q, self.m)
+                sim_node.synced = None
                 sim_node.sent = None
                 sim_node.stale = True
                 sim_node.checked.clear()
@@ -770,7 +835,8 @@ class Simulation:
         self.report.sink_ranks = ranks
         self.report.decoded = decoded
         self.report.rounds = self.rounds * self.epochs
-        return self.report, checks, challenges
+        spans += sum(sim_node.synced is not None for sim_node in self.nodes.values())
+        return self.report, checks, challenges, spans
 
     def _source_round(self) -> dict[str, list]:
         """One fresh random combination of the originals per source child."""
@@ -810,7 +876,6 @@ class Simulation:
                     vec = pkt
                 sim_node.vectors[sender] = vec
                 sim_node.received_vectors.append(vec)
-                sim_node.span.add(vec.coding_vector)
                 sim_node.stale = True
 
     def _accepts(self, r: int, name: str, sender: str, pkt: Packet) -> bool:
@@ -985,7 +1050,11 @@ class Simulation:
         """Mode-1 (parent, coefficient) pairs for ``name``, or None if none exist."""
         views = []
         for child in self.children[name]:
-            view = self.nodes[child].span.copy()
+            view = self.nodes[child].span
+            if view.dim == view.width:  # full: it constrains nothing, see _non_innovative_coeffs
+                views.append(view)
+                continue
+            view = view.copy()
             for other in self.parents[child]:
                 sent = self.nodes[other].sent if other in self.nodes else None
                 if other != name and sent is not None:

@@ -12,11 +12,13 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rlncheck import node as node_mod, pipcore, sigcrypto, sim, validity
+from rlncheck import gf, node as node_mod, pipcore, sigcrypto, sim, validity
 from rlncheck.node import Verdict
 from rlncheck.pipcore import Protocol, ViolationKind
-from rlncheck.profiles import SIM
+from rlncheck.profiles import SIM, TEST
 from rlncheck.sim import (
     Behavior,
     BehaviorKind,
@@ -900,6 +902,20 @@ class TestSharedContent:
                 assert v is None, v
 
 
+def span_reads(monkeypatch):
+    """The span object behind each read of ``_SimNode.span``, in read
+    order; a node's span is a new object each epoch."""
+    read = []
+    real = sim._SimNode.span
+
+    def recorded(sim_node):
+        read.append(real.fget(sim_node))
+        return read[-1]
+
+    monkeypatch.setattr(sim._SimNode, "span", property(recorded))
+    return read
+
+
 class TestRunCounts:
     """``Simulation.run`` logs one DEBUG record of the work it did."""
 
@@ -915,6 +931,7 @@ class TestRunCounts:
                 return real(*args)
 
             monkeypatch.setattr(node_mod, name, wrapped)
+        read = span_reads(monkeypatch)
         caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
         report = sim.Simulation(MEMO_CASES["random"], proto, m=2, rng_seed=8, epochs=2,
                                 challenges=2).run()
@@ -924,16 +941,141 @@ class TestRunCounts:
         assert counts == {
             "deliveries": len(report.verdicts), **counted,
             "triples": len({t for t, ok in openssl_verifies if ok}),
+            "spans": len({id(rows) for rows in read}),
         }
         assert counts["deliveries"] > counts["checks"] > counts["contents"] > 0
         assert (counts["challenges"] > 0) == (proto is Protocol.LOGPIP)
+        assert counts["spans"] > 0
         assert "shared content checks" in records[0].getMessage()
 
     def test_unverified_run_counts_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
         sim.Simulation(MEMO_CASES["random"], Protocol.NONE, m=2, rng_seed=8).run()
         (record,) = [r for r in caplog.records if r.name == "rlncheck.sim"]
-        assert set(record.args.values()) == {0}
+        assert {k: v for k, v in record.args.items() if k != "spans"} == dict.fromkeys(
+            ["deliveries", "checks", "contents", "challenges", "triples"], 0)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("topo", [butterfly_topology(), random_topology(30, 200, 3, 1, 4)],
+                             ids=["butterfly", "random"])
+    def test_honest_unverified_run_reads_only_the_sinks(self, monkeypatch, caplog, topo, epochs):
+        """Under Protocol.NONE an honest run reads a span only for the
+        sinks' ranks at the end: one span per sink, in the last epoch."""
+        read = span_reads(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
+        s = sim.Simulation(topo, Protocol.NONE, m=3, rng_seed=8, epochs=epochs)
+        s.run()
+        (record,) = [r for r in caplog.records if r.name == "rlncheck.sim"]
+        assert record.args["spans"] == len(topo.sinks)
+        assert {id(rows) for rows in read} == {id(s.nodes[t].rows) for t in topo.sinks}
+
+
+def _span_of(rows, q, m):
+    """A fresh span with ``rows`` added in order."""
+    span = gf.Span(q, m)
+    for row in rows:
+        span.add(row)
+    return span
+
+
+def _received_span(sim_node, q, m):
+    return _span_of([v.coding_vector for v in sim_node.received_vectors], q, m)
+
+
+def _rows(span):
+    return span.pivots, span.basis, span.dim
+
+
+class TestLazySpans:
+    """A node's span takes in its received vectors only when read, in
+    arrival order, so every read gives the basis that adding each vector
+    on arrival gives."""
+
+    @pytest.mark.parametrize("proto", [Protocol.NONE, Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("case", ["noninnovative", "random"])
+    def test_every_read_equals_a_fresh_span(self, monkeypatch, proto, case):
+        m = 3
+        partial = []
+        real = sim._SimNode.span
+
+        def checked(sim_node):
+            got = real.fget(sim_node)
+            assert _rows(got) == _rows(_received_span(sim_node, got.q, m))
+            if 0 < got.dim < m:
+                partial.append(got)
+            return got
+
+        monkeypatch.setattr(sim._SimNode, "span", property(checked))
+        s = sim.Simulation(MEMO_CASES[case], proto, m=m, rng_seed=8, epochs=2, challenges=1)
+        s.run()
+        # The Mode-1 node read a child's span while it was still filling.
+        assert partial
+        for sim_node in s.nodes.values():
+            assert _rows(sim_node.span) == _rows(_received_span(sim_node, s.q, m))
+
+    def test_honest_unverified_run_adds_only_to_the_sinks_span(self, monkeypatch):
+        topo = random_topology(30, 200, 3, 1, rng_seed=4)
+        added = []
+        real = gf.Span.add
+
+        def counted(span, row):
+            added.append(span)
+            return real(span, row)
+
+        monkeypatch.setattr(gf.Span, "add", counted)
+        s = sim.Simulation(topo, Protocol.NONE, m=3, rng_seed=8)
+        assert s.run().sink_ranks == {"t": 3}
+        sink = s.nodes["t"]
+        assert len(added) == len(sink.received_vectors) and {id(x) for x in added} == {id(sink.rows)}
+
+
+class TestNonInnovativeCoeffs:
+    """A full child span constrains nothing: adding full spans to a Mode-1
+    choice changes neither the coefficients nor the adversary's draws."""
+
+    @staticmethod
+    def _choose(received, spans, q, seed):
+        rng = random.Random(seed)
+        return sim._non_innovative_coeffs(received, spans, q, rng), rng.getstate()
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_full_spans_change_nothing(self, data):
+        q = data.draw(st.sampled_from([TEST.q, SIM.q]))
+        m = data.draw(st.integers(1, 4))
+        elem = st.integers(0, q - 1)
+        received = {
+            f"p{i}": gf.vector([data.draw(elem)], data.draw(st.lists(elem, min_size=m, max_size=m)), q)
+            for i in range(data.draw(st.integers(1, 4)))
+        }
+        unit = [[int(i == j) for i in range(m)] for j in range(m)]
+        rows = st.lists(st.lists(elem, min_size=m, max_size=m), max_size=m + 1)
+        spans = [_span_of(data.draw(rows), q, m) for _ in range(data.draw(st.integers(0, 3)))]
+        if all(s.dim == 0 for s in spans):
+            spans.append(_span_of(unit, q, m))  # with no partial span, every span is full
+        more = list(spans)
+        for _ in range(data.draw(st.integers(1, 3))):
+            more.insert(data.draw(st.integers(0, len(more))), _span_of(unit, q, m))
+        seed = data.draw(st.integers(0, 2**32))
+        got = self._choose(received, spans, q, seed)
+        assert self._choose(received, more, q, seed) == got
+        alphas = got[0]
+        if alphas is not None:
+            out = gf.linear_combine([received[p] for p in sorted(received)], alphas, q)
+            assert all(s.contains(out.coding_vector) for s in spans if s.dim)
+
+    @pytest.mark.parametrize("q", [TEST.q, SIM.q])
+    def test_every_span_full(self, q):
+        """Full spans still count as children that hold something, so the
+        choice is made (over the whole space) rather than left to the
+        honest fall-back."""
+        m = 3
+        unit = [[int(i == j) for i in range(m)] for j in range(m)]
+        rng = random.Random(q)
+        received = {p: gf.vector([1], [rng.randrange(q) for _ in range(m)], q) for p in "abc"}
+        one = self._choose(received, [_span_of(unit, q, m)], q, 5)
+        assert one[0] is not None and all(one[0])
+        assert self._choose(received, [_span_of(unit, q, m) for _ in range(3)], q, 5) == one
 
 
 @pytest.fixture
@@ -1174,12 +1316,72 @@ class TestHonestTable:
         assert isinstance(table, tuple) and all(isinstance(pairs, tuple) for _, pairs in table)
         assert [name for name, _ in table] == sorted(honest._emit_order)
         for name, pairs in table:
-            assert [p for p, _ in pairs] == honest.parents[name]
+            assert tuple(p for p, _ in pairs) == honest.parents[name]
             for p, a in pairs:
                 assert a == node_mod.derive_coefficient(
                     honest.seed, p.encode(), name.encode(), b"lite", honest.q)
         honest.run()
         assert honest._honest == dict(table)
+
+
+class TestRunShape:
+    """Parents, children and the longest path of a topology, checked and
+    built once per (edges, roles, source) and shared read-only by its runs."""
+
+    def test_equal_topologies_share_one_entry(self):
+        topo = random_topology(30, 200, 3, 1, rng_seed=9)
+        twin = topo.with_behavior(topo.byzantine[0], Behavior(BehaviorKind.FORWARD_ONLY))
+        sim._run_shape.cache_clear()
+        a = sim.Simulation(topo, Protocol.NONE, m=3)
+        b = sim.Simulation(twin, Protocol.PIP, m=3)
+        info = sim._run_shape.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert a.parents is b.parents and a.children is b.children and a.rounds == b.rounds
+        late = next(n for n in sorted(topo.nodes) if n not in a.children["s"] and n != "s")
+        changed = dataclasses.replace(topo, edges=topo.edges + [("s", late)])
+        c = sim.Simulation(changed, Protocol.NONE, m=3)
+        assert sim._run_shape.cache_info().misses == 2
+        assert c.parents[late] == tuple(sorted(a.parents[late] + ("s",)))
+
+    def test_mode_rows_build_one_shape(self):
+        topo = random_topology(30, 200, 3, 2, rng_seed=9)
+        sim._run_shape.cache_clear()
+        sim.mode_rows(topo, 3, seed=4, m=3)
+        info = sim._run_shape.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("cycle", "cycle"), ("unknown", "unknown node"), ("unreachable", "unreachable"),
+    ])
+    def test_invalid_topology_raises_every_time(self, fault, message):
+        topo = butterfly_topology()
+        if fault == "cycle":
+            topo.edges.append(("n1c", "n1"))
+        elif fault == "unknown":
+            topo.edges.append(("n1", "ghost"))
+        else:
+            topo.nodes["lonely"] = NodeSpec(Role.INTERIOR)
+        sim._run_shape.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                sim.Simulation(topo, Protocol.NONE, m=2)
+        assert sim._run_shape.cache_info().currsize == 0
+
+    def test_runs_cannot_change_the_shape(self):
+        topo = butterfly_topology()
+        sim._run_shape.cache_clear()
+        for kind, proto in itertools.product(BehaviorKind, (Protocol.NONE, Protocol.PIP)):
+            s = sim.Simulation(topo.with_behavior("n1", Behavior(kind)), proto, m=2, epochs=2)
+            s.run()
+        parents, children, order = sim._checked_adjacency(topo)
+        for shape in (s.parents, s.children):
+            with pytest.raises(TypeError):
+                shape["n1"] = ()
+            assert all(isinstance(v, tuple) for v in shape.values())
+        assert s.parents == {n: tuple(ps) for n, ps in parents.items()}
+        assert s.children == {n: tuple(c for c in cs if c != "s") for n, cs in children.items()}
+        assert s.rounds == sim._longest_path(children, order) + 2
+        assert sim._run_shape.cache_info().currsize == 1
 
 
 class TestTopologyFile:
