@@ -364,6 +364,29 @@ def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
     return out
 
 
+CODING_D = (5, 20, 40)  # vector counts of the linear_combine rows
+CODING_CHUNKS = (2, 5)  # payload and coding chunks of each vector, as in the mode sweep
+
+
+def _bench_coding(profile: Profile, samples: int) -> dict[int, tuple[float, float]]:
+    """µs per ``gf.linear_combine`` of d vectors, for each d in CODING_D:
+    on its first use of the vectors, timed on fresh copies of them so that
+    each call packs them, and on a repeat, over vectors already packed."""
+    q = profile.q
+    n, m = CODING_CHUNKS
+    rng = random.Random(n + m)
+    out = {}
+    for d in CODING_D:
+        vecs = [gf.vector([rng.randrange(q) for _ in range(n)], [rng.randrange(q) for _ in range(m)], q)
+                for _ in range(d)]
+        coeffs = [gf.random_nonzero(q, rng) for _ in range(d)]
+        first = _time_op(lambda: gf.linear_combine(
+            [gf.CodedVector(v.payload, v.coding_vector) for v in vecs], coeffs, q), samples)
+        repeat = _time_op(lambda: gf.linear_combine(vecs, coeffs, q), samples)
+        out[d] = (first * 1000.0, repeat * 1000.0)
+    return out
+
+
 ED25519_MESSAGE_BYTES = 256
 
 
@@ -445,6 +468,11 @@ def cmd_bench(args) -> int:
     print(f"{'product':>12} {'ms':>10}")
     for name, ms in _bench_products(profile, samples).items():
         print(f"{name:>12} {ms:>10.4f}")
+
+    print(f"\nGF(q) coding ({profile.name}, {sum(CODING_CHUNKS)} chunks per vector):")
+    print(f"{'d':>4} {'first_us':>10} {'repeat_us':>10}")
+    for d, (first_us, repeat_us) in _bench_coding(profile, samples).items():
+        print(f"{d:>4} {first_us:>10.2f} {repeat_us:>10.2f}")
 
     print(f"\nEd25519 ({ED25519_MESSAGE_BYTES}-byte message):")
     print(f"{'operation':>14} {'us':>10}")

@@ -9,6 +9,12 @@ up to 160-bit production fields.
 Chunks are stored as Z_q values (zero included): linear combinations
 can produce zero chunks even when honest coding coefficients are drawn
 from Z_q^* only.
+
+``linear_combine`` works on lanes: each ``CodedVector`` packs its
+chunks, reduced mod q, into one int, a lane of ``lane_bits(q)`` bits per
+chunk, once per q it is combined under.  A combination of d vectors is
+then d big-int products, one sum and one unpack of the n+m lanes, and
+no lane carries into the next while d < 2^32.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from operator import mul
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,36 @@ class CodedVector:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.chunks)
 
+    # (q, n, m) -> the chunks reduced mod q, chunk i in lane i of
+    # ``lane_bits(q)`` bits, as one int (``packed``).  A vector's own dict
+    # goes in its __dict__ on its first pack; this empty class default
+    # stands in until then.  Not a field, so ==, hash and replace ignore it.
+    _packs = MappingProxyType({})
+
+    def packed(self, q: int, n: int, m: int) -> int:
+        """The chunks reduced mod q, packed into lanes (see ``linear_combine``).
+
+        Raises ValueError unless the vector has n payload and m coding
+        chunks, so a vector of another shape never has a pack under (q, n, m).
+        """
+        key = (q, n, m)
+        pack = self._packs.get(key)
+        if pack is None:
+            if len(self.payload) != n or len(self.coding_vector) != m:
+                raise ValueError(f"dimension mismatch: every vector must have ({n},{m}) chunks")
+            width = lane_bits(q)
+            pack = 0
+            for c in reversed(self.payload + self.coding_vector):
+                pack = (pack << width) | (c % q)
+            self.__dict__.setdefault("_packs", {})[key] = pack
+        return pack
+
+
+def lane_bits(q: int) -> int:
+    """Bits per lane of a packed vector: room for a sum of fewer than
+    2^32 products of two values in [0, q)."""
+    return 2 * q.bit_length() + 32
+
 
 def vector(payload, coding_vector, q: int) -> CodedVector:
     """Build a CodedVector with all chunks reduced mod q."""
@@ -63,6 +100,17 @@ def standard_basis_originals(payload_rows, q: int) -> list[CodedVector]:
 def linear_combine(vectors: list[CodedVector], coeffs: list[int], q: int) -> CodedVector:
     """Compute sum(a_i * E_i) mod q component-wise over all n+m chunks.
 
+    Exact for any int chunks and coefficients, negative or not reduced
+    mod q, while there are d < 2^32 vectors.  Each vector's chunks, reduced
+    mod q, sit in lanes of w = ``lane_bits(q)`` bits of one int
+    (``CodedVector.packed``, built on the vector's first use under q and
+    kept; a vector whose shape differs from the first one's is never
+    packed, it raises).  Each coefficient is reduced mod q too, so a lane
+    of sum(a_i * pack_i) adds d products below q^2 <= 2^(w-32).  For
+    d < 2^32 it stays below 2^w and never carries into the next lane, so
+    lane i holds column i's exact sum, which a shift, a mask and a
+    reduction mod q read out.
+
     Raises ValueError on empty input or on any dimension mismatch.
     """
     if not vectors or not coeffs:
@@ -70,10 +118,14 @@ def linear_combine(vectors: list[CodedVector], coeffs: list[int], q: int) -> Cod
     if len(vectors) != len(coeffs):
         raise ValueError(f"{len(vectors)} vectors but {len(coeffs)} coefficients")
     n, m = len(vectors[0].payload), len(vectors[0].coding_vector)
-    if any(len(v.payload) != n or len(v.coding_vector) != m for v in vectors):
-        raise ValueError(f"dimension mismatch: every vector must have ({n},{m}) chunks")
-    columns = zip(*[v.payload + v.coding_vector for v in vectors])
-    sums = [sum(map(mul, coeffs, col)) % q for col in columns]
+    key = (q, n, m)
+    packs = [v._packs.get(key) for v in vectors]
+    if None in packs:  # a first use under q, or a vector of another shape
+        packs = [v.packed(q, n, m) if p is None else p for v, p in zip(vectors, packs)]
+    total = sum(map(mul, [a % q for a in coeffs], packs))
+    width = lane_bits(q)
+    mask = (1 << width) - 1
+    sums = [((total >> shift) & mask) % q for shift in range(0, width * (n + m), width)]
     return CodedVector(payload=tuple(sums[:n]), coding_vector=tuple(sums[n:]))
 
 

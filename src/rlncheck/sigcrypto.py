@@ -136,6 +136,14 @@ def sign(sk: bytes, message: bytes) -> bytes:
     return _signing_key(sk).sign(message)
 
 
+@lru_cache(maxsize=256)
+def _verifying_key(pk: bytes) -> Ed25519PublicKey:
+    """Parsed key object for pk, reused across verifications.  A malformed
+    pk raises ValueError, and ``lru_cache`` keeps no entry for a call that
+    raised."""
+    return Ed25519PublicKey.from_public_bytes(pk)
+
+
 # The triples that passed verification in the innermost active
 # shared_verifications() scope; None outside any scope.
 _verified: ContextVar[set | None] = ContextVar("rlncheck_verified", default=None)
@@ -169,7 +177,9 @@ def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
     Inside a ``shared_verifications()`` scope a triple that already
     passed in that scope returns True without running OpenSSL again.
     Only passing triples are stored, so a forged or altered signature,
-    message or key is always checked in full.
+    message or key is always checked in full.  The parsed public key is
+    reused across calls (``_verifying_key``); a malformed one is parsed,
+    and rejected, every time.
     """
     key = (_as_bytes(pk), _as_bytes(message), _as_bytes(sig))
     pk, message, sig = key
@@ -177,7 +187,7 @@ def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
     if memo is not None and key in memo:
         return True
     try:
-        Ed25519PublicKey.from_public_bytes(pk).verify(sig, message)
+        _verifying_key(pk).verify(sig, message)
     except (InvalidSignature, ValueError):
         return False
     if memo is not None:

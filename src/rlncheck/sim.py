@@ -557,6 +557,15 @@ def _non_innovative_coeffs(
     reduced basis B nor the nullspace, so leaving them out changes no
     coefficient and no draw from ``rng``.  A full span is not empty, so
     it still keeps the caller from falling back.
+
+    Each try draws one c_j from ``rng`` per basis vector b_j, in basis
+    order, and alpha = sum(c_j b_j) mod q.  ``gf.left_nullspace`` returns
+    its RREF basis: b_j is 1 at its lead and every other basis vector is
+    0 there.  So alpha is c_j at lead j, and each of the other positions
+    (as many as the rank r of the rows) is one dot product of the draws
+    with that position's column of the basis, gathered once per call:
+    O(d * r) per try for d parents, where folding the dense basis
+    vectors costs O(d * (d - r)).
     """
     parents = sorted(received)
     vecs = [received[p] for p in parents]
@@ -574,13 +583,20 @@ def _non_innovative_coeffs(
     basis = gf.left_nullspace(rows, q)
     if not basis:
         return None
+    leads = [b.index(1) for b in basis]
+    lead_set = set(leads)
+    others = [(i, [b[i] for b in basis]) for i in range(len(vecs)) if i not in lead_set]
     fallback = None
     for _ in range(64):
+        draws = [rng.randrange(q) for _ in basis]
+        if 0 in draws:
+            continue
         alpha = [0] * len(vecs)
-        for b in basis:
-            c = rng.randrange(q)
-            alpha = [(a + c * bi) % q for a, bi in zip(alpha, b)]
-        if any(a == 0 for a in alpha):
+        for i, c in zip(leads, draws):
+            alpha[i] = c
+        for i, col in others:
+            alpha[i] = sum(map(mul, draws, col)) % q
+        if 0 in alpha:
             continue
         out = gf.linear_combine(vecs, alpha, q)
         if not out.is_zero():
@@ -595,6 +611,7 @@ class _SimNode:
     spec: NodeSpec
     state: NodeState | None = None  # None under Protocol.NONE
     vectors: dict = field(default_factory=dict)  # parent -> latest accepted CodedVector
+    missing: int = 0  # parents with no accepted vector yet this epoch
     # Accepted deliveries this epoch that differ from the sender's previous
     # one.  A parent whose inputs did not change resends its packet without
     # re-coding (under Protocol.NONE it does not deliver it again), and an
@@ -656,6 +673,13 @@ class Simulation:
     rank and for a Mode-1 node's view of its children (``_SimNode.span``);
     the other nodes' spans are left unbuilt.  A Mode-1 node takes a
     child's full span as it is, without copying or extending it.
+
+    Each node counts its parents with no accepted vector yet this epoch
+    (``_SimNode.missing``): ``_run`` sets it to the number of parents at
+    each epoch start, ``_ingest_round`` lowers it on a sender's first
+    accepted vector of the epoch, and ``_emit_round`` reads it to decide
+    in O(1) whether the node is ready.  A rejected packet does not lower
+    it, and neither does a sender's second vector.
     """
 
     def __init__(
@@ -806,11 +830,12 @@ class Simulation:
             # no epoch key, the crypto-free runs bind them to b"lite".
             context = self.params.epoch_pk_bytes() if self.verified else b"lite"
             self._honest = dict(_honest_table(self.seed, context, self.q, self._plan))
-            for sim_node in self.nodes.values():
+            for name, sim_node in self.nodes.items():
                 if sim_node.state is not None:
                     sim_node.state.enter_epoch(self.params)
                 spans += sim_node.synced is not None  # read in the previous epoch
                 sim_node.vectors.clear()
+                sim_node.missing = len(self.parents[name])
                 sim_node.received_vectors = []
                 sim_node.rows = Span(self.q, self.m)
                 sim_node.synced = None
@@ -859,7 +884,8 @@ class Simulation:
     def _ingest_round(self, r: int, deliveries: dict[str, list]) -> None:
         """Take in every delivery, once accepted under PIP and Log-PIP
         (``_accepts``); one equal to its sender's last accepted delivery
-        changes nothing."""
+        changes nothing.  A sender's first accepted vector of the epoch
+        lowers the receiver's count of parents still missing."""
         for name, sim_node in self.nodes.items():
             for sender, pkt in deliveries[name]:
                 if self.verified:
@@ -874,6 +900,8 @@ class Simulation:
                     continue
                 else:
                     vec = pkt
+                if sender not in sim_node.vectors:
+                    sim_node.missing -= 1
                 sim_node.vectors[sender] = vec
                 sim_node.received_vectors.append(vec)
                 sim_node.stale = True
@@ -949,12 +977,11 @@ class Simulation:
             kind = sim_node.spec.behavior.kind
             recode = sim_node.stale or kind is BehaviorKind.NON_INNOVATIVE
             sim_node.stale = False
-            required = self.parents[name]
             # Every node, honest or not, waits for a verified packet from every
-            # parent this epoch: an honest node never codes a degraded
-            # packet, which its children would blame on it.  Only a changed
-            # input can make a node ready.
-            recode = recode and bool(required) and all(p in sim_node.vectors for p in required)
+            # parent this epoch (``missing`` counts those it still lacks): an
+            # honest node never codes a degraded packet, which its children
+            # would blame on it.  Only a changed input can make a node ready.
+            recode = recode and not sim_node.missing and bool(self.parents[name])
             if recode and kind is BehaviorKind.REPLAY_OLD and epoch > 1:
                 sim_node.sent = sim_node.stored_old  # resend epoch 1's packets unchanged
             elif recode:

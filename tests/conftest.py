@@ -16,7 +16,9 @@ def rng():
 @pytest.fixture
 def openssl_verifies(monkeypatch):
     """Every ((pk, message, sig), passed) that reached OpenSSL's Ed25519
-    verification, in call order."""
+    verification, in call order.  The parsed-key cache is emptied before
+    and after, so that every key is parsed by the counting class while it
+    is in place, and by the real one otherwise."""
     calls = []
     real = sigcrypto.Ed25519PublicKey
 
@@ -37,8 +39,10 @@ def openssl_verifies(monkeypatch):
                 raise
             calls.append((triple, True))
 
+    sigcrypto._verifying_key.cache_clear()
     monkeypatch.setattr(sigcrypto, "Ed25519PublicKey", Counting)
-    return calls
+    yield calls
+    sigcrypto._verifying_key.cache_clear()
 
 
 @pytest.fixture

@@ -158,6 +158,18 @@ class TestBench:
         assert lines[4] == ""
 
 
+    def test_bench_reports_coding_rows(self, capsys):
+        code, out = run_cli(["bench", "--trials", "1"], capsys)
+        assert code == 0
+        section = out.split("GF(q) coding (sim, 7 chunks per vector):\n", 1)[1]
+        lines = section.splitlines()
+        assert lines[0].split() == ["d", "first_us", "repeat_us"]
+        for line, d in zip(lines[1:4], (5, 20, 40)):
+            cells = line.split()
+            assert int(cells[0]) == d and float(cells[1]) > 0 and float(cells[2]) > 0
+        assert lines[4] == ""
+
+
 class FakeClock:
     """A perf_counter that only the timed calls advance."""
 

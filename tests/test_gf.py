@@ -1,5 +1,6 @@
 """Field-vector arithmetic: hand oracles, exhaustive rank checks, stats."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlncheck import gf
-from rlncheck.profiles import PRODUCTION, TEST
+from rlncheck.profiles import PRODUCTION, SIM, TEST
 
 
 def vec(payload, coding, q=13):
@@ -78,27 +79,93 @@ def combine_reference(vectors, coeffs, q):
 
 
 class TestLinearCombineReference:
-    @pytest.mark.parametrize("q", [TEST.q, PRODUCTION.q])
+    @pytest.mark.parametrize("q", [TEST.q, SIM.q, PRODUCTION.q])
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_term_reference(self, q, data):
+        """Chunks and coefficients of any sign and size; half the vectors
+        are built directly, with chunks not reduced mod q."""
         n = data.draw(st.integers(0, 3))
         m = data.draw(st.integers(1, 3))
-        k = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 6))
         chunk = st.integers(0, q - 1)
-        vecs = [
-            gf.vector(data.draw(st.lists(chunk, min_size=n, max_size=n)),
-                      data.draw(st.lists(chunk, min_size=m, max_size=m)), q)
-            for _ in range(k)
-        ]
-        coeff = st.one_of(
-            st.sampled_from([0, q - 1]),
-            st.integers(-3 * q, -1),
-            st.integers(q, 3 * q),
-            chunk,
-        )
+        wild = st.one_of(chunk, st.integers(-3 * q, -1), st.integers(q, 3 * q))
+        vecs = []
+        for _ in range(k):
+            if data.draw(st.booleans()):
+                vecs.append(gf.vector(data.draw(st.lists(chunk, min_size=n, max_size=n)),
+                                      data.draw(st.lists(chunk, min_size=m, max_size=m)), q))
+            else:
+                vecs.append(gf.CodedVector(
+                    payload=tuple(data.draw(st.lists(wild, min_size=n, max_size=n))),
+                    coding_vector=tuple(data.draw(st.lists(wild, min_size=m, max_size=m))),
+                ))
+        coeff = st.one_of(st.sampled_from([0, q - 1]), wild)
         coeffs = data.draw(st.lists(coeff, min_size=k, max_size=k))
-        assert gf.linear_combine(vecs, coeffs, q) == combine_reference(vecs, coeffs, q)
+        want = combine_reference(vecs, coeffs, q)
+        assert gf.linear_combine(vecs, coeffs, q) == want
+        assert gf.linear_combine(vecs, coeffs, q) == want  # from the packed forms
+
+    @pytest.mark.parametrize("q", [TEST.q, SIM.q, PRODUCTION.q])
+    def test_matches_per_term_reference_up_to_64_vectors(self, q):
+        """Seeded cases of 1 to 64 vectors, reduced or not: a failure here
+        reports its case at once, where shrinking 64 drawn vectors is slow."""
+        rng = random.Random(q)
+
+        def value():
+            pick = rng.randrange(4)
+            return (rng.randrange(q), -rng.randrange(1, 3 * q), rng.randrange(q, 3 * q), q - 1)[pick]
+
+        for k in [1, 2, 7, 31, 32, 33, 63, 64] + [rng.randrange(1, 65) for _ in range(24)]:
+            n, m = rng.randrange(0, 4), rng.randrange(1, 6)
+            vecs = [gf.CodedVector(payload=tuple(value() for _ in range(n)),
+                                   coding_vector=tuple(value() for _ in range(m)))
+                    for _ in range(k)]
+            coeffs = [value() for _ in range(k)]
+            want = combine_reference(vecs, coeffs, q)
+            assert gf.linear_combine(vecs, coeffs, q) == want, (k, n, m)
+
+    def test_largest_values_at_64_vectors(self):
+        """Every chunk and coefficient q - 1: each lane of the packed sum
+        holds its largest value for d = 64."""
+        for q in (TEST.q, SIM.q, PRODUCTION.q):
+            vecs = [gf.CodedVector(payload=(q - 1,) * 3, coding_vector=(-1,) * 4)] * 64
+            coeffs = [q - 1] * 64
+            assert gf.linear_combine(vecs, coeffs, q) == combine_reference(vecs, coeffs, q)
+
+    def test_one_vector_under_two_fields(self):
+        v = gf.CodedVector(payload=(30, -4), coding_vector=(12, 7))
+        w = gf.CodedVector(payload=(1, 2), coding_vector=(3, 40))
+        for _ in range(2):
+            for q in (TEST.q, 13, SIM.q):
+                assert gf.linear_combine([v, w], [3, -2], q) == combine_reference([v, w], [3, -2], q)
+
+    def test_dimension_mismatch_after_packing(self):
+        """Vectors that each carry a packed form from an earlier call still
+        raise when combined with a vector of another shape."""
+        q = TEST.q
+        a = gf.vector([1, 2], [1], q)
+        b = gf.vector([1], [1, 0], q)
+        c = gf.vector([5], [1], q)
+        for v in (a, b, c):
+            gf.linear_combine([v, v], [1, 2], q)
+        for pair in ([a, b], [b, a], [a, c], [c, a], [b, c]):
+            with pytest.raises(ValueError):
+                gf.linear_combine(pair, [1, 1], q)
+        assert gf.linear_combine([a, a], [1, 1], q) == vec([2, 4], [2], q)
+
+    def test_packed_form_is_not_a_field(self):
+        """==, hash and replace see the chunks only, packed or not."""
+        v = gf.CodedVector(payload=(1, 2), coding_vector=(3, 4))
+        fresh = gf.CodedVector(payload=(1, 2), coding_vector=(3, 4))
+        gf.linear_combine([v], [1], TEST.q)
+        gf.linear_combine([v], [1], SIM.q)
+        assert v == fresh and hash(v) == hash(fresh)
+        assert dataclasses.replace(v) == v
+        moved = dataclasses.replace(v, coding_vector=(4, 4))
+        assert moved != v
+        assert gf.linear_combine([moved], [1], TEST.q) == gf.vector([1, 2], [4, 4], TEST.q)
+        assert [f.name for f in dataclasses.fields(v)] == ["payload", "coding_vector"]
 
 
 def row_stream(data, q, width):

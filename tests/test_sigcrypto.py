@@ -47,6 +47,36 @@ class TestKeygenSignVerify:
         assert sigcrypto._signing_key.cache_info().hits == hits + 2
         assert sigcrypto._signing_key.cache_info().maxsize is not None
 
+    def test_verify_reuses_key_object(self, rng, monkeypatch):
+        """A public key is parsed once, on its first verification; a
+        malformed one is rejected every time and never kept."""
+        ident = sigcrypto.keygen(rng)
+        sigs = [sigcrypto.sign(ident.sk, m) for m in (b"abc", b"abd")]
+        parsed = []
+        real = sigcrypto.Ed25519PublicKey.from_public_bytes
+
+        class Parsing:
+            @staticmethod
+            def from_public_bytes(pk):
+                parsed.append(pk)
+                return real(pk)
+
+        sigcrypto._verifying_key.cache_clear()
+        monkeypatch.setattr(sigcrypto, "Ed25519PublicKey", Parsing)
+        try:
+            assert sigcrypto.verify(ident.pk, b"abc", sigs[0])
+            assert sigcrypto.verify(ident.pk, b"abd", sigs[1])
+            assert not sigcrypto.verify(ident.pk, b"abc", sigs[1])
+            assert parsed == [ident.pk]
+            size = sigcrypto._verifying_key.cache_info().currsize
+            for _ in range(2):
+                assert not sigcrypto.verify(b"short", b"abc", sigs[0])
+            assert parsed == [ident.pk, b"short", b"short"]
+            assert sigcrypto._verifying_key.cache_info().currsize == size
+            assert sigcrypto._verifying_key.cache_info().maxsize is not None
+        finally:
+            sigcrypto._verifying_key.cache_clear()
+
     def test_malformed_signature(self, rng):
         ident = sigcrypto.keygen(rng)
         assert not sigcrypto.verify(ident.pk, b"abc", b"junk")

@@ -509,6 +509,101 @@ class TestQuiescentNodes:
             assert got == list(range(first, last + 1)), (receiver, sender)
 
 
+@pytest.fixture
+def readiness(monkeypatch):
+    """Checks every node's count of parents still missing against a
+    recount of the parents with no accepted vector this epoch: at each
+    epoch start (every parent missing) and after each round's ingest.
+    Returns the (epoch start, node, count) and (round, node, count) records
+    and the (node, sender) of each accepted vector that replaced an
+    earlier one from the same sender within an epoch."""
+    starts, counts, replaced = [], [], []
+    source_round, ingest = sim.Simulation._source_round, sim.Simulation._ingest_round
+
+    def started(self):
+        for name, sim_node in self.nodes.items():
+            assert not sim_node.vectors and sim_node.missing == len(self.parents[name])
+            starts.append((len(starts) // len(self.nodes) + 1, name, sim_node.missing))
+        return source_round(self)
+
+    def ingested(self, r, deliveries):
+        before = {name: dict(sim_node.vectors) for name, sim_node in self.nodes.items()}
+        ingest(self, r, deliveries)
+        for name, sim_node in self.nodes.items():
+            assert sim_node.missing == sum(p not in sim_node.vectors for p in self.parents[name])
+            counts.append((r, name, sim_node.missing))
+            replaced.extend((name, p) for p, v in sim_node.vectors.items()
+                            if p in before[name] and before[name][p] is not v)
+
+    monkeypatch.setattr(sim.Simulation, "_source_round", started)
+    monkeypatch.setattr(sim.Simulation, "_ingest_round", ingested)
+    return starts, counts, replaced
+
+
+def _forging_parent_topology() -> Topology:
+    """c codes over a and over byz, a FORGE_TOKEN node whose packets c
+    rejects under PIP; a and b reach the sink without byz."""
+    nodes = {
+        "s": NodeSpec(Role.SOURCE),
+        "a": NodeSpec(Role.INTERIOR),
+        "b": NodeSpec(Role.INTERIOR),
+        "byz": NodeSpec(Role.INTERIOR, behavior=Behavior(BehaviorKind.FORGE_TOKEN)),
+        "c": NodeSpec(Role.INTERIOR),
+        "t": NodeSpec(Role.SINK),
+    }
+    edges = [("s", "a"), ("s", "b"), ("a", "byz"), ("b", "byz"),
+             ("byz", "c"), ("a", "c"), ("c", "t"), ("b", "t")]
+    return Topology(nodes=nodes, edges=edges, source="s", byzantine=["byz"])
+
+
+class TestReadiness:
+    """A node is ready once its count of parents with no accepted vector
+    this epoch reaches 0; only a sender's first accepted vector of the
+    epoch lowers it, and each epoch starts it afresh."""
+
+    def test_rejected_parent_never_counts(self, readiness, code_calls):
+        _, counts, _ = readiness
+        report = run_simulation(_forging_parent_topology(), Protocol.PIP, m=2, rng_seed=5,
+                                profile=SIM, epochs=2)
+        assert {(v.culprit, v.kind) for v in report.detections} == {
+            ("byz", ViolationKind.BAD_HELPER_SIG)
+        }
+        # a's vector arrives and byz's never does: c stays one parent short
+        assert {n for _, name, n in counts if name == "c"} == {2, 1}
+        assert "c" not in code_calls and code_calls.count("byz") == 2
+
+    def test_accepted_parent_counts(self, readiness, code_calls):
+        """The same topology without verification: byz's vectors arrive,
+        so c becomes ready and codes once per epoch."""
+        _, counts, _ = readiness
+        run_simulation(_forging_parent_topology(), Protocol.NONE, m=2, rng_seed=5, epochs=2)
+        assert {n for _, name, n in counts if name == "c"} == {2, 1, 0}
+        assert code_calls.count("c") == 2
+
+    def test_second_vector_from_a_sender_does_not_count(self, readiness):
+        """Under Protocol.NONE a Mode-1 node re-codes every round, so its
+        children take in several vectors from it in one epoch; the
+        fixture's recount checks that only the first lowered the count."""
+        _, counts, replaced = readiness
+        run_simulation(soundness_topology(Behavior(BehaviorKind.NON_INNOVATIVE)),
+                       Protocol.NONE, m=3, rng_seed=11)
+        assert {("c1", "byz"), ("c2", "byz")} & set(replaced)
+        assert {n for _, name, n in counts if name == "c1"} == {2, 1, 0}
+
+    def test_resets_each_epoch(self, readiness):
+        starts, counts, _ = readiness
+        topo = random_topology(30, 200, 3, 1, rng_seed=4)
+        report = run_simulation(topo, Protocol.NONE, m=3, rng_seed=8, epochs=2)
+        assert report.decoded == {"t": True}
+        assert sorted({epoch for epoch, _, _ in starts}) == [1, 2]
+        by_epoch = {}
+        for epoch, name, n in starts:
+            by_epoch.setdefault(epoch, {})[name] = n
+        assert by_epoch[1] == by_epoch[2] and sum(by_epoch[1].values()) == len(topo.edges)
+        # every node hears from all of its parents in each epoch
+        assert [n for _, _, n in counts].count(0) >= 2 * len(by_epoch[1])
+
+
 def soundness_topology(behavior: Behavior) -> Topology:
     """Redundant-input fixture: byz has three parents whose packets
     overlap (x recodes a and b), and both its children also hear a."""
@@ -1029,6 +1124,40 @@ class TestLazySpans:
         assert len(added) == len(sink.received_vectors) and {id(x) for x in added} == {id(sink.rows)}
 
 
+def dense_non_innovative_coeffs(received, child_spans, q, rng):
+    """Oracle: the Mode-1 choice made by folding every nullspace basis
+    vector, dense, into alpha, one draw from ``rng`` per vector."""
+    parents = sorted(received)
+    vecs = [received[p] for p in parents]
+    spans = [s for s in child_spans if s.dim > 0]
+    if not spans or not vecs:
+        return None
+    m = spans[0].width
+    unit = [[int(i == j) for i in range(m)] for j in range(m)]
+    columns = [col for s in spans if s.dim < m for col in zip(*[s.residual(e) for e in unit])]
+    reduced, pivots = gf.row_reduce(columns, q)
+    rows = [
+        [sum(c * b for c, b in zip(v.coding_vector, row)) % q for row in reduced[:len(pivots)]]
+        for v in vecs
+    ]
+    basis = gf.left_nullspace(rows, q)
+    if not basis:
+        return None
+    fallback = None
+    for _ in range(64):
+        alpha = [0] * len(vecs)
+        for b in basis:
+            c = rng.randrange(q)
+            alpha = [(a + c * bi) % q for a, bi in zip(alpha, b)]
+        if any(a == 0 for a in alpha):
+            continue
+        if not gf.linear_combine(vecs, alpha, q).is_zero():
+            return alpha
+        if fallback is None:
+            fallback = alpha
+    return fallback
+
+
 class TestNonInnovativeCoeffs:
     """A full child span constrains nothing: adding full spans to a Mode-1
     choice changes neither the coefficients nor the adversary's draws."""
@@ -1063,6 +1192,43 @@ class TestNonInnovativeCoeffs:
         if alphas is not None:
             out = gf.linear_combine([received[p] for p in sorted(received)], alphas, q)
             assert all(s.contains(out.coding_vector) for s in spans if s.dim)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_sampler(self, data):
+        """The sampler reads the RREF basis (draws at the leads, one dot
+        product per other position) and gives the dense fold's alpha and
+        leaves ``rng`` in the same state: with every view full (no
+        columns), with rank-deficient rows (repeated, dependent and zero
+        coding vectors) and with more parents than chunks."""
+        q = data.draw(st.sampled_from([2, 3, TEST.q, SIM.q]))
+        m = data.draw(st.integers(1, 4))
+        elem = st.integers(0, q - 1)
+        coding = st.lists(elem, min_size=m, max_size=m)
+        pool = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            pick = data.draw(st.integers(0, 3))
+            if pick == 0 and pool:
+                row = list(data.draw(st.sampled_from(pool)))  # repeated
+            elif pick == 1 and len(pool) >= 2:  # dependent on two earlier rows
+                a, b, c1, c2 = data.draw(st.tuples(st.sampled_from(pool), st.sampled_from(pool), elem, elem))
+                row = [(c1 * x + c2 * y) % q for x, y in zip(a, b)]
+            elif pick == 2:
+                row = [0] * m
+            else:
+                row = data.draw(coding)
+            pool.append(row)
+        received = {f"p{i:02d}": gf.vector([data.draw(elem)], row, q) for i, row in enumerate(pool)}
+        unit = [[int(i == j) for i in range(m)] for j in range(m)]
+        if data.draw(st.booleans()):
+            spans = [_span_of(unit, q, m) for _ in range(data.draw(st.integers(1, 3)))]
+        else:
+            rows = st.lists(coding, max_size=m + 1)
+            spans = [_span_of(data.draw(rows), q, m) for _ in range(data.draw(st.integers(0, 3)))]
+        seed = data.draw(st.integers(0, 2**32))
+        want_rng = random.Random(seed)
+        want = dense_non_innovative_coeffs(received, spans, q, want_rng)
+        assert self._choose(received, spans, q, seed) == (want, want_rng.getstate())
 
     @pytest.mark.parametrize("q", [TEST.q, SIM.q])
     def test_every_span_full(self, q):
