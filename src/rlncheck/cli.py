@@ -218,8 +218,12 @@ def cmd_simulate(args) -> int:
     if args.topology == "butterfly":
         topo = sim_mod.butterfly_topology()
     else:
-        with open(args.topology) as f:
-            topo = sim_mod.parse_topology(f.read())
+        try:
+            with open(args.topology) as f:
+                topo = sim_mod.parse_topology(f.read())
+        except ValueError as e:
+            print(f"rlncheck simulate: {args.topology}: {e}", file=sys.stderr)
+            return 2
     cut = sim_mod.min_cut(topo, topo.source, topo.sinks[0])
     _write_runs(out_path, [
         row

@@ -37,9 +37,10 @@ does the full work.
 Failures never abort a round; each parent gets a verdict.  A node
 codes only once every registered parent has a verified packet
 buffered, because a child blames a packet that leaves out a parent on
-its sender.  ``build_draft`` is the shared tail of every emission: it
-signs a coded vector and builds its test token, for ``process_round``
-and for callers that choose their own coefficients and token entries.
+its sender.  ``build_draft`` is the shared tail of every emission,
+the source's included: it signs a coded vector and builds its test
+token, for ``process_round`` and for callers that choose their own
+coefficients and token entries (``buffered_inputs``).
 """
 
 from __future__ import annotations
@@ -454,6 +455,13 @@ class OutgoingDraft:
     degraded: bool = False
 
 
+def buffered_inputs(state: NodeState, pairs: list[tuple[bytes, int]]) -> list[ParentInput]:
+    """Token entries (parent id, sigma, helper, coefficient) for
+    (parent id, coefficient) pairs, from the packets in ``state.buffers``."""
+    return [ParentInput(pid, state.buffers[pid].sigma, state.buffers[pid].helper, coeff)
+            for pid, coeff in pairs]
+
+
 def build_draft(
     state: NodeState,
     E: CodedVector,
@@ -475,9 +483,15 @@ def build_draft(
     its token should state.  Under Log-PIP the node keeps the tree so
     that it can answer challenges; when the claims are what it coded,
     the tree's root already carries the combined sigma.
+
+    A sender with no inputs, the source, passes no ``coded`` and no
+    ``claims``: ``E`` is its own combination of the originals, so H(c_E)
+    equals ``validity.sign_validity`` of it, and under either protocol
+    it sends an empty PIP token, which its children do not check (it has
+    no required set).
     """
     params = state.params
-    if state.protocol is Protocol.LOGPIP:
+    if state.protocol is Protocol.LOGPIP and claims:
         token, state.current_tree = pipcore.logpip_build(claims, params, state.profile.h_bytes)
     else:
         token = pipcore.pip_combine(claims)
@@ -522,14 +536,10 @@ def process_round(
     if not parents or any(rp not in state.buffers for rp in parents):
         return None, verdicts
 
-    inputs = [
-        ParentInput(
-            rp, state.buffers[rp].sigma, state.buffers[rp].helper,
-            derive_coefficient(state.seed, rp, state.node_id,
-                               params.epoch_pk_bytes(), params.q),
-        )
+    inputs = buffered_inputs(state, [
+        (rp, derive_coefficient(state.seed, rp, state.node_id, params.epoch_pk_bytes(), params.q))
         for rp in parents
-    ]
+    ])
     E = gf.linear_combine(
         [state.buffers[rp].E for rp in parents], [i.coeff for i in inputs], params.q
     )
@@ -557,6 +567,12 @@ def finalize_packet(state: NodeState, draft: OutgoingDraft, child_id: bytes) -> 
 
 # ---------------------------------------------------------------------------
 # Misbehavior proofs and adjudication
+
+
+# A proof of these adjudicates INADMISSIBLE: without a valid attest the
+# packet is not bound to its sender, and a stale packet does not show when
+# it was sent.
+UNPROVABLE = frozenset({ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH})
 
 
 class Verdict(enum.Enum):
@@ -674,6 +690,6 @@ def adjudicate(
                 break
     if v is None:
         return Adjudication(Verdict.INNOCENT)
-    if v.kind in (ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH):
+    if v.kind in UNPROVABLE:
         return Adjudication(Verdict.INADMISSIBLE, reason=str(v))
     return Adjudication(Verdict.GUILTY, v)

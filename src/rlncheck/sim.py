@@ -21,27 +21,14 @@ Because a node waits for an accepted packet from every parent, an
 honest node never emits a degraded packet (one that leaves
 out a parent), which its children would blame on it.
 
-A node's emission changes only when one of its accepted inputs does, so
-a node re-codes only in a round after such a change; otherwise it
-resends what it last coded, without re-coding or re-signing.  The
-Mode-1 adversary is the exception: it re-codes every round.  Under
-Protocol.NONE a resent vector is not delivered again, as it adds
-nothing to a child's span or decoding; under PIP and Log-PIP every
-packet is still delivered every round and gets a verdict (and, under
-Log-PIP, fresh challenge picks) each time, but a receiver checks a
-packet once per epoch and reuses the verdict (``Simulation._accepts``).
-Work that does not depend on the receiver is shared by all the nodes of
-a run: the content of a packet (epoch binding, validity signature,
-token), each Log-PIP challenge and each passing Ed25519 signature are
-checked once (``Simulation.run``).  Only two things read a node's span:
-the sinks' ranks at the end and a Mode-1 node's view of its children.
-So a span takes in the node's received vectors only when it is read
-(``_SimNode.span``), and a Mode-1 node neither copies nor extends the
-view of a child whose span is full, since a full span constrains
-nothing.  The mode runs of one sweep point check and build their
-topology's adjacency once (``_run_shape``).  The outputs are those of
-re-coding and re-checking everything every round at every receiver,
-with every span kept up to date.
+A node re-codes only in a round after one of its accepted inputs
+changed, or, as a Mode-1 adversary, every round; otherwise it resends
+what it last coded (``Simulation._emit_round``).  What a run checks
+once and shares is stated in ``Simulation.run`` and
+``Simulation._accepts``; what is built only when read or shared across
+runs, in ``_SimNode.span``, ``_run_shape`` and ``_honest_table``.  The
+outputs are those of re-coding and re-checking everything every round
+at every receiver, with every span kept up to date.
 
 The adversary model: Byzantine nodes are omniscient (they code after
 the round's honest emissions and see every child's span) and hold
@@ -68,12 +55,12 @@ import functools
 import logging
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import mul
 from types import MappingProxyType
 
-from . import gf, node as node_mod, pipcore, sigcrypto, validity
+from . import gf, node as node_mod, sigcrypto, validity
 from .gf import CodedVector, Span
 from .node import NodeState, ParentInfo, Packet
 from .pipcore import ParentInput, Protocol, Violation, ViolationKind
@@ -120,7 +107,13 @@ class InfeasibleTopologyError(Exception):
 
 @dataclass
 class Topology:
-    """Directed acyclic transmission graph with per-node roles/behaviors."""
+    """Directed acyclic transmission graph with per-node roles/behaviors.
+
+    A valid topology (``validate``) has edges between known nodes only,
+    no edge twice, one SOURCE-role node, ``source``, no cycle, and every
+    node reachable from the source.  So every other node has a parent
+    and no node sends to the source.
+    """
 
     nodes: dict[str, NodeSpec]
     edges: list[tuple[str, str]]
@@ -159,13 +152,19 @@ class Topology:
 
 
 def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
-    """(parents, children, topological order) of a valid topology, from one
-    adjacency pass; ValueError on an unknown node, a cycle or a node the
-    source cannot reach."""
+    """(parents, children, topological order) of a valid topology (see
+    ``Topology``), from one adjacency pass; ValueError naming the first
+    fault otherwise."""
     names = set(topo.nodes)
     for u, v in topo.edges:
         if u not in names or v not in names:
             raise ValueError(f"edge ({u},{v}) references unknown node")
+    if len(set(topo.edges)) != len(topo.edges):
+        u, v = next(e for e, count in Counter(topo.edges).items() if count > 1)
+        raise ValueError(f"edge ({u},{v}) listed twice")
+    sources = sorted(n for n, spec in topo.nodes.items() if spec.role is Role.SOURCE)
+    if sources != [topo.source]:
+        raise ValueError(f"source {topo.source} must be the one source node, found {sources}")
     parents, children = topo.adjacency()
     indeg = {n: len(ps) for n, ps in parents.items()}
     queue = deque(sorted(n for n, d in indeg.items() if d == 0))
@@ -180,8 +179,8 @@ def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
     if len(order) != len(parents):
         raise ValueError("topology contains a cycle")
     reach = _reachable(children, topo.source)
-    for n, spec in topo.nodes.items():
-        if n != topo.source and spec.role is not Role.SOURCE and n not in reach:
+    for n in topo.nodes:
+        if n not in reach:
             raise ValueError(f"node {n} unreachable from source")
     return parents, children, order
 
@@ -211,18 +210,18 @@ def _run_shape(edges: tuple, roles: tuple, source: str) -> tuple:
     """(parents, children, longest path) of a valid topology, for a run.
 
     ``roles`` holds the (node, role) pairs of ``Topology.nodes`` in order.
-    Parents and children are sorted tuples in read-only mappings, and no
-    child is the source, which receives nothing.  The key holds every
-    input of ``_checked_adjacency`` and no behaviour, so the mode runs of
-    one sweep point build and check their topology once; an invalid one
-    raises each time, since ``lru_cache`` stores no exception.
+    Parents and children are sorted tuples in read-only mappings.  The
+    key holds every input of ``_checked_adjacency`` and no behaviour, so
+    the mode runs of one sweep point build and check their topology once;
+    an invalid one raises each time, since ``lru_cache`` stores no
+    exception.
     """
     topo = Topology(nodes={n: NodeSpec(role=role) for n, role in roles},
                     edges=list(edges), source=source)
     parents, children, order = _checked_adjacency(topo)
     return (
         MappingProxyType({n: tuple(ps) for n, ps in parents.items()}),
-        MappingProxyType({n: tuple(c for c in cs if c != source) for n, cs in children.items()}),
+        MappingProxyType({n: tuple(cs) for n, cs in children.items()}),
         _longest_path(children, order),
     )
 
@@ -496,11 +495,6 @@ class TransmissionReport:
 # ---------------------------------------------------------------------------
 # The simulation engine
 
-# A proof of these adjudicates INADMISSIBLE: without a valid attest the
-# packet is not bound to its sender, and a stale packet does not show when
-# it was sent.  Their detections are still reported.
-_UNPROVABLE = frozenset({ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH})
-
 _UNCHECKED = object()
 
 # Chunks in each original payload, in every simulation.
@@ -611,7 +605,6 @@ class _SimNode:
     spec: NodeSpec
     state: NodeState | None = None  # None under Protocol.NONE
     vectors: dict = field(default_factory=dict)  # parent -> latest accepted CodedVector
-    missing: int = 0  # parents with no accepted vector yet this epoch
     # Accepted deliveries this epoch that differ from the sender's previous
     # one.  A parent whose inputs did not change resends its packet without
     # re-coding (under Protocol.NONE it does not deliver it again), and an
@@ -651,35 +644,13 @@ class Simulation:
     verified.  Under PIP and Log-PIP every node holds a ``NodeState``,
     packets are built by ``node.build_draft`` and ``node.finalize_packet``,
     and each delivery gets a verdict (and, under Log-PIP, challenges)
-    before it is accepted.  A receiver checks each distinct packet once
-    per epoch; a resent packet gets the recorded verdict (``_accepts``).
-    What does not depend on the receiver is shared by all the nodes of a
-    run (``run``): the content of a packet (epoch binding, validity
-    signature, token), each Log-PIP challenge and its response, and each
-    distinct Ed25519 signature that passes.  The attest and helper
-    signatures of each edge are checked by its receiver.
+    before it is accepted.  What a run checks once and shares is stated
+    in ``run`` and ``_accepts``.
 
-    The prescribed coefficients of each epoch come from a table shared
-    across runs (``_honest_table``), keyed on every input of their PRF:
-    the seed, the epoch key bytes (b"lite" without one), q and each
-    coding node's parents.  The mode runs of one sweep point share a seed
-    and a topology, so only the first derives the table.  Likewise the
-    parents, children and longest path come from ``_run_shape``, keyed on
-    the edges, the roles and the source, so only the first checks the
-    topology and builds them; ``parents`` and ``children`` are read-only
-    mappings of tuples.
-
-    A node's span is read, and so brought up to date, only for a sink's
-    rank and for a Mode-1 node's view of its children (``_SimNode.span``);
-    the other nodes' spans are left unbuilt.  A Mode-1 node takes a
-    child's full span as it is, without copying or extending it.
-
-    Each node counts its parents with no accepted vector yet this epoch
-    (``_SimNode.missing``): ``_run`` sets it to the number of parents at
-    each epoch start, ``_ingest_round`` lowers it on a sender's first
-    accepted vector of the epoch, and ``_emit_round`` reads it to decide
-    in O(1) whether the node is ready.  A rejected packet does not lower
-    it, and neither does a sender's second vector.
+    The prescribed coefficients and the parents, children and longest
+    path come from caches shared across runs (``_honest_table``,
+    ``_run_shape``); ``parents`` and ``children`` are read-only mappings
+    of tuples.  A node's span is built only when read (``_SimNode.span``).
     """
 
     def __init__(
@@ -693,6 +664,8 @@ class Simulation:
         challenges: int = 1,
         collect_proofs: bool = False,
     ):
+        if m < 1 or epochs < 1:
+            raise ValueError(f"m and epochs must be >= 1, got m={m}, epochs={epochs}")
         self.parents, self.children, longest = _run_shape(
             tuple(topo.edges), tuple((n, spec.role) for n, spec in topo.nodes.items()),
             topo.source,
@@ -830,12 +803,11 @@ class Simulation:
             # no epoch key, the crypto-free runs bind them to b"lite".
             context = self.params.epoch_pk_bytes() if self.verified else b"lite"
             self._honest = dict(_honest_table(self.seed, context, self.q, self._plan))
-            for name, sim_node in self.nodes.items():
+            for sim_node in self.nodes.values():
                 if sim_node.state is not None:
                     sim_node.state.enter_epoch(self.params)
                 spans += sim_node.synced is not None  # read in the previous epoch
                 sim_node.vectors.clear()
-                sim_node.missing = len(self.parents[name])
                 sim_node.received_vectors = []
                 sim_node.rows = Span(self.q, self.m)
                 sim_node.synced = None
@@ -871,12 +843,7 @@ class Simulation:
             combo = [gf.random_nonzero(self.q, self.rng) for _ in range(self.m)]
             pkt = E = gf.linear_combine(self.originals, combo, self.q)
             if self.verified:
-                draft = node_mod.OutgoingDraft(
-                    E=E, sigma=validity.sign_validity(self.params, E),
-                    test_token=pipcore.PipTestToken(entries=()),
-                    epoch_ref=node_mod.EpochRef(k=self.params.k, master_sig=self.params.master_sig),
-                    sender_id=src.encode(),
-                )
+                draft = node_mod.build_draft(self.source_state, E, [], [])
                 pkt = node_mod.finalize_packet(self.source_state, draft, child.encode())
             deliveries[child].append((src, pkt))
         return deliveries
@@ -884,8 +851,7 @@ class Simulation:
     def _ingest_round(self, r: int, deliveries: dict[str, list]) -> None:
         """Take in every delivery, once accepted under PIP and Log-PIP
         (``_accepts``); one equal to its sender's last accepted delivery
-        changes nothing.  A sender's first accepted vector of the epoch
-        lowers the receiver's count of parents still missing."""
+        changes nothing."""
         for name, sim_node in self.nodes.items():
             for sender, pkt in deliveries[name]:
                 if self.verified:
@@ -900,8 +866,6 @@ class Simulation:
                     continue
                 else:
                     vec = pkt
-                if sender not in sim_node.vectors:
-                    sim_node.missing -= 1
                 sim_node.vectors[sender] = vec
                 sim_node.received_vectors.append(vec)
                 sim_node.stale = True
@@ -952,11 +916,12 @@ class Simulation:
                 )
                 if cv is not None:
                     failures.append((cv, None if proof is None else [(target, proof)]))
+        # A detection of an unprovable kind is reported without a proof.
         for v, transcript in failures:
             self.report.detections.append(
                 DetectionEvent(round=r, verifier=name, culprit=sender, kind=v.kind)
             )
-            if self.collect_proofs and transcript is not None and v.kind not in _UNPROVABLE:
+            if self.collect_proofs and transcript is not None and v.kind not in node_mod.UNPROVABLE:
                 self.report.proofs.append(node_mod.build_misbehavior_proof(st, pkt, transcript))
         return not failures
 
@@ -978,10 +943,10 @@ class Simulation:
             recode = sim_node.stale or kind is BehaviorKind.NON_INNOVATIVE
             sim_node.stale = False
             # Every node, honest or not, waits for a verified packet from every
-            # parent this epoch (``missing`` counts those it still lacks): an
-            # honest node never codes a degraded packet, which its children
-            # would blame on it.  Only a changed input can make a node ready.
-            recode = recode and not sim_node.missing and bool(self.parents[name])
+            # parent this epoch: an honest node never codes a degraded packet,
+            # which its children would blame on it.  Only a changed input can
+            # make a node ready.
+            recode = recode and len(sim_node.vectors) == len(self.parents[name])
             if recode and kind is BehaviorKind.REPLAY_OLD and epoch > 1:
                 sim_node.sent = sim_node.stored_old  # resend epoch 1's packets unchanged
             elif recode:
@@ -1010,7 +975,8 @@ class Simulation:
         if not self.verified:
             return E, {child: E for child in self.children[name]}
         st = sim_node.state
-        draft = node_mod.build_draft(st, E, self._inputs(st, coding), claims)
+        coded = node_mod.buffered_inputs(st, [(p.encode(), a) for p, a in coding])
+        draft = node_mod.build_draft(st, E, coded, claims)
         return E, {
             child: node_mod.finalize_packet(st, draft, child.encode())
             for child in self.children[name]
@@ -1042,9 +1008,8 @@ class Simulation:
         """
         st = self.nodes[name].state
         kind = self.nodes[name].spec.behavior.kind
-        required = self.parents[name]
         honest = self._honest[name]
-        target = required[0]
+        target = self.parents[name][0]
         coding = honest
         if kind is BehaviorKind.SKIP_PARENT:
             coding = [(p, a) for p, a in honest if p != target]
@@ -1060,10 +1025,11 @@ class Simulation:
                 coding = honest
                 self.report.fallbacks[name] = self.report.fallbacks.get(name, 0) + 1
         elif kind is BehaviorKind.FORWARD_ONLY:
-            coding = [(required[0], 1)]
+            coding = [(target, 1)]
         if not self.verified:
             return coding, []
-        claims = self._inputs(st, honest if kind is BehaviorKind.FORWARD_ONLY else coding)
+        claimed = honest if kind is BehaviorKind.FORWARD_ONLY else coding
+        claims = node_mod.buffered_inputs(st, [(p.encode(), a) for p, a in claimed])
         if kind is BehaviorKind.FORGE_TOKEN:
             target_id = target.encode()
             claims = [
@@ -1094,15 +1060,6 @@ class Simulation:
         )
         return None if alphas is None else list(zip(required, alphas))
 
-    @staticmethod
-    def _inputs(st: NodeState, pairs: list[tuple[str, int]]) -> list[ParentInput]:
-        """Token entries for (parent, coefficient) pairs, from the buffered packets."""
-        out = []
-        for p, a in pairs:
-            pkt = st.buffers[p.encode()]
-            out.append(ParentInput(pkt.sender_id, pkt.sigma, pkt.helper, a))
-        return out
-
 
 def run_simulation(
     topo: Topology,
@@ -1119,20 +1076,14 @@ def run_simulation(
     round loop and the same adversaries.  Protocol NONE moves bare coded
     vectors and verifies nothing, which is what the throughput mode
     sweeps run; PIP and LOGPIP build, verify and (Log-PIP) challenge
-    full packets, and report verdicts, detections and proofs: one
-    verdict per delivery per round, where a receiver checks each
-    distinct packet once per epoch, and a packet's content, each
-    challenge and each distinct Ed25519 signature that passes are
-    checked once per run, whichever node checks them first (see
-    ``Simulation.run``).  A node codes only once every
-    required parent has delivered an accepted packet this epoch, so an
-    honest node never emits a degraded packet.
-    Byzantine nodes are omniscient and hold valid keys; each behavior
-    chooses the coefficients the node codes with and the token entries
-    it claims (see ``Simulation._strategy``).
+    full packets, and report verdicts, detections and proofs, one
+    verdict per delivery per round (what is checked once and shared:
+    ``Simulation.run``).  A node codes only once every required parent
+    has delivered an accepted packet this epoch, so an honest node never
+    emits a degraded packet.  Byzantine nodes are omniscient and hold
+    valid keys; each behavior chooses the coefficients the node codes
+    with and the token entries it claims (see ``Simulation._strategy``).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return Simulation(
         topo, protocol, m, rng_seed=rng_seed, profile=profile, epochs=epochs,
         challenges=challenges,
@@ -1267,6 +1218,8 @@ def parse_topology(text: str) -> Topology:
                 behavior = Behavior(BehaviorKind(behavior_s))
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from None
+            if name in nodes:
+                raise ValueError(f"line {lineno}: node {name} declared twice")
             nodes[name] = NodeSpec(role=role, behavior=behavior)
             if role is Role.SOURCE:
                 source = name
@@ -1276,6 +1229,8 @@ def parse_topology(text: str) -> Topology:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
     if source is None:
         raise ValueError("no source node declared")
+    if not any(spec.role is Role.SINK for spec in nodes.values()):
+        raise ValueError("no sink node declared")
     topo = Topology(nodes=nodes, edges=edges, source=source,
                     byzantine=[n for n, s in nodes.items()
                                if s.behavior.kind is not BehaviorKind.HONEST])

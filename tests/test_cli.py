@@ -1,6 +1,9 @@
 """CLI subcommands: demo walkthrough, sweep CSV, size audit, bench."""
 
+import contextlib
 import csv
+import io
+import re
 
 import pytest
 
@@ -94,6 +97,22 @@ class TestSimulate:
         assert len(rows) == 12
         assert all(row["min_cut"] == "2" for row in rows)
 
+    @pytest.mark.parametrize("text, message", [
+        ("node s source honest\nnode a interior honest\ns a\n", "no sink node declared"),
+        ("node s source honest\nnode a interior honest\nnode a sink honest\ns a\n",
+         "line 3: node a declared twice"),
+        ("node s source honest\nnode a interior honest\nnode t sink honest\ns a\ns a\na t\n",
+         r"edge \(s,a\) listed twice"),
+    ], ids=["no_sink", "repeated_node", "repeated_edge"])
+    def test_malformed_topology_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "topo.txt"
+        path.write_text(text)
+        out = tmp_path / "rows.csv"
+        code = cli.main(["simulate", "--topology", str(path), "--trials", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert re.search(message, err) and str(path) in err
+
 
 class TestSizes:
     def test_audit_passes(self, capsys):
@@ -103,9 +122,19 @@ class TestSizes:
         assert "FAIL" not in out
 
 
+@pytest.fixture(scope="module")
+def bench_run():
+    """The exit code and output of one quick ``rlncheck bench`` run, which
+    every TestBench test reads its own section of."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["bench", "--trials", "1"])
+    return code, out.getvalue()
+
+
 class TestBench:
-    def test_quick_bench_runs(self, capsys):
-        code, out = run_cli(["bench", "--trials", "1"], capsys)
+    def test_quick_bench_runs(self, bench_run):
+        code, out = bench_run
         assert code == 0
         lines = out.split("payload-independence ratios", 1)[1].splitlines()[1:]
         labels = [line.split(":")[0].strip() for line in lines]
@@ -113,8 +142,8 @@ class TestBench:
         for line in lines:
             assert float(line.split(":")[1].strip().rstrip("x")) > 0
 
-    def test_bench_reports_validity_rows(self, capsys):
-        code, out = run_cli(["bench", "--trials", "1"], capsys)
+    def test_bench_reports_validity_rows(self, bench_run):
+        code, out = bench_run
         assert code == 0
         section = out.split("validity signatures (sim, m=2):\n", 1)[1].splitlines()
         assert section[0].split() == ["n", "sign_ms", "verify_ms"]
@@ -124,8 +153,8 @@ class TestBench:
             assert float(cells[1]) > 0 and float(cells[2]) > 0
 
 
-    def test_bench_reports_verified_span_rows(self, capsys):
-        code, out = run_cli(["bench", "--trials", "1"], capsys)
+    def test_bench_reports_verified_span_rows(self, bench_run):
+        code, out = bench_run
         assert code == 0
         section = out.split("validity in a verified span of rank m (sim, m=2):\n", 1)[1]
         lines = section.splitlines()
@@ -135,8 +164,8 @@ class TestBench:
             assert int(cells[0]) == n and float(cells[1]) > 0
         assert lines[4] == ""
 
-    def test_bench_reports_validity_product_rows(self, capsys):
-        code, out = run_cli(["bench", "--trials", "1"], capsys)
+    def test_bench_reports_validity_product_rows(self, bench_run):
+        code, out = bench_run
         assert code == 0
         section = out.split("validity products (sim, m=2):\n", 1)[1]
         lines = section.splitlines()
@@ -146,8 +175,8 @@ class TestBench:
         assert all(float(ms) > 0 for _, ms in rows)
         assert lines[5] == ""
 
-    def test_bench_reports_ed25519_rows(self, capsys):
-        code, out = run_cli(["bench", "--trials", "1"], capsys)
+    def test_bench_reports_ed25519_rows(self, bench_run):
+        code, out = bench_run
         assert code == 0
         section = out.split("Ed25519 (256-byte message):\n", 1)[1]
         lines = section.splitlines()
@@ -158,8 +187,8 @@ class TestBench:
         assert lines[4] == ""
 
 
-    def test_bench_reports_coding_rows(self, capsys):
-        code, out = run_cli(["bench", "--trials", "1"], capsys)
+    def test_bench_reports_coding_rows(self, bench_run):
+        code, out = bench_run
         assert code == 0
         section = out.split("GF(q) coding (sim, 7 chunks per vector):\n", 1)[1]
         lines = section.splitlines()

@@ -511,27 +511,28 @@ class TestQuiescentNodes:
 
 @pytest.fixture
 def readiness(monkeypatch):
-    """Checks every node's count of parents still missing against a
-    recount of the parents with no accepted vector this epoch: at each
-    epoch start (every parent missing) and after each round's ingest.
-    Returns the (epoch start, node, count) and (round, node, count) records
-    and the (node, sender) of each accepted vector that replaced an
-    earlier one from the same sender within an epoch."""
+    """Records every node's count of parents with no accepted vector this
+    epoch, len(parents) - len(vectors), at each epoch start (every parent
+    missing) and after each round's ingest, and checks that ``vectors``
+    holds only parents, so that the count is a recount.  Returns the
+    (epoch start, node, count) and (round, node, count) records and the
+    (node, sender) of each accepted vector that replaced an earlier one
+    from the same sender within an epoch."""
     starts, counts, replaced = [], [], []
     source_round, ingest = sim.Simulation._source_round, sim.Simulation._ingest_round
 
     def started(self):
         for name, sim_node in self.nodes.items():
-            assert not sim_node.vectors and sim_node.missing == len(self.parents[name])
-            starts.append((len(starts) // len(self.nodes) + 1, name, sim_node.missing))
+            assert not sim_node.vectors
+            starts.append((len(starts) // len(self.nodes) + 1, name, len(self.parents[name])))
         return source_round(self)
 
     def ingested(self, r, deliveries):
         before = {name: dict(sim_node.vectors) for name, sim_node in self.nodes.items()}
         ingest(self, r, deliveries)
         for name, sim_node in self.nodes.items():
-            assert sim_node.missing == sum(p not in sim_node.vectors for p in self.parents[name])
-            counts.append((r, name, sim_node.missing))
+            assert set(sim_node.vectors) <= set(self.parents[name])
+            counts.append((r, name, len(self.parents[name]) - len(sim_node.vectors)))
             replaced.extend((name, p) for p, v in sim_node.vectors.items()
                             if p in before[name] and before[name][p] is not v)
 
@@ -557,9 +558,9 @@ def _forging_parent_topology() -> Topology:
 
 
 class TestReadiness:
-    """A node is ready once its count of parents with no accepted vector
-    this epoch reaches 0; only a sender's first accepted vector of the
-    epoch lowers it, and each epoch starts it afresh."""
+    """A node is ready once it holds an accepted vector from every parent
+    this epoch; only a sender's first accepted vector of the epoch lowers
+    the count of parents it lacks, and each epoch starts it afresh."""
 
     def test_rejected_parent_never_counts(self, readiness, code_calls):
         _, counts, _ = readiness
@@ -582,8 +583,8 @@ class TestReadiness:
 
     def test_second_vector_from_a_sender_does_not_count(self, readiness):
         """Under Protocol.NONE a Mode-1 node re-codes every round, so its
-        children take in several vectors from it in one epoch; the
-        fixture's recount checks that only the first lowered the count."""
+        children take in several vectors from it in one epoch; only the
+        first lowers the count of parents c1 lacks."""
         _, counts, replaced = readiness
         run_simulation(soundness_topology(Behavior(BehaviorKind.NON_INNOVATIVE)),
                        Protocol.NONE, m=3, rng_seed=11)
@@ -1320,21 +1321,28 @@ class TestDraftSignatures:
     def test_draft_sigma_is_combination_of_coded_inputs(self, monkeypatch, kind, protocol):
         """A draft signed with H(c_E), or with its Log-PIP root, carries the
         combination of the validity signatures it coded, for every node
-        of every behaviour, in both epochs."""
+        of every behaviour, in both epochs.  The source's draft codes no
+        inputs: it carries sign_validity of its vector and an empty PIP
+        token under either protocol."""
         drafts = []
         build = node_mod.build_draft
 
         def recorded(state, E, coded, claims):
             draft = build(state, E, coded, claims)
-            drafts.append((state.params, coded, draft.sigma))
+            drafts.append((state.params, coded, draft))
             return draft
 
         monkeypatch.setattr(sim.node_mod, "build_draft", recorded)
         topo = soundness_topology(Behavior(kind))
         run_simulation(topo, protocol, m=2, rng_seed=13, profile=SIM, epochs=2)
         assert {params.k for params, _, _ in drafts} == {1, 2}
-        for params, coded, sigma in drafts:
-            assert sigma == validity.combine_validity(
+        assert any(not coded for _, coded, _ in drafts)
+        for params, coded, draft in drafts:
+            if not coded:  # the source's: a combination of the originals
+                assert draft.sigma == validity.sign_validity(params, draft.E)
+                assert draft.test_token == pipcore.PipTestToken(entries=())
+                continue
+            assert draft.sigma == validity.combine_validity(
                 [i.sigma for i in coded], [i.coeff for i in coded], params
             )
 
@@ -1518,13 +1526,26 @@ class TestRunShape:
 
     @pytest.mark.parametrize("fault, message", [
         ("cycle", "cycle"), ("unknown", "unknown node"), ("unreachable", "unreachable"),
+        ("repeated", r"edge \(s,r1\) listed twice"),
+        ("second_source", r"source s must be the one source node, found \['s', 's2'\]"),
+        ("source_role", r"source s must be the one source node, found \[\]"),
     ])
     def test_invalid_topology_raises_every_time(self, fault, message):
+        """A repeated edge would count its tail twice among its head's
+        parents, and a second source would be a node with no parent: in
+        either case a node waits for a packet that never comes."""
         topo = butterfly_topology()
         if fault == "cycle":
             topo.edges.append(("n1c", "n1"))
         elif fault == "unknown":
             topo.edges.append(("n1", "ghost"))
+        elif fault == "repeated":
+            topo.edges.append(("s", "r1"))
+        elif fault == "second_source":
+            topo.nodes["s2"] = NodeSpec(Role.SOURCE)
+            topo.edges.append(("s2", "n1"))
+        elif fault == "source_role":
+            topo.nodes["s"] = NodeSpec(Role.INTERIOR)
         else:
             topo.nodes["lonely"] = NodeSpec(Role.INTERIOR)
         sim._run_shape.cache_clear()
@@ -1566,6 +1587,29 @@ class TestTopologyFile:
     def test_missing_source(self):
         with pytest.raises(ValueError, match="source"):
             sim.parse_topology("node a interior honest\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("node s source honest\nnode a interior honest\ns a\n", "no sink node declared"),
+        ("node s source honest\nnode a interior honest\nnode a sink honest\ns a\n",
+         "line 3: node a declared twice"),
+        ("node s source honest\nnode a interior honest\nnode t sink honest\ns a\ns a\na t\n",
+         r"edge \(s,a\) listed twice"),
+        ("node s source honest\nnode s2 source honest\nnode t sink honest\ns t\ns2 t\n",
+         r"source s2 must be the one source node, found \['s', 's2'\]"),
+    ], ids=["no_sink", "repeated_node", "repeated_edge", "second_source"])
+    def test_malformed_file(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            sim.parse_topology(text)
+
+
+class TestSimulationInputs:
+    @pytest.mark.parametrize("protocol", [Protocol.NONE, Protocol.PIP])
+    @pytest.mark.parametrize("m, epochs", [(0, 1), (1, 0), (-1, 1)])
+    def test_m_and_epochs_at_least_one(self, protocol, m, epochs):
+        with pytest.raises(ValueError, match="m and epochs must be >= 1"):
+            sim.Simulation(butterfly_topology(), protocol, m=m, epochs=epochs)
+        with pytest.raises(ValueError, match="m and epochs must be >= 1"):
+            run_simulation(butterfly_topology(), protocol, m, epochs=epochs)
 
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_sim.json")
