@@ -19,6 +19,7 @@ from .node import (
     adjudicate,
     build_misbehavior_proof,
     derive_coefficient,
+    derive_coefficients,
     deserialize_packet,
     process_round,
     serialize_packet,

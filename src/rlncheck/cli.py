@@ -224,11 +224,11 @@ def cmd_simulate(args) -> int:
         except ValueError as e:
             print(f"rlncheck simulate: {args.topology}: {e}", file=sys.stderr)
             return 2
-    cut = sim_mod.min_cut(topo, topo.source, topo.sinks[0])
+    cuts = {sink: sim_mod.min_cut(topo, topo.source, sink) for sink in topo.sinks}
     _write_runs(out_path, [
         row
         for seed in range(args.seed, args.seed + args.trials)
-        for row in sim_mod.mode_rows(topo, cut, seed, args.packets, profile)
+        for row in sim_mod.mode_rows(topo, cuts, seed, args.packets, profile)
     ])
     print(f"wrote {out_path}")
     return 0
@@ -391,6 +391,27 @@ def _bench_coding(profile: Profile, samples: int) -> dict[int, tuple[float, floa
     return out
 
 
+PRF_PARENTS = 20  # one node's parents, about the mean in-degree in the mode-sweep topologies
+
+
+def _bench_prf(profile: Profile, samples: int) -> dict[str, float]:
+    """µs per prescribed coefficient at ``profile``'s q, for one node with
+    PRF_PARENTS parents and the crypto-free context b"lite": derived one
+    at a time (``node.derive_coefficient``) and as the node's one batch
+    (``node.derive_coefficients``)."""
+    q, seed, node_id = profile.q, bytes(range(32)), b"n000"
+    parents = [f"p{i:02d}".encode() for i in range(PRF_PARENTS)]
+    out = {
+        "one at a time": _time_op(lambda: [
+            node_mod.derive_coefficient(seed, p, node_id, b"lite", q) for p in parents
+        ], samples),
+        "batch": _time_op(
+            lambda: node_mod.derive_coefficients(seed, parents, node_id, b"lite", q), samples
+        ),
+    }
+    return {name: ms * 1000.0 / PRF_PARENTS for name, ms in out.items()}
+
+
 ED25519_MESSAGE_BYTES = 256
 
 
@@ -477,6 +498,11 @@ def cmd_bench(args) -> int:
     print(f"{'d':>4} {'first_us':>10} {'repeat_us':>10}")
     for d, (first_us, repeat_us) in _bench_coding(profile, samples).items():
         print(f"{d:>4} {first_us:>10.2f} {repeat_us:>10.2f}")
+
+    print(f"\nPRF coefficients ({profile.name}, {PRF_PARENTS} parents):")
+    print(f"{'derived':>14} {'us':>10}")
+    for name, us in _bench_prf(profile, samples).items():
+        print(f"{name:>14} {us:>10.2f}")
 
     print(f"\nEd25519 ({ED25519_MESSAGE_BYTES}-byte message):")
     print(f"{'operation':>14} {'us':>10}")

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -100,24 +101,38 @@ def derive_coefficient(
     epoch_pk_bytes: bytes,
     q: int,
 ) -> int:
-    """The prescribed coding coefficient for (parent -> node).
+    """The prescribed coding coefficient for (parent -> node): the
+    ``derive_coefficients`` of the one parent."""
+    return derive_coefficients(seed, (parent_id,), node_id, epoch_pk_bytes, q)[0]
+
+
+def derive_coefficients(
+    seed: bytes,
+    parent_ids: Sequence[bytes],
+    node_id: bytes,
+    epoch_pk_bytes: bytes,
+    q: int,
+) -> list[int]:
+    """The prescribed coding coefficient of each (parent -> node), in
+    ``parent_ids`` order, from one PRF pass (``sigcrypto.prf_to_fields``).
 
     PRF input is the length-prefixed tuple of ids plus the epoch public
     key, so coefficients differ across epochs; output is mapped into
     Z_q^* and is never zero.  The message is the ``wire.Writer`` layout
     raw(context), var_bytes(parent), var_bytes(node), var_bytes(b""),
-    u64(len(key)), raw(key), built in one join.
+    u64(len(key)), raw(key); everything after the parent is the same for
+    every parent and is built once.
     """
-    if not 0 < len(parent_id) < 256 or not 0 < len(node_id) < 256:
+    if not 0 < len(node_id) < 256 or not all(0 < len(p) < 256 for p in parent_ids):
         raise ValueError("parent_id and node_id must be 1 to 255 bytes")
-    message = b"".join((
-        _COEFF_CONTEXT,
-        bytes((len(parent_id),)), parent_id,
+    tail = b"".join((
         bytes((len(node_id),)), node_id,
         b"\x00",  # an empty child id, so coefficients keep their values
         len(epoch_pk_bytes).to_bytes(8, "big"), epoch_pk_bytes,
     ))
-    return sigcrypto.prf_to_field(seed, message, q)
+    return sigcrypto.prf_to_fields(
+        seed, [b"".join((_COEFF_CONTEXT, bytes((len(p),)), p, tail)) for p in parent_ids], q
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +288,10 @@ def _check_content(
 
     if sender.required_set:
         if isinstance(pkt.test_token, PipTestToken):
-            expected = {
-                gp: derive_coefficient(seed, gp, sender_id, params.epoch_pk_bytes(), params.q)
-                for gp in sender.required_set
-            }
+            required = list(sender.required_set)
+            expected = dict(zip(required, derive_coefficients(
+                seed, required, sender_id, params.epoch_pk_bytes(), params.q
+            )))
             v = pipcore.pip_verif_test(
                 pkt.sigma, pkt.test_token, sender_id,
                 set(sender.required_set), sender.grandparent_pks, expected, params,
@@ -536,10 +551,10 @@ def process_round(
     if not parents or any(rp not in state.buffers for rp in parents):
         return None, verdicts
 
-    inputs = buffered_inputs(state, [
-        (rp, derive_coefficient(state.seed, rp, state.node_id, params.epoch_pk_bytes(), params.q))
-        for rp in parents
-    ])
+    coeffs = derive_coefficients(
+        state.seed, parents, state.node_id, params.epoch_pk_bytes(), params.q
+    )
+    inputs = buffered_inputs(state, list(zip(parents, coeffs)))
     E = gf.linear_combine(
         [state.buffers[rp].E for rp in parents], [i.coeff for i in inputs], params.q
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -73,26 +74,47 @@ def prf(seed: bytes, data: bytes) -> bytes:
 
 
 def prf_to_field(seed: bytes, data: bytes, q: int) -> int:
-    """Map PRF output into Z_q^* by rejection sampling on counters.
+    """``prf_to_fields`` of the one message ``data``."""
+    return prf_to_fields(seed, (data,), q)[0]
 
-    Each attempt masks an HMAC digest down to q's bit length; values
-    outside [1, q) are rejected and the counter bumped, so acceptance
-    probability is at least ~1/2 per attempt and the result is
-    (computationally) uniform over Z_q^*.
+
+def prf_to_fields(seed: bytes, messages: Iterable[bytes], q: int) -> list[int]:
+    """Map the PRF output on each message into Z_q^* by rejection
+    sampling on counters, one value per message, in order.
+
+    Each attempt is PRF(data || counter), counters 0, 1, 2, ... as 4
+    big-endian bytes; when q is wider than one digest, an attempt
+    concatenates the digests of consecutive counters.  The attempt's
+    first bytes are masked down to q's bit length, and values outside
+    [1, q) are rejected, so acceptance probability is at least ~1/2 per
+    attempt and the result is (computationally) uniform over Z_q^*.
+
+    The HMAC states of ``seed`` are fetched once for all the messages.
     """
+    if len(seed) < 16:
+        raise ValueError("seed must be at least 16 bytes")
+    inner_start, outer_start = _hmac_states(seed)
+    inner_copy, outer_copy = inner_start.copy, outer_start.copy
     bits = q.bit_length()
     nbytes = (bits + 7) // 8
     mask = (1 << bits) - 1
-    counter = 0
-    while True:
-        digest = prf(seed, data + counter.to_bytes(4, "big"))
-        while len(digest) < nbytes:
-            counter += 1
-            digest += prf(seed, data + counter.to_bytes(4, "big"))
-        x = int.from_bytes(digest[:nbytes], "big") & mask
-        if 0 < x < q:
-            return x
-        counter += 1
+    out = []
+    for data in messages:
+        counter = 0
+        while True:
+            digest = b""
+            while len(digest) < nbytes:  # prf(seed, data || counter)
+                inner = inner_copy()
+                inner.update(data + counter.to_bytes(4, "big"))
+                outer = outer_copy()
+                outer.update(inner.digest())
+                digest += outer.digest()
+                counter += 1
+            x = int.from_bytes(digest[:nbytes], "big") & mask
+            if 0 < x < q:
+                out.append(x)
+                break
+    return out
 
 
 @dataclass

@@ -2,17 +2,19 @@
 
 The transmission model: per epoch the source emits one fresh random
 combination of its m originals to each of its children in round 1;
-every other node sends a coded packet each round once it has accepted
-a packet from every parent this epoch, the same packet to all children
-(shared coefficients).  A node's required set, the parents it must
-code over, is all of its parents.  Under that schedule a node contributes
-at most one degree of freedom per epoch, so the throughput a sink can
-reach is min(min_cut, m) where min_cut is the max-flow with unit
-capacities on both edges and interior nodes.
+every interior node with a child sends a coded packet each round once
+it has accepted a packet from every parent this epoch, the same packet
+to all children (shared coefficients).  A sink, or an interior node
+with no child, receives and checks but never codes; a childless node's
+emission would have no reader.  A node's required set, the parents it
+must code over, is all of its parents.  Under that schedule a node
+contributes at most one degree of freedom per epoch, so the throughput
+a sink can reach is min(min_cut, m) where min_cut is the max-flow with
+unit capacities on both edges and interior nodes.
 
 One engine, ``Simulation``, runs every protocol with one round loop:
 each round every node ingests what its parents sent in the previous
-round, then every non-sink node that is ready emits.  Under
+round, then every coding node that is ready emits.  Under
 Protocol.NONE a packet is its bare coded vector and every delivery is
 accepted.  Under PIP and Log-PIP a delivery is accepted only once it
 passes ``node.verify_incoming`` and, under Log-PIP, its Merkle
@@ -514,31 +516,35 @@ def _honest_table(seed: bytes, context: bytes, q: int, plan: tuple) -> tuple:
     """The prescribed coefficients of every coding node, as a tuple of
     (node, ((parent, coefficient), ...)) pairs in ``plan`` order.
 
-    ``plan`` holds (node, parents) pairs; with ``seed``, ``context`` (the
-    epoch key bytes, or b"lite") and q it is every input of
-    ``node.derive_coefficient``, so a table is shared only by runs that
-    would derive the same one.  The coefficients are public PRF outputs;
-    no verdict, signature or check is shared.  Tuples, so that no run can
-    change another's table.  The three mode runs of a sweep point use one
-    seed and topology, so two of every three find their table here.
+    ``plan`` holds (node, parents) pairs, one per node that codes (an
+    interior node with a child, ``Simulation._emit_order``).  With
+    ``seed``, ``context`` (the epoch key bytes, or b"lite") and q it is
+    every input of ``node.derive_coefficients``, so a table is shared
+    only by runs that would derive the same one; each node's row is one
+    batched PRF pass over its parents.  The coefficients are public PRF
+    outputs; no verdict, signature or check is shared.  Tuples, so that
+    no run can change another's table.  The three mode runs of a sweep
+    point use one seed and topology, so two of every three find their
+    table here.
     """
     return tuple(
-        (name, tuple((p, node_mod.derive_coefficient(seed, p.encode(), name.encode(), context, q))
-                     for p in parents))
+        (name, tuple(zip(parents, node_mod.derive_coefficients(
+            seed, [p.encode() for p in parents], name.encode(), context, q))))
         for name, parents in plan
     )
 
 
 def _non_innovative_coeffs(
     received: dict, child_spans: list[Span], q: int, rng: random.Random
-) -> list[int] | None:
+) -> tuple[list[int], CodedVector] | None:
     """Pick nonzero coefficients whose combination adds nothing downstream.
 
     Solves for coefficient vectors a with sum(a_i X_i) inside every
     non-empty child span, then samples that solution space for an
     all-nonzero choice, preferring one whose output vector is itself
-    nonzero.  Returns the coefficients ordered by sorted parent key, or
-    None when no child has received anything yet or no such choice
+    nonzero.  Returns the coefficients ordered by sorted parent key with
+    that output, the ``gf.linear_combine`` each try computes to test it,
+    or None when no child has received anything yet or no such choice
     exists (caller falls back to honest coding).
 
     sum(a_i X_i) lies in a span iff its residual is zero, and the
@@ -594,9 +600,9 @@ def _non_innovative_coeffs(
             continue
         out = gf.linear_combine(vecs, alpha, q)
         if not out.is_zero():
-            return alpha
+            return alpha, out
         if fallback is None:
-            fallback = alpha
+            fallback = alpha, out
     return fallback
 
 
@@ -728,10 +734,11 @@ class Simulation:
             name: _SimNode(spec=topo.nodes[name], state=states.get(name))
             for name in sorted(topo.nodes) if name != topo.source
         }
-        # Omniscient adversaries code last, after observing this round's
-        # honest emissions.
+        # The nodes that code (see the module docstring).  Omniscient
+        # adversaries code last, after observing this round's honest emissions.
         self._emit_order = sorted(
-            (n for n in self.nodes if self.topo.nodes[n].role is not Role.SINK),
+            (n for n in self.nodes
+             if self.topo.nodes[n].role is not Role.SINK and self.children[n]),
             key=lambda n: (self.topo.nodes[n].behavior.kind is BehaviorKind.NON_INNOVATIVE, n),
         )
         # The key of this run's honest-coefficient table: by name, not in
@@ -967,14 +974,10 @@ class Simulation:
         plan = self._strategy(name)
         if plan is None:
             return None
-        coding, claims = plan
-        sim_node = self.nodes[name]
-        E = gf.linear_combine(
-            [sim_node.vectors[p] for p, _ in coding], [a for _, a in coding], self.q
-        )
+        coding, E, claims = plan
         if not self.verified:
             return E, {child: E for child in self.children[name]}
-        st = sim_node.state
+        st = self.nodes[name].state
         coded = node_mod.buffered_inputs(st, [(p.encode(), a) for p, a in coding])
         draft = node_mod.build_draft(st, E, coded, claims)
         return E, {
@@ -982,12 +985,15 @@ class Simulation:
             for child in self.children[name]
         }
 
-    def _strategy(self, name: str) -> tuple[list[tuple[str, int]], list[ParentInput]] | None:
+    def _strategy(
+        self, name: str
+    ) -> tuple[list[tuple[str, int]], CodedVector, list[ParentInput]] | None:
         """What ``name`` codes with this round, and what its token claims.
 
-        Returns the (parent, coefficient) pairs its emission combines and
-        the token entries it claims (none under Protocol.NONE), or None
-        when it sends nothing.  Each behaviour is one branch:
+        Returns the (parent, coefficient) pairs its emission combines, the
+        emission (their combination, computed once), and the token entries
+        it claims (none under Protocol.NONE), or None when it sends
+        nothing.  Each behaviour is one branch:
 
         - HONEST (Mode 3) and REPLAY_OLD, in epoch 1: the prescribed PRF
           coefficients over every required parent, claimed as coded.
@@ -1006,11 +1012,12 @@ class Simulation:
 
         REPLAY_OLD's later epochs resend stored packets (``_emit_round``).
         """
-        st = self.nodes[name].state
-        kind = self.nodes[name].spec.behavior.kind
+        sim_node = self.nodes[name]
+        st = sim_node.state
+        kind = sim_node.spec.behavior.kind
         honest = self._honest[name]
         target = self.parents[name][0]
-        coding = honest
+        coding, E = honest, None
         if kind is BehaviorKind.SKIP_PARENT:
             coding = [(p, a) for p, a in honest if p != target]
             if not coding:
@@ -1020,14 +1027,19 @@ class Simulation:
         elif kind is BehaviorKind.WRONG_COEFFICIENT:
             coding = [(p, ((a + 1) % self.q or 1) if p == target else a) for p, a in honest]
         elif kind is BehaviorKind.NON_INNOVATIVE:
-            coding = self._non_innovative(name)
-            if coding is None:
-                coding = honest
+            choice = self._non_innovative(name)
+            if choice is None:
                 self.report.fallbacks[name] = self.report.fallbacks.get(name, 0) + 1
+            else:
+                coding, E = choice
         elif kind is BehaviorKind.FORWARD_ONLY:
             coding = [(target, 1)]
+        if E is None:
+            E = gf.linear_combine(
+                [sim_node.vectors[p] for p, _ in coding], [a for _, a in coding], self.q
+            )
         if not self.verified:
-            return coding, []
+            return coding, E, []
         claimed = honest if kind is BehaviorKind.FORWARD_ONLY else coding
         claims = node_mod.buffered_inputs(st, [(p.encode(), a) for p, a in claimed])
         if kind is BehaviorKind.FORGE_TOKEN:
@@ -1037,10 +1049,11 @@ class Simulation:
                 if c.parent_id == target_id else c
                 for c in claims
             ]
-        return coding, claims
+        return coding, E, claims
 
-    def _non_innovative(self, name: str) -> list[tuple[str, int]] | None:
-        """Mode-1 (parent, coefficient) pairs for ``name``, or None if none exist."""
+    def _non_innovative(self, name: str) -> tuple[list[tuple[str, int]], CodedVector] | None:
+        """Mode-1 (parent, coefficient) pairs for ``name`` and the emission
+        they code, or None if none exist."""
         views = []
         for child in self.children[name]:
             view = self.nodes[child].span
@@ -1055,10 +1068,13 @@ class Simulation:
             views.append(view)
         vectors = self.nodes[name].vectors
         required = self.parents[name]
-        alphas = _non_innovative_coeffs(
+        choice = _non_innovative_coeffs(
             {p: vectors[p] for p in required}, views, self.q, self.adversary_rng
         )
-        return None if alphas is None else list(zip(required, alphas))
+        if choice is None:
+            return None
+        alphas, E = choice
+        return list(zip(required, alphas)), E
 
 
 def run_simulation(
@@ -1124,11 +1140,12 @@ class SweepRow:
 
 
 def mode_rows(
-    topo: Topology, cut: int, seed: int, m: int, profile: Profile = SIM
+    topo: Topology, cuts: dict[str, int], seed: int, m: int, profile: Profile = SIM
 ) -> list[SweepRow]:
     """Run ``topo`` once per mode in MODES, every Byzantine node set to
     that mode, under Protocol.NONE with ``rng_seed=seed``.  One row per
-    mode and sink, in that order; ``cut`` is copied into the rows."""
+    mode and sink, in that order; each row's ``min_cut`` is its sink's
+    entry in ``cuts``."""
     rows = []
     for mode, kind in MODES.items():
         t = topo
@@ -1136,7 +1153,7 @@ def mode_rows(
             t = t.with_behavior(byz, Behavior(kind))
         report = run_simulation(t, Protocol.NONE, m, rng_seed=seed, profile=profile)
         rows += [
-            SweepRow(seed=seed, min_cut=cut, mode=mode, sink_id=sink, rank=rank,
+            SweepRow(seed=seed, min_cut=cuts[sink], mode=mode, sink_id=sink, rank=rank,
                      detections=len(report.detections), fallbacks=sum(report.fallbacks.values()))
             for sink, rank in sorted(report.sink_ranks.items())
         ]
@@ -1169,7 +1186,7 @@ def mode_sweep(config: SweepConfig) -> tuple[list[SweepRow], list[tuple[int, str
                 continue
             generated = time.perf_counter()
             # A random topology has one sink, so this is one row per mode.
-            for row in mode_rows(topo, cut, seed, config.m, config.profile):
+            for row in mode_rows(topo, {topo.sinks[0]: cut}, seed, config.m, config.profile):
                 per_mode[row.mode].append(row.rank)
                 rows.append(row)
             if logger.isEnabledFor(logging.DEBUG):

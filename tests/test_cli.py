@@ -97,6 +97,25 @@ class TestSimulate:
         assert len(rows) == 12
         assert all(row["min_cut"] == "2" for row in rows)
 
+    def test_each_sink_rows_carry_its_own_cut(self, tmp_path, capsys):
+        """t1 is fed through a alone (cut 1); t2 through a and b (cut 2)."""
+        path = tmp_path / "two_sinks.txt"
+        path.write_text(
+            "node s source honest\nnode a interior honest\nnode b interior honest\n"
+            "node t1 sink honest\nnode t2 sink honest\n"
+            "s a\ns b\na t1\na t2\nb t2\n"
+        )
+        out = tmp_path / "rows.csv"
+        code, _ = run_cli(["simulate", "--topology", str(path), "--packets", "2",
+                           "--trials", "1", "--out", str(out)], capsys)
+        assert code == 0
+        with open(out) as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 6  # 3 modes x 2 sinks
+        for row in rows:
+            want = {"t1": "1", "t2": "2"}[row["sink_id"]]
+            assert row["min_cut"] == want and row["rank"] == want, row
+
     @pytest.mark.parametrize("text, message", [
         ("node s source honest\nnode a interior honest\ns a\n", "no sink node declared"),
         ("node s source honest\nnode a interior honest\nnode a sink honest\ns a\n",
@@ -186,6 +205,16 @@ class TestBench:
         assert all(float(us) > 0 for _, us in rows)
         assert lines[4] == ""
 
+    def test_bench_reports_prf_rows(self, bench_run):
+        code, out = bench_run
+        assert code == 0
+        section = out.split("PRF coefficients (sim, 20 parents):\n", 1)[1]
+        lines = section.splitlines()
+        assert lines[0].split() == ["derived", "us"]
+        rows = [line.strip().rsplit(None, 1) for line in lines[1:3]]
+        assert [name for name, _ in rows] == ["one at a time", "batch"]
+        assert all(float(us) > 0 for _, us in rows)
+        assert lines[3] == ""
 
     def test_bench_reports_coding_rows(self, bench_run):
         code, out = bench_run

@@ -1,5 +1,6 @@
 """Node engine: coefficient derivation, attestation, packets, rounds, adjudication."""
 
+import hmac
 import math
 import random
 from dataclasses import replace
@@ -18,6 +19,7 @@ from rlncheck.node import (
     attest_packet,
     build_misbehavior_proof,
     derive_coefficient,
+    derive_coefficients,
     deserialize_packet,
     packet_signed_bytes,
     process_round,
@@ -68,6 +70,58 @@ class TestDeriveCoefficient:
     def test_id_longer_than_a_length_byte_rejected(self):
         with pytest.raises(ValueError):
             derive_coefficient(b"s" * 16, b"p" * 256, b"n", b"", 13)
+
+    # q wider than one SHA-256 digest: each attempt joins two digests
+    WIDE_Q = 2**521 - 1
+
+    @staticmethod
+    def _reference(seed, parent, child, epk, q):
+        """The coefficient from the ``wire.Writer`` message and a plain
+        rejection loop over ``hmac.digest``: counters 0, 1, ... appended to
+        the message, digests of consecutive counters joined while q is
+        wider, the masked first bytes kept once they fall in [1, q).
+        Also returns whether the first attempt was rejected."""
+        w = Writer().raw(b"rlncheck-coeff-v1").var_bytes(parent).var_bytes(child)
+        message = w.var_bytes(b"").u64(len(epk)).raw(epk).getvalue()
+        nbytes, mask = (q.bit_length() + 7) // 8, (1 << q.bit_length()) - 1
+        counter, attempts = 0, 0
+        while True:
+            digest = b""
+            while len(digest) < nbytes:
+                digest += hmac.digest(seed, message + counter.to_bytes(4, "big"), "sha256")
+                counter += 1
+            attempts += 1
+            x = int.from_bytes(digest[:nbytes], "big") & mask
+            if 0 < x < q:
+                return x, attempts > 1
+
+    @pytest.mark.parametrize("q", [TEST.q, SIM.q, PRODUCTION.q, WIDE_Q],
+                             ids=["test", "sim", "production", "wide"])
+    def test_batch_equals_one_at_a_time(self, q):
+        """One batched pass gives each parent's own coefficient, in order,
+        at a q that rejects often (11), at the profiles' q and at a q that
+        needs two digests per attempt."""
+        seed, child, epk = bytes(range(32)), b"n042", bytes(range(200))
+        parents = [b"p%d" % i for i in range(60)] + [b"x" * 255, b"p3"]
+        got = derive_coefficients(seed, parents, child, epk, q)
+        assert got == [derive_coefficient(seed, p, child, epk, q) for p in parents]
+        reference = [self._reference(seed, p, child, epk, q) for p in parents]
+        assert got == [x for x, _ in reference]
+        if q == TEST.q:
+            assert sum(rejected for _, rejected in reference) >= 10
+        assert derive_coefficients(seed, [], child, epk, q) == []
+
+    @pytest.mark.parametrize("seed, parent, child", [
+        (b"s" * 16, b"", b"n"), (b"s" * 16, b"p" * 256, b"n"),
+        (b"s" * 16, b"p", b""), (b"s" * 16, b"p", b"n" * 256),
+        (b"s" * 15, b"p", b"n"),
+    ], ids=["empty_parent", "long_parent", "empty_node", "long_node", "short_seed"])
+    def test_batch_rejects_as_one_at_a_time(self, seed, parent, child):
+        with pytest.raises(ValueError) as one:
+            derive_coefficient(seed, parent, child, b"lite", SIM.q)
+        with pytest.raises(ValueError) as batch:
+            derive_coefficients(seed, [b"ok", parent], child, b"lite", SIM.q)
+        assert str(batch.value) == str(one.value)
 
     def test_uniform_chi_square(self, tiny_epoch):
         """10^4 distinct parent ids at q=13: all cells within 5 sigma."""

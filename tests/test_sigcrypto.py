@@ -255,6 +255,19 @@ class TestPrf:
                 x = sigcrypto.prf_to_field(seed, i.to_bytes(4, "big"), q)
                 assert 0 < x < q
 
+    @pytest.mark.parametrize("q", [11, 2**61 - 1, 2**521 - 1])
+    def test_prf_to_fields_is_prf_to_field_per_message(self, q):
+        seed = b"q" * 16
+        messages = [i.to_bytes(4, "big") for i in range(100)] + [b"", b"x" * 300]
+        assert sigcrypto.prf_to_fields(seed, messages, q) == [
+            sigcrypto.prf_to_field(seed, data, q) for data in messages
+        ]
+
+    def test_prf_to_fields_short_seed_rejected(self):
+        for messages in ([b"x"], []):
+            with pytest.raises(ValueError, match="seed must be at least 16 bytes"):
+                sigcrypto.prf_to_fields(b"short", messages, 11)
+
     def test_prf_to_field_deterministic(self):
         seed = b"q" * 16
         assert sigcrypto.prf_to_field(seed, b"in", 13) == sigcrypto.prf_to_field(seed, b"in", 13)

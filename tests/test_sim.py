@@ -466,6 +466,33 @@ class TestLiteSimulation:
             report = run_simulation(t, Protocol.NONE, m=3, rng_seed=seed)
             assert set(report.fallbacks) == {byz} and report.fallbacks[byz] >= 1
 
+    def test_mode1_emission_combines_once(self, monkeypatch):
+        """A Mode-1 emission is the combination its choice was tested on,
+        so each round the node codes makes exactly one ``linear_combine``
+        call, whether it made a Mode-1 choice or fell back."""
+        topo = random_topology(30, 200, 3, 1, rng_seed=9)
+        byz = topo.byzantine[0]
+        t = topo.with_behavior(byz, Behavior(BehaviorKind.NON_INNOVATIVE))
+        combines, per_round = [0], []
+        combine, code = gf.linear_combine, sim.Simulation._code
+
+        def counted(*args):
+            combines[0] += 1
+            return combine(*args)
+
+        def coded(self, name):
+            before = combines[0]
+            out = code(self, name)
+            if name == byz:
+                per_round.append(combines[0] - before)
+            return out
+
+        monkeypatch.setattr(gf, "linear_combine", counted)
+        monkeypatch.setattr(sim.Simulation, "_code", coded)
+        report = run_simulation(t, Protocol.NONE, m=3, rng_seed=9)
+        assert per_round == [1] * len(per_round)
+        assert len(per_round) > report.fallbacks.get(byz, 0)  # some rounds chose Mode 1
+
 
 @pytest.fixture
 def code_calls(monkeypatch):
@@ -481,23 +508,34 @@ def code_calls(monkeypatch):
     return calls
 
 
+def _interior_by_children(topo: Topology) -> tuple[list[str], list[str]]:
+    """The interior nodes with a child, and those with none."""
+    _, children = topo.adjacency()
+    interior = [n for n, s in topo.nodes.items() if s.role is Role.INTERIOR]
+    return [n for n in interior if children[n]], [n for n in interior if not children[n]]
+
+
 class TestQuiescentNodes:
     def test_honest_node_codes_once_per_epoch(self, code_calls):
         """An honest emission changes only when an input does, and in an
-        all-honest run every input is sent once per epoch."""
+        all-honest run every input is sent once per epoch.  A node with no
+        child never codes: its emission would have no reader."""
         topo = random_topology(30, 200, 4, 0, rng_seed=3)
         report = run_simulation(topo, Protocol.NONE, m=3, rng_seed=3, epochs=2)
         assert report.sink_ranks == {"t": 3} and report.decoded == {"t": True}
-        interior = [n for n, s in topo.nodes.items() if s.role is Role.INTERIOR]
-        assert sorted(code_calls) == sorted(interior * 2)
+        coding, childless = _interior_by_children(topo)
+        assert childless
+        assert sorted(code_calls) == sorted(coding * 2)
 
     def test_resent_packets_are_verified_every_round(self, code_calls):
         """Under PIP a node that does not re-code still sends its packet every
-        round, and every child gives it a verdict every round."""
+        round, and every child gives it a verdict every round.  A node with
+        no child codes nothing, yet it gives every delivery a verdict."""
         topo = random_topology(12, 40, 2, 0, rng_seed=4)
         report = run_simulation(topo, Protocol.PIP, m=2, rng_seed=4, profile=SIM)
-        interior = [n for n, s in topo.nodes.items() if s.role is Role.INTERIOR]
-        assert sorted(code_calls) == sorted(interior)
+        coding, childless = _interior_by_children(topo)
+        assert childless
+        assert sorted(code_calls) == sorted(coding)
         rounds = {}
         for r, receiver, sender, v in report.verdicts:
             assert v is None
@@ -1165,8 +1203,15 @@ class TestNonInnovativeCoeffs:
 
     @staticmethod
     def _choose(received, spans, q, seed):
+        """(alpha, rng state after the choice); the emission returned with
+        alpha must be the combination it codes."""
         rng = random.Random(seed)
-        return sim._non_innovative_coeffs(received, spans, q, rng), rng.getstate()
+        choice = sim._non_innovative_coeffs(received, spans, q, rng)
+        if choice is None:
+            return None, rng.getstate()
+        alpha, out = choice
+        assert out == gf.linear_combine([received[p] for p in sorted(received)], alpha, q)
+        return alpha, rng.getstate()
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -1453,13 +1498,13 @@ class TestHonestTable:
     def test_mode_rows_derive_one_table(self):
         topo = self._topology()
         sim._honest_table.cache_clear()
-        sim.mode_rows(topo, 3, seed=4, m=3)
+        sim.mode_rows(topo, {"t": 3}, seed=4, m=3)
         info = sim._honest_table.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_rows_equal_deriving_every_run(self, monkeypatch):
         topo = self._topology()
-        shared = [sim.mode_rows(topo, 3, seed, m=3) for seed in range(4)]
+        shared = [sim.mode_rows(topo, {"t": 3}, seed, m=3) for seed in range(4)]
         table = sim._honest_table
 
         def uncached(*args):
@@ -1467,7 +1512,7 @@ class TestHonestTable:
             return table(*args)
 
         monkeypatch.setattr(sim, "_honest_table", uncached)
-        assert [sim.mode_rows(topo, 3, seed, m=3) for seed in range(4)] == shared
+        assert [sim.mode_rows(topo, {"t": 3}, seed, m=3) for seed in range(4)] == shared
 
     def test_verified_run_keys_on_its_epoch_key(self):
         topo = butterfly_topology()
@@ -1520,7 +1565,7 @@ class TestRunShape:
     def test_mode_rows_build_one_shape(self):
         topo = random_topology(30, 200, 3, 2, rng_seed=9)
         sim._run_shape.cache_clear()
-        sim.mode_rows(topo, 3, seed=4, m=3)
+        sim.mode_rows(topo, {"t": 3}, seed=4, m=3)
         info = sim._run_shape.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
