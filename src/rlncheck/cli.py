@@ -83,7 +83,7 @@ def measure_token_sizes(d: int, profile: Profile) -> dict:
     sig_bits = 8 * sigcrypto.SIG_BYTES
 
     pip_token = pipcore.pip_combine(inputs)
-    pip_bytes = pipcore.serialize_token(pip_token, params, h_bytes)
+    pip_bytes = pipcore.serialize_token(pip_token, params)
     id_overhead = sum(1 + len(e.parent_id) for e in pip_token.entries)
     pip_framing_bits = 8 * (1 + 2 + id_overhead + d * params.q_bytes)
     pip_measured = 8 * len(pip_bytes) + sig_bits  # token plus the sender's helper
@@ -92,16 +92,14 @@ def measure_token_sizes(d: int, profile: Profile) -> dict:
     # sender's own helper token is ordinary packet overhead and is audited
     # on the PIP side, so it is not double-counted here.
     log_token, tree = pipcore.logpip_build(inputs, params, h_bytes)
-    log_bytes = pipcore.serialize_token(log_token, params, h_bytes)
+    log_bytes = pipcore.serialize_token(log_token, params)
     proof = pipcore.logpip_respond(tree, 0, sender.sk)
-    proof_bytes = pipcore.serialize_proof(proof, params, h_bytes)
-    levels = sum(1 for lvl in proof.path if lvl.side != 2)
-    promoted = sum(1 for lvl in proof.path if lvl.side == 2)
+    proof_bytes = pipcore.serialize_proof(proof, params)
     log_framing_bits = 8 * (
         1  # token tag
-        + 2 + 1 + len(proof.leaf.parent_id)  # challenge index + id
+        + 1 + len(proof.leaf.parent_id)  # opened parent id
         + params.q_bytes  # opened coefficient
-        + 1 + len(proof.path)  # level count + side bytes
+        + 1  # sibling count
         + sigcrypto.SIG_BYTES  # signed response (non-repudiation)
     )
     log_measured = 8 * (len(log_bytes) + len(proof_bytes))
@@ -115,8 +113,7 @@ def measure_token_sizes(d: int, profile: Profile) -> dict:
         "pip_framing_bits": pip_framing_bits,
         "logpip_measured_bits": log_measured,
         "logpip_framing_bits": log_framing_bits,
-        "logpip_sibling_levels": levels,
-        "logpip_promoted_levels": promoted,
+        "logpip_sibling_levels": len(proof.path),
     }
 
 
@@ -462,8 +459,8 @@ def cmd_bench(args) -> int:
             proof = pipcore.logpip_respond(tree, 0, sender.sk)
             first = tree.inputs[0]
             ctx_obj = pipcore.ChallengeContext(
-                sender_id=sender.node_id, packet_sigma=tree.root.sigma,
-                params=params, h_bytes=profile.h_bytes,
+                sender_id=sender.node_id, packet_sigma=tree.root.sigma, params=params,
+                h_bytes=profile.h_bytes, parents=tuple(inp.parent_id for inp in tree.inputs),
             )
             verify_logpip = functools.partial(
                 pipcore.logpip_verify, proof, log_token, ctx_obj, first.parent_id,

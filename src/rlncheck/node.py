@@ -139,6 +139,7 @@ def derive_coefficients(
 # Packet serialization (canonical field order; attest covers all prior bytes)
 
 
+# h_bytes is unread; it stays while rlnbench/workloads.py passes it positionally.
 def packet_signed_bytes(pkt: Packet, params: SourceEpochParams, h_bytes: int = 20) -> bytes:
     """Everything the attest signature covers, in canonical order."""
     w = Writer()
@@ -146,15 +147,16 @@ def packet_signed_bytes(pkt: Packet, params: SourceEpochParams, h_bytes: int = 2
     for c in pkt.E.chunks:
         w.uint(c, params.q_bytes)
     w.uint(pkt.sigma, params.p_bytes)
-    w.raw(pipcore.serialize_token(pkt.test_token, params, h_bytes))
+    w.raw(pipcore.serialize_token(pkt.test_token, params))
     w.raw(pkt.helper)
     w.u64(pkt.epoch_ref.k).raw(pkt.epoch_ref.master_sig)
     w.var_bytes(pkt.sender_id)
     return w.getvalue()
 
 
+# h_bytes is unread; it stays while rlnbench/workloads.py passes it positionally.
 def serialize_packet(pkt: Packet, params: SourceEpochParams, h_bytes: int = 20) -> bytes:
-    return packet_signed_bytes(pkt, params, h_bytes) + pkt.attest
+    return packet_signed_bytes(pkt, params) + pkt.attest
 
 
 def deserialize_packet(data: bytes, params: SourceEpochParams, h_bytes: int = 20) -> Packet:
@@ -305,8 +307,7 @@ def _check_content(
 
 def _check_packet(
     pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
-    params: SourceEpochParams, protocol: Protocol, h_bytes: int,
-    verified: gf.Span | None = None,
+    params: SourceEpochParams, protocol: Protocol, verified: gf.Span | None = None,
 ) -> Violation | None:
     """Check one packet against the verifier's view of its sender.
 
@@ -326,7 +327,7 @@ def _check_packet(
     on a discrete-log collision (see ``validity``).
     """
     sender_id = pkt.sender_id
-    if not verify_attest(sender.pk, packet_signed_bytes(pkt, params, h_bytes), pkt.attest):
+    if not verify_attest(sender.pk, packet_signed_bytes(pkt, params), pkt.attest):
         return Violation(ViolationKind.BAD_ATTEST, sender_id)
     shared = _shared_content.get()
     if shared is None:
@@ -358,10 +359,13 @@ def _check_response(
     params: SourceEpochParams, h_bytes: int, target: bytes, proof: ChallengeProof,
 ) -> Violation | None:
     """Check one opened Log-PIP path of ``pkt`` for the challenged parent
-    ``target``; ``pkt`` must have passed ``_check_packet``, which checked
-    its sender's helper token."""
+    ``target``, which must be in the sender's required set; the set fixes
+    the path's shape, and ``h_bytes`` is the verifier's digest width, not
+    the sender's.  ``pkt`` must have passed ``_check_packet``, which
+    checked its sender's helper token."""
     ctx = ChallengeContext(
-        sender_id=pkt.sender_id, packet_sigma=pkt.sigma, params=params, h_bytes=h_bytes
+        sender_id=pkt.sender_id, packet_sigma=pkt.sigma, params=params, h_bytes=h_bytes,
+        parents=tuple(sorted(sender.required_set)),
     )
     return pipcore.logpip_verify(
         proof, pkt.test_token, ctx, target, sender.grandparent_pks[target],
@@ -382,8 +386,7 @@ def verify_incoming(state: NodeState, pkt: Packet) -> Violation | None:
     if info is None:
         return Violation(ViolationKind.POLICY_VIOLATION, pkt.sender_id, "unregistered parent")
     return _check_packet(
-        pkt, info, state.node_id, state.seed, state.params, state.protocol,
-        state.profile.h_bytes, state.verified,
+        pkt, info, state.node_id, state.seed, state.params, state.protocol, state.verified
     )
 
 
@@ -576,7 +579,7 @@ def finalize_packet(state: NodeState, draft: OutgoingDraft, child_id: bytes) -> 
         sender_id=draft.sender_id,
         attest=b"",
     )
-    signed = packet_signed_bytes(pkt, state.params, state.profile.h_bytes)
+    signed = packet_signed_bytes(pkt, state.params)
     return replace(pkt, attest=attest_packet(state.identity.sk, signed))
 
 
@@ -630,11 +633,11 @@ def build_misbehavior_proof(
     assert state.params is not None
     info = state.parents[pkt.sender_id]
     serialized = tuple(
-        (pid, pipcore.serialize_proof(pf, state.params, state.profile.h_bytes))
+        (pid, pipcore.serialize_proof(pf, state.params))
         for pid, pf in (transcript or [])
     )
     return MisbehaviorProof(
-        packet_bytes=serialize_packet(pkt, state.params, state.profile.h_bytes),
+        packet_bytes=serialize_packet(pkt, state.params),
         sender_id=pkt.sender_id,
         sender_pk=info.pk,
         sender_cert=info.cert,
@@ -659,9 +662,10 @@ def adjudicate(
     required parent), the packet goes through the receiver's
     ``_check_packet``, token-type rule and epoch binding included, and
     each signed transcript response through ``_check_response``.  A bad
-    attest or epoch reference, or an unsigned response, makes the proof
-    inadmissible, so honest nodes cannot be framed with doctored
-    packets; any other violation is guilty.
+    attest or epoch reference, an unsigned response, or a response filed
+    under a parent outside the required set (which fixes the path's
+    shape) makes the proof inadmissible, so honest nodes cannot be
+    framed with doctored packets; any other violation is guilty.
     """
     params = proof.params
     if not validity.verify_epoch(params, master_pk):
@@ -682,9 +686,7 @@ def adjudicate(
     sender = ParentInfo(
         pk=proof.sender_pk, required_set=proof.required_set, grandparent_pks=proof.parent_pks
     )
-    v = _check_packet(
-        pkt, sender, proof.receiver_id, proof.seed, params, proof.protocol, proof.h_bytes
-    )
+    v = _check_packet(pkt, sender, proof.receiver_id, proof.seed, params, proof.protocol)
     if v is None and isinstance(pkt.test_token, LogPipTestToken):
         for pid, proof_bytes in proof.transcript:
             try:
@@ -696,7 +698,7 @@ def adjudicate(
             )
             if not sigcrypto.verify(proof.sender_pk, body, challenge.response_sig):
                 return Adjudication(Verdict.INADMISSIBLE, reason="unsigned challenge response")
-            if pid not in proof.parent_pks:
+            if pid not in proof.required_set:
                 return Adjudication(Verdict.INADMISSIBLE, reason="challenge outside required set")
             v = _check_response(
                 pkt, sender, proof.seed, params, proof.h_bytes, pid, challenge

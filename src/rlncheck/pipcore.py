@@ -13,7 +13,13 @@ data (coefficient, parent validity signature, parent helper token):
   homomorphic combination of the leaves below; the token is just the
   root hash.  A child challenges random parents and verifies opened
   paths, detecting a cheat on any single parent with probability t/d
-  per round of t challenges.
+  per round of t challenges.  A response carries only the opened leaf
+  and its real siblings: the challenger derives the leaf's index (the
+  challenged parent's position in the sender's sorted required set,
+  which must hold it) and each sibling's side from d, the size of that
+  set, so the root binds the canonical d-leaf tree and a tree with an
+  extra, missing or reordered leaf fails at one or more of the d
+  parents.
 
 Helper tokens bind a validity signature to a specific (sender,
 receiver) pair so a colluding node cannot re-use another node's data.
@@ -296,7 +302,13 @@ def logpip_build(
     ids = [p.parent_id for p in parent_inputs]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate parent_id in tree inputs")
-    inputs = tuple(sorted(parent_inputs, key=lambda e: e.parent_id))
+    return _tree(tuple(sorted(parent_inputs, key=lambda e: e.parent_id)), params, h_bytes)
+
+
+def _tree(
+    inputs: tuple[ParentInput, ...], params: SourceEpochParams, h_bytes: int
+) -> tuple[LogPipTestToken, MerkleTreeState]:
+    """The tree over ``inputs`` in the given order, duplicates allowed."""
     level = [_leaf_node(inp, params, h_bytes) for inp in inputs]
     levels = [tuple(level)]
     while len(level) > 1:
@@ -312,24 +324,29 @@ def logpip_build(
     return LogPipTestToken(root=state.root.digest), state
 
 
-@dataclass(frozen=True)
-class ProofLevel:
-    """Sibling at one tree level: side 0 = left of the path node,
-    1 = right, 2 = path node was promoted (no sibling)."""
-
-    side: int
-    digest: bytes = b""
-    sigma: int = 0
+def _path_shape(index: int, d: int) -> list[tuple[int, int]]:
+    """(level, sibling position) for each level at which leaf ``index`` of
+    the d-leaf tree ``logpip_build`` makes has a sibling; a promoted level
+    has none.  A sibling at an even position is the left child."""
+    shape = []
+    level = 0
+    while d > 1:
+        sib = index ^ 1
+        if sib < d:
+            shape.append((level, sib))
+        index, d, level = index // 2, (d + 1) // 2, level + 1
+    return shape
 
 
 @dataclass(frozen=True)
 class ChallengeProof:
     """One opened path: the challenged leaf, which names its parent, and
-    the sibling at each level up to the root."""
+    its real siblings from the leaf level up (a promoted level has no
+    entry).  Nothing in it states the path's shape: the verifier derives
+    the index and the sibling sides from the sender's required set."""
 
-    parent_index: int
     leaf: ParentInput
-    path: tuple[ProofLevel, ...]
+    path: tuple[TreeNode, ...]
     response_sig: bytes = b""
 
 
@@ -344,20 +361,11 @@ def logpip_respond(
     """
     if not 0 <= parent_index < len(state.inputs):
         raise IndexError(f"parent index {parent_index} out of range 0..{len(state.inputs) - 1}")
-    path: list[ProofLevel] = []
-    pos = parent_index
-    for level in state.levels[:-1]:
-        if pos % 2 == 0 and pos + 1 < len(level):
-            sib = level[pos + 1]
-            path.append(ProofLevel(side=1, digest=sib.digest, sigma=sib.sigma))
-        elif pos % 2 == 1:
-            sib = level[pos - 1]
-            path.append(ProofLevel(side=0, digest=sib.digest, sigma=sib.sigma))
-        else:
-            path.append(ProofLevel(side=2))
-        pos //= 2
     proof = ChallengeProof(
-        parent_index=parent_index, leaf=state.inputs[parent_index], path=tuple(path)
+        leaf=state.inputs[parent_index],
+        path=tuple(
+            state.levels[lvl][sib] for lvl, sib in _path_shape(parent_index, len(state.inputs))
+        ),
     )
     if responder_sk is not None:
         body = response_signed_bytes(proof, state.root.digest, state.p_bytes, state.q_bytes)
@@ -366,16 +374,14 @@ def logpip_respond(
 
 
 def _write_proof_body(w: Writer, proof: ChallengeProof, p_bytes: int, q_bytes: int) -> Writer:
-    """The opened data of a response: index, the leaf (its parent id
-    first) and the path."""
-    w.u16(proof.parent_index).var_bytes(proof.leaf.parent_id)
+    """The opened data of a response: the leaf (its parent id first) and
+    the siblings."""
+    w.var_bytes(proof.leaf.parent_id)
     w.uint(proof.leaf.sigma, p_bytes).raw(proof.leaf.helper_sig)
     w.uint(proof.leaf.coeff, q_bytes)
     w.u8(len(proof.path))
-    for lvl in proof.path:
-        w.u8(lvl.side)
-        if lvl.side != 2:
-            w.raw(lvl.digest).uint(lvl.sigma, p_bytes)
+    for sib in proof.path:
+        w.raw(sib.digest).uint(sib.sigma, p_bytes)
     return w
 
 
@@ -388,12 +394,18 @@ def response_signed_bytes(proof: ChallengeProof, root: bytes, p_bytes: int, q_by
 
 @dataclass(frozen=True)
 class ChallengeContext:
-    """What a challenger already knows when verifying an opened path."""
+    """What a challenger already knows when verifying an opened path:
+    the sender, its packet's sigma, the epoch, its own digest width, and
+    the sender's required set in sorted order, which fixes the tree's
+    shape.  The width is the verifier's, never the root's length: a
+    sender that picks its own width (an empty root hashes nothing) could
+    open any path."""
 
     sender_id: bytes
     packet_sigma: int
     params: SourceEpochParams
-    h_bytes: int = 20
+    h_bytes: int
+    parents: tuple[bytes, ...]
 
 
 def logpip_verify(
@@ -406,11 +418,19 @@ def logpip_verify(
 ) -> Violation | None:
     """Verify one opened challenge path against the committed root.
 
+    Precondition: ``parent_id`` is in ``ctx.parents``.  The path must be
+    that of leaf i of the d-leaf tree, where d = len(ctx.parents) and i is
+    ``parent_id``'s position in it: exactly the siblings ``_path_shape``
+    names, each on the side it gives, hashed at ``ctx.h_bytes``.  So a
+    tree with another leaf count or order fails at one or more of the d
+    parents.
+
     Checks, in order: the opened leaf belongs to the challenged parent
     (its helper verifies under that parent's key, for this sender) with
-    the nonzero prescribed coefficient; the recomputed root hash equals
-    the token; and the recomputed root sigma equals the packet's
-    validity signature.  Never raises on adversarial proofs.
+    the nonzero prescribed coefficient; the path has that shape and the
+    recomputed root hash equals the token; and the recomputed root sigma
+    equals the packet's validity signature.  Never raises on adversarial
+    proofs.
 
     Call it on a packet that passed ``node.verify_incoming`` (or, in
     ``node.adjudicate``, the same ``_check_packet``): that check already
@@ -422,14 +442,14 @@ def logpip_verify(
     if v is not None:
         return v
 
+    shape = _path_shape(ctx.parents.index(parent_id), len(ctx.parents))
+    if len(proof.path) != len(shape):
+        return Violation(ViolationKind.BAD_MERKLE_PATH, ctx.sender_id, "wrong sibling count")
     node = _leaf_node(proof.leaf, params, ctx.h_bytes)
-    for lvl in proof.path:
-        if lvl.side == 2:
-            continue
-        if lvl.side not in (0, 1) or not 0 < lvl.sigma < params.p:
+    for (_, sib_pos), sib in zip(shape, proof.path):
+        if not 0 < sib.sigma < params.p:
             return Violation(ViolationKind.BAD_MERKLE_PATH, ctx.sender_id, "malformed level")
-        sib = TreeNode(digest=lvl.digest, sigma=lvl.sigma)
-        left, right = (sib, node) if lvl.side == 0 else (node, sib)
+        left, right = (sib, node) if sib_pos % 2 == 0 else (node, sib)
         node = _join(left, right, params, ctx.h_bytes)
     if node.digest != token.root:
         return Violation(ViolationKind.BAD_MERKLE_PATH, ctx.sender_id)
@@ -445,7 +465,7 @@ _TAG_PIP = 0
 _TAG_LOGPIP = 1
 
 
-def serialize_token(token: PipTestToken | LogPipTestToken, params: SourceEpochParams, h_bytes: int = 20) -> bytes:
+def serialize_token(token: PipTestToken | LogPipTestToken, params: SourceEpochParams) -> bytes:
     w = Writer()
     if isinstance(token, PipTestToken):
         w.u8(_TAG_PIP).u16(len(token.entries))
@@ -476,6 +496,7 @@ def parse_token(r: Reader, params: SourceEpochParams, h_bytes: int = 20) -> PipT
     raise DecodeError(f"unknown token tag {tag}", r.pos - 1)
 
 
+# h_bytes is unread; it stays while rlnbench/workloads.py passes it positionally.
 def serialize_proof(proof: ChallengeProof, params: SourceEpochParams, h_bytes: int = 20) -> bytes:
     w = _write_proof_body(Writer(), proof, params.p_bytes, params.q_bytes)
     w.raw(proof.response_sig if proof.response_sig else bytes(sigcrypto.SIG_BYTES))
@@ -484,28 +505,15 @@ def serialize_proof(proof: ChallengeProof, params: SourceEpochParams, h_bytes: i
 
 def parse_proof(data: bytes, params: SourceEpochParams, h_bytes: int = 20) -> ChallengeProof:
     r = Reader(data)
-    parent_index = r.u16()
     parent_id = r.var_bytes()
     sigma = r.uint(params.p_bytes)
     helper = r.take(sigcrypto.SIG_BYTES)
     coeff = r.uint(params.q_bytes)
-    n_levels = r.u8()
-    path = []
-    for _ in range(n_levels):
-        side = r.u8()
-        if side == 2:
-            path.append(ProofLevel(side=2))
-        else:
-            digest = r.take(h_bytes)
-            sig_val = r.uint(params.p_bytes)
-            path.append(ProofLevel(side=side, digest=digest, sigma=sig_val))
+    path = tuple(TreeNode(r.take(h_bytes), r.uint(params.p_bytes)) for _ in range(r.u8()))
     response_sig = r.take(sigcrypto.SIG_BYTES)
     r.expect_end()
     return ChallengeProof(
-        parent_index=parent_index,
-        leaf=ParentInput(parent_id, sigma, helper, coeff),
-        path=tuple(path),
-        response_sig=response_sig,
+        leaf=ParentInput(parent_id, sigma, helper, coeff), path=path, response_sig=response_sig
     )
 
 
@@ -520,8 +528,9 @@ def token_size_bits(protocol: Protocol, d: int, sigma_bits: int, sig_bits: int, 
     d*(|sigma| + |sig|) + |sig|.  Log-PIP counts the root, one opened
     leaf, and the per-level path data: |h| + |sigma| + |sig| +
     2*|sigma|*ceil(log2 d).  The ceiling convention matches the number
-    of sibling levels actually serialized for a balanced tree; the
-    d=1 tree has no levels, so the log term is 0.
+    of sibling levels actually serialized for a balanced tree; a
+    promoted level has no sibling and costs nothing on the wire, and
+    the d=1 tree has no levels, so the log term is 0.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

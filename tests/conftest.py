@@ -54,7 +54,7 @@ def tiny_epoch(rng):
     return master, originals, params
 
 
-def finish_packet(sender, E, sigma, token, params, receiver_id, h_bytes=20):
+def finish_packet(sender, E, sigma, token, params, receiver_id):
     """Attach the per-receiver helper token and the attest signature."""
     helper = pipcore.make_helper_token(sender.sk, sigma, sender.node_id, receiver_id, params)
     pkt = Packet(
@@ -62,14 +62,19 @@ def finish_packet(sender, E, sigma, token, params, receiver_id, h_bytes=20):
         epoch_ref=EpochRef(k=params.k, master_sig=params.master_sig),
         sender_id=sender.node_id, attest=b"",
     )
-    signed = node_mod.packet_signed_bytes(pkt, params, h_bytes)
+    signed = node_mod.packet_signed_bytes(pkt, params)
     return replace(pkt, attest=sigcrypto.sign(sender.sk, signed))
 
 
-def source_packet(master, originals, params, receiver_id, combo, h_bytes=20):
+def source_packet(master, originals, params, receiver_id, combo):
     """A source emission: fresh combination, empty test token."""
     E = gf.linear_combine(originals, combo, params.q)
     sigma = validity.sign_validity(params, E)
-    return finish_packet(
-        master, E, sigma, pipcore.PipTestToken(entries=()), params, receiver_id, h_bytes
-    )
+    return finish_packet(master, E, sigma, pipcore.PipTestToken(entries=()), params, receiver_id)
+
+
+def hand_tree(leaves, params, h_bytes=20):
+    """The tree ``pipcore.logpip_build`` would make over ``leaves`` in the
+    given order, duplicates allowed: what a cheating sender can build
+    itself.  Returns (token, retained tree)."""
+    return pipcore._tree(tuple(leaves), params, h_bytes)

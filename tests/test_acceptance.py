@@ -265,6 +265,7 @@ def logpip_cheat_fixture(lab, d, zero_target=0):
     )
     ctx = pipcore.ChallengeContext(
         sender_id=b"byz", packet_sigma=sigma, params=lab.params, h_bytes=lab.profile.h_bytes,
+        parents=tuple(inp.parent_id for inp in tree.inputs),
     )
     expected = {
         pid: derive_coefficient(lab.seed, pid, b"byz", lab.params.epoch_pk_bytes(), lab.q)
@@ -413,8 +414,8 @@ def test_criterion_7_payload_independence():
             proof = pipcore.logpip_respond(tree, 0)
             first = tree.inputs[0]
             cctx = pipcore.ChallengeContext(
-                sender_id=sender.node_id, packet_sigma=tree.root.sigma,
-                params=params, h_bytes=SIM.h_bytes,
+                sender_id=sender.node_id, packet_sigma=tree.root.sigma, params=params,
+                h_bytes=SIM.h_bytes, parents=tuple(inp.parent_id for inp in tree.inputs),
             )
             verify_log = functools.partial(
                 pipcore.logpip_verify, proof, log_token, cctx, first.parent_id,

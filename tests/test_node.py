@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import finish_packet, source_packet
+from conftest import finish_packet, hand_tree, source_packet
 
 from rlncheck import gf, node as node_mod, pipcore, sigcrypto, validity
 from rlncheck.node import (
@@ -640,6 +640,87 @@ class TestAdjudication:
         proof2 = build_misbehavior_proof(net.c_state, pkt, [(pid, doctored)])
         out2 = adjudicate(proof2, net.master.pk, net.master.pk)
         assert out2.verdict is Verdict.INADMISSIBLE
+
+    def test_logpip_extra_leaf_flagged_and_guilty(self):
+        """n commits to a Log-PIP tree over p1, p2 and a second p1 leaf with
+        another coefficient, and sends the combination that tree's root
+        signs: every opened leaf is a real, correctly coded entry, so only
+        the path's shape can give it away."""
+        net = Net(protocol=Protocol.LOGPIP)
+        p1_pkt, p2_pkt = net.relay_packets()
+        process_round(net.n_state, [p1_pkt, p2_pkt])
+        coeff = lambda pid: derive_coefficient(
+            net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q
+        )
+        honest = [ParentInput(b"p1", p1_pkt.sigma, p1_pkt.helper, coeff(b"p1")),
+                  ParentInput(b"p2", p2_pkt.sigma, p2_pkt.helper, coeff(b"p2"))]
+        leaves = honest + [honest[0]._replace(coeff=honest[0].coeff % net.params.q + 1)]
+        token, tree = hand_tree(leaves, net.params)
+        E = gf.linear_combine([p1_pkt.E, p2_pkt.E, p1_pkt.E], [e.coeff for e in leaves], net.params.q)
+        pkt = finish_packet(net.idents[b"n"], E, tree.root.sigma, token, net.params, b"c")
+        assert verify_incoming(net.c_state, pkt) is None
+        flagged = []
+        for target in sorted(net.c_state.parents[b"n"].required_set):
+            proof, v = node_mod.check_challenge(net.c_state, pkt, target, tree, net.idents[b"n"].sk)
+            if v is not None:
+                flagged.append((target, proof, v))
+        assert flagged
+        for target, proof, v in flagged:
+            assert v.kind is ViolationKind.BAD_MERKLE_PATH
+            out = adjudicate(build_misbehavior_proof(net.c_state, pkt, [(target, proof)]),
+                             net.master.pk, net.master.pk)
+            assert out.verdict is Verdict.GUILTY, target
+            assert out.violation.kind is ViolationKind.BAD_MERKLE_PATH
+
+    def test_logpip_empty_root_flagged(self):
+        """n miscodes, commits to an empty root, and stores each leaf's
+        sibling with the sigma that steers the path to the packet's sigma:
+        at its own (empty) width every path would verify, so the receiver
+        must hash at its own width."""
+        net = Net(protocol=Protocol.LOGPIP)
+        p1_pkt, p2_pkt = net.relay_packets()
+        process_round(net.n_state, [p1_pkt, p2_pkt])
+        coeff = lambda pid: derive_coefficient(
+            net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q
+        )
+        leaves = (ParentInput(b"p1", p1_pkt.sigma, p1_pkt.helper, coeff(b"p1")),
+                  ParentInput(b"p2", p2_pkt.sigma, p2_pkt.helper, coeff(b"p2")))
+        used = [leaves[0].coeff, (leaves[1].coeff + 1) % net.params.q]
+        E = gf.linear_combine([p1_pkt.E, p2_pkt.E], used, net.params.q)
+        sigma = validity.combine_validity([e.sigma for e in leaves], used, net.params)
+        p = net.params.p
+        steer = [pipcore.TreeNode(b"", sigma * pow(pipcore._leaf_node(e, net.params, 0).sigma, -1, p) % p)
+                 for e in leaves]
+        tree = pipcore.MerkleTreeState(
+            inputs=leaves, levels=((steer[1], steer[0]), (pipcore.TreeNode(b"", sigma),)),
+            p_bytes=net.params.p_bytes, q_bytes=net.params.q_bytes,
+        )
+        pkt = finish_packet(net.idents[b"n"], E, sigma, pipcore.LogPipTestToken(b""),
+                            net.params, b"c")
+        assert verify_incoming(net.c_state, pkt) is None
+        for target in (b"p1", b"p2"):
+            _, v = node_mod.check_challenge(net.c_state, pkt, target, tree, net.idents[b"n"].sk)
+            assert v is not None and v.kind is ViolationKind.BAD_MERKLE_PATH, target
+
+    def test_logpip_transcript_outside_required_set_inadmissible(self):
+        """A signed response filed under a parent that has a key in the
+        evidence but is not in the sender's required set is not evidence
+        about that parent; the adjudicator must not index the required set
+        with it."""
+        net = Net(protocol=Protocol.LOGPIP)
+        pkt, _ = net.n_packet()
+        proof, v = node_mod.check_challenge(
+            net.c_state, pkt, b"p1", net.n_state.current_tree, net.idents[b"n"].sk
+        )
+        assert v is None
+        evidence = build_misbehavior_proof(net.c_state, pkt, [(b"p1", proof)])
+        doctored = replace(
+            evidence, transcript=((b"s", evidence.transcript[0][1]),),
+            parent_pks={**evidence.parent_pks, b"s": net.master.pk},
+        )
+        out = adjudicate(doctored, net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.INADMISSIBLE
+        assert out.reason == "challenge outside required set"
 
     def test_logpip_sender_needs_checkable_token(self):
         """Under Log-PIP, a relay with an empty PIP token escapes every

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import hand_tree
+
 from rlncheck import gf, pipcore, sigcrypto, validity
 from rlncheck.node import derive_coefficient
 from rlncheck.pipcore import ParentInput, Protocol, ViolationKind
@@ -218,10 +220,12 @@ def build_tree(d, tiny_params, rng, h_bytes=20):
             return inputs, pks, expected, token, tree
 
 
-def make_ctx(params, tree, sender, h_bytes=20, sigma=None):
+def make_ctx(params, tree, sender, sigma=None, parents=None, h_bytes=20):
     sigma = tree.root.sigma if sigma is None else sigma
+    parents = tuple(inp.parent_id for inp in tree.inputs) if parents is None else parents
     return pipcore.ChallengeContext(
         sender_id=sender.node_id, packet_sigma=sigma, params=params, h_bytes=h_bytes,
+        parents=parents,
     )
 
 
@@ -279,14 +283,14 @@ class TestLogPipTree:
                 assert pipcore.parse_proof(raw, params) == proof
 
     # SHA-256 prefixes of every response's serialize_proof and
-    # response_signed_bytes at d parents, recorded before ChallengeProof
-    # lost its separate parent_id field.
+    # response_signed_bytes at d parents, recorded when a response lost
+    # its index and side bytes and its promoted levels.
     PINNED_PROOF_BYTES = {
-        1: "b65db3d663d03d2a",
-        2: "b22e22c34dccba70",
-        3: "93827a04915abb83",
-        5: "55e4eaa53492af69",
-        10: "aa743a5610631b32",
+        1: "abc69239801c96ac",
+        2: "1edaf295c378ad60",
+        3: "1274f5b5edc50d4a",
+        5: "37af9cf45b38109b",
+        10: "65a36418e8ceff70",
     }
 
     @pytest.mark.parametrize("d", sorted(PINNED_PROOF_BYTES))
@@ -377,7 +381,7 @@ class TestLogPipTree:
         pid = tree.inputs[2].parent_id
         pk = pks[pid]
         exp = expected[pid]
-        lo, hi = 2, len(raw) - sigcrypto.SIG_BYTES
+        lo, hi = 0, len(raw) - sigcrypto.SIG_BYTES
         mutations = random.Random(77)
         accepted = 0
         trials = 100_000
@@ -393,6 +397,115 @@ class TestLogPipTree:
             if v is None:
                 accepted += 1
         assert accepted == 0
+
+    def rejected_indices(self, params, rng, d, leaves_of):
+        """Challenge every one of the d required parents on the tree
+        ``leaves_of(honest inputs)`` commits to, opening it the way
+        node.check_challenge does (the parent's first leaf, else leaf 0),
+        with the packet sigma set to the tree's root sigma."""
+        sender = sigcrypto.keygen(rng, b"nde")
+        inputs, pks, expected = make_parents(d, params, rng)
+        token, tree = hand_tree(leaves_of(sorted(inputs)), params)
+        ctx = make_ctx(params, tree, sender, parents=tuple(sorted(pks)))
+        ids = [inp.parent_id for inp in tree.inputs]
+        rejected = []
+        for pid in ctx.parents:
+            proof = pipcore.logpip_respond(tree, ids.index(pid) if pid in ids else 0)
+            v = pipcore.logpip_verify(proof, token, ctx, pid, pks[pid], expected[pid])
+            if v is not None:
+                rejected.append((pid, v.kind))
+        return rejected
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_extra_leaf_tree_rejected(self, tiny_epoch, rng, d):
+        """d + 1 leaves, the honest ones and a second leaf for the first
+        parent with another coefficient: the root sigma steers to a
+        combination that is not the prescribed one, and every other check
+        of an opened leaf passes, so the path's shape must give it away."""
+        _, _, params = tiny_epoch
+
+        def extra_leaf(honest):
+            return honest + [honest[0]._replace(coeff=12_345 % params.q)]
+
+        rejected = self.rejected_indices(params, rng, d, extra_leaf)
+        assert len(rejected) >= 1, d
+        assert all(kind is ViolationKind.BAD_MERKLE_PATH for _, kind in rejected)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_skip_tree_rejected(self, tiny_epoch, rng, d):
+        """d - 1 leaves, the first parent left out."""
+        _, _, params = tiny_epoch
+        rejected = self.rejected_indices(params, rng, d, lambda honest: honest[1:])
+        assert len(rejected) >= 1, d
+
+    def test_sibling_count_must_match_shape(self, tiny_epoch, rng):
+        _, _, params = tiny_epoch
+        sender = sigcrypto.keygen(rng, b"nde")
+        _, pks, expected, token, tree = build_tree(5, params, rng)
+        ctx = make_ctx(params, tree, sender)
+        for i in range(5):
+            pid = tree.inputs[i].parent_id
+            proof = pipcore.logpip_respond(tree, i)
+            spare = pipcore.TreeNode(bytes(20), 2)
+            for path in (proof.path + (spare,), proof.path[:-1]):
+                v = pipcore.logpip_verify(replace(proof, path=path), token, ctx,
+                                          pid, pks[pid], expected[pid])
+                assert v.kind is ViolationKind.BAD_MERKLE_PATH, (i, len(path))
+
+    def test_sibling_sigma_out_of_range(self, tiny_epoch, rng):
+        _, _, params = tiny_epoch
+        sender = sigcrypto.keygen(rng, b"nde")
+        _, pks, expected, token, tree = build_tree(4, params, rng)
+        ctx = make_ctx(params, tree, sender)
+        pid = tree.inputs[1].parent_id
+        proof = pipcore.logpip_respond(tree, 1)
+        for bad in (0, params.p, params.p + proof.path[0].sigma):
+            path = (replace(proof.path[0], sigma=bad),) + proof.path[1:]
+            v = pipcore.logpip_verify(replace(proof, path=path), token, ctx,
+                                      pid, pks[pid], expected[pid])
+            assert v.kind is ViolationKind.BAD_MERKLE_PATH, bad
+            assert v.detail == "malformed level"
+
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_root_of_another_width_rejected(self, tiny_epoch, rng, width):
+        """A sender that commits to a root narrower than the verifier's
+        digest can open any path for any packet sigma: it steers one
+        sibling's sigma to that sigma and finds the root at its own width
+        (an empty root hashes nothing, a 1-byte one takes at most 256
+        tries).  At the verifier's width no such path verifies."""
+        _, _, params = tiny_epoch
+        sender = sigcrypto.keygen(rng, b"nde")
+        _, pks, expected, _, tree = build_tree(3, params, rng)
+        sigma = tree.root.sigma % (params.p - 1) + 1  # not the root's sigma
+        roots = [bytes([b]) for b in range(256)] if width else [b""]
+        for i, inp in enumerate(tree.inputs):
+            pid = inp.parent_id
+            proof = pipcore.logpip_respond(tree, i)
+            rest = pipcore._leaf_node(inp, params, width).sigma
+            for sib in proof.path[1:]:
+                rest = rest * sib.sigma % params.p
+            steered = pipcore.TreeNode(b"\x00" * width, sigma * pow(rest, -1, params.p) % params.p)
+            forged = replace(proof, path=(steered,) + tuple(
+                pipcore.TreeNode(sib.digest[:width], sib.sigma) for sib in proof.path[1:]))
+            at_own = make_ctx(params, tree, sender, sigma=sigma, h_bytes=width)
+            root = next(r for r in roots if pipcore.logpip_verify(
+                forged, pipcore.LogPipTestToken(r), at_own, pid, pks[pid], expected[pid]) is None)
+            v = pipcore.logpip_verify(forged, pipcore.LogPipTestToken(root),
+                                      make_ctx(params, tree, sender, sigma=sigma),
+                                      pid, pks[pid], expected[pid])
+            assert v.kind is ViolationKind.BAD_MERKLE_PATH, (width, i)
+
+    def test_truncated_sibling_list_does_not_parse(self, tiny_epoch, rng):
+        _, _, params = tiny_epoch
+        sender = sigcrypto.keygen(rng, b"nde")
+        _, _, _, _, tree = build_tree(4, params, rng)
+        proof = pipcore.logpip_respond(tree, 0, sender.sk)
+        raw = pipcore.serialize_proof(proof, params)
+        sibling = 20 + params.p_bytes
+        body = raw[:-sigcrypto.SIG_BYTES]
+        for cut in (sibling, 1):  # one sibling missing, one byte of one missing
+            with pytest.raises(DecodeError):
+                pipcore.parse_proof(body[:-cut] + raw[-sigcrypto.SIG_BYTES:], params)
 
 
 class TestTokenSizeBits:
