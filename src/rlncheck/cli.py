@@ -351,7 +351,8 @@ PRODUCT_D = (1, 2, 10)  # signature counts of the combine_validity rows
 
 def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
     """ms per combine_validity of d received signatures, for each d in
-    PRODUCT_D, and per H(c), the product a node signs its draft with."""
+    PRODUCT_D, per H(c), the product a node signs its draft with, and per
+    single-base power."""
     inputs, params, _ = build_token_fixture(max(PRODUCT_D), profile)
     rng = random.Random(len(inputs))
     c = tuple(gf.random_nonzero(profile.q, rng) for _ in range(params.m))
@@ -362,6 +363,8 @@ def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
             lambda: validity.combine_validity(sigmas, coeffs, params), samples
         )
     out["H(c)"] = _time_op(lambda: validity.claimed_validity(params, c), samples)
+    base, e = inputs[0].sigma, inputs[0].coeff
+    out["power"] = _time_op(lambda: validity.power_product((base,), (e,), params.p, params.q), samples)
     return out
 
 
@@ -486,7 +489,7 @@ def cmd_bench(args) -> int:
     for n, (_, _, span_ms) in validity_ms.items():
         print(f"{n:>5} {span_ms:>10.4f}")
 
-    print(f"\nvalidity products ({profile.name}, m=2):")
+    print(f"\nvalidity products ({profile.name}, m=2, {validity.route(profile.p)}):")
     print(f"{'product':>12} {'ms':>10}")
     for name, ms in _bench_products(profile, samples).items():
         print(f"{name:>12} {ms:>10.4f}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import sigcrypto
-from .validity import SourceEpochParams, combine_validity
+from .validity import SourceEpochParams, combine_validity, power_product
 from .wire import DecodeError, Reader, Writer
 
 
@@ -269,7 +269,7 @@ def _leaf_node(inp: ParentInput, params: SourceEpochParams, h_bytes: int) -> Tre
         digest=sigcrypto.hash_bytes(
             _TREE_LEAF + _leaf_bytes(inp, params.p_bytes, params.q_bytes), h_bytes
         ),
-        sigma=pow(inp.sigma, inp.coeff % params.q, params.p),
+        sigma=power_product((inp.sigma,), (inp.coeff,), params.p, params.q),
     )
 
 

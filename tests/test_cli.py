@@ -186,13 +186,15 @@ class TestBench:
     def test_bench_reports_validity_product_rows(self, bench_run):
         code, out = bench_run
         assert code == 0
-        section = out.split("validity products (sim, m=2):\n", 1)[1]
+        section = out.split("validity products (sim, m=2, pure Python):\n", 1)[1]
         lines = section.splitlines()
         assert lines[0].split() == ["product", "ms"]
-        rows = [line.strip().rsplit(None, 1) for line in lines[1:5]]
-        assert [name for name, _ in rows] == ["combine d=1", "combine d=2", "combine d=10", "H(c)"]
+        rows = [line.strip().rsplit(None, 1) for line in lines[1:6]]
+        assert [name for name, _ in rows] == [
+            "combine d=1", "combine d=2", "combine d=10", "H(c)", "power"
+        ]
         assert all(float(ms) > 0 for _, ms in rows)
-        assert lines[5] == ""
+        assert lines[6] == ""
 
     def test_bench_reports_ed25519_rows(self, bench_run):
         code, out = bench_run

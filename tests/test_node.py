@@ -330,14 +330,14 @@ class TestChallengeTargets:
 def generator_product_calls(monkeypatch, params):
     """A list that grows by one on each (n+m)-base generator product under ``params``."""
     calls = []
-    power = validity._FixedBase.power
+    product = validity.power_product
 
-    def counted(base, exponents):
-        if base is params._generator_base:
+    def counted(bases, exponents, *args):
+        if bases is params.generators:
             calls.append(exponents)
-        return power(base, exponents)
+        return product(bases, exponents, *args)
 
-    monkeypatch.setattr(validity._FixedBase, "power", counted)
+    monkeypatch.setattr(validity, "power_product", counted)
     return calls
 
 

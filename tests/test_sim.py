@@ -1297,16 +1297,16 @@ def generator_products(monkeypatch):
     of each such full check, in call order; and the verified span each
     receiver held when its first check of an epoch began."""
     calls, full, first_spans = {}, [], {}
-    power, verify = validity._FixedBase.power, node_mod.verify_incoming
+    product, verify = validity.power_product, node_mod.verify_incoming
     receiver = []
 
-    def counted(base, exponents):
-        if receiver and base is receiver[-1][0].params._generator_base:
+    def counted(bases, *args):
+        if receiver and bases is receiver[-1][0].params.generators:
             st, pkt = receiver[-1]
             key = (st.params.k, st.node_id)
             calls[key] = calls.get(key, 0) + 1
             full.append((pkt.E, pkt.sigma))
-        return power(base, exponents)
+        return product(bases, *args)
 
     def checked(st, pkt):
         key = (st.params.k, st.node_id)
@@ -1317,7 +1317,7 @@ def generator_products(monkeypatch):
         finally:
             receiver.pop()
 
-    monkeypatch.setattr(validity._FixedBase, "power", counted)
+    monkeypatch.setattr(validity, "power_product", counted)
     monkeypatch.setattr(node_mod, "verify_incoming", checked)
     return calls, full, first_spans
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlncheck import gf, sigcrypto, validity
+from rlncheck import gf, modexp, pipcore, sigcrypto, validity
+from rlncheck.cli import build_token_fixture
 from rlncheck.profiles import PRODUCTION, SIM, TEST
 from rlncheck.validity import SourceEpochParams
 
@@ -19,6 +20,20 @@ def reference_product(bases, exponents, p, q):
     for b, e in zip(bases, exponents):
         out = out * pow(b, e % q, p) % p
     return out
+
+
+@pytest.fixture(scope="class", params=["kernel", "python"])
+def route(request):
+    """Runs a class once with the libcrypto kernel as loaded and once with
+    it switched off, so that the production profile takes each route."""
+    if request.param == "kernel":
+        if modexp.powmod is pow:
+            pytest.skip("libcrypto is not loaded")
+        yield request.param
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modexp, "powmod", pow)
+        yield request.param
 
 
 class TestEpochSetup:
@@ -129,6 +144,7 @@ class TestVerifyValidity:
         )
 
 
+@pytest.mark.usefixtures("route")
 class TestCombineValidity:
     def test_identity_coefficient(self, tiny_epoch):
         _, originals, params = tiny_epoch
@@ -313,6 +329,7 @@ def claimed_combination(originals, coeffs):
     return gf.CodedVector(payload=payload, coding_vector=tuple(coeffs))
 
 
+@pytest.mark.usefixtures("route")
 class TestMultiExponentiation:
     """sign_validity and both sides of verify_validity against one pow per term."""
 
@@ -399,15 +416,18 @@ class TestMultiExponentiation:
         assert validity.verify_validity(params, E, sigma)
 
 
-@pytest.fixture(scope="module")
-def sim_epoch():
-    """A sim-profile epoch of the network_sim shape (n=2, m=3)."""
+@pytest.fixture(scope="module", params=[SIM, PRODUCTION], ids=lambda p: p.name)
+def span_epoch(request):
+    """An epoch of the network_sim shape (n=2, m=3), at the sim profile
+    and at production, whose products take the native route when the
+    kernel is on."""
+    profile = request.param
     rng = random.Random("verified-span")
     master = sigcrypto.keygen(rng, b"src")
     originals = gf.standard_basis_originals(
-        [[rng.randrange(SIM.q) for _ in range(2)] for _ in range(3)], SIM.q
+        [[rng.randrange(profile.q) for _ in range(2)] for _ in range(3)], profile.q
     )
-    return originals, validity.epoch_setup(master, originals, 1, rng, SIM)
+    return originals, validity.epoch_setup(master, originals, 1, rng, profile)
 
 
 def verified_span(originals, params, count, rng):
@@ -435,28 +455,32 @@ def agrees(params, span, E, sigma):
     return verdict
 
 
+@pytest.mark.usefixtures("route")
 class TestVerifiedSpan:
     """The span path of verify_validity gives the full check's verdict."""
 
     coeffs = st.lists(st.integers(0, SIM.q - 1), min_size=3, max_size=3)
     delta = st.integers(1, SIM.q - 1)
-    sigmas = st.one_of(
-        st.just(1), st.integers(2, SIM.p - 1), st.sampled_from([0, SIM.p, SIM.p + 1, -1]),
-        st.integers(SIM.p, 2 * SIM.p),
-    )
+
+    @staticmethod
+    def sigmas(p):
+        return st.one_of(
+            st.just(1), st.integers(2, p - 1), st.sampled_from([0, p, p + 1, -1]),
+            st.integers(p, 2 * p),
+        )
 
     @given(coeffs=coeffs, seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
-    def test_honest_combination(self, sim_epoch, coeffs, seed):
-        originals, params = sim_epoch
+    def test_honest_combination(self, span_epoch, coeffs, seed):
+        originals, params = span_epoch
         span = verified_span(originals, params, params.m, random.Random(seed))
         E = gf.linear_combine(originals, coeffs, params.q)
         assert agrees(params, span, E, validity.sign_validity(params, E))
 
     @given(coeffs=coeffs, at=st.integers(0, 1), delta=delta, seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
-    def test_changed_payload_chunk(self, sim_epoch, coeffs, at, delta, seed):
-        originals, params = sim_epoch
+    def test_changed_payload_chunk(self, span_epoch, coeffs, at, delta, seed):
+        originals, params = span_epoch
         span = verified_span(originals, params, params.m, random.Random(seed))
         E = gf.linear_combine(originals, coeffs, params.q)
         payload = list(E.payload)
@@ -464,18 +488,19 @@ class TestVerifiedSpan:
         polluted = gf.vector(payload, E.coding_vector, params.q)
         assert not agrees(params, span, polluted, validity.sign_validity(params, E))
 
-    @given(coeffs=coeffs, sigma=sigmas, seed=st.integers(0, 2**32))
+    @given(coeffs=coeffs, data=st.data(), seed=st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_changed_sigma(self, sim_epoch, coeffs, sigma, seed):
-        originals, params = sim_epoch
+    def test_changed_sigma(self, span_epoch, coeffs, data, seed):
+        originals, params = span_epoch
+        sigma = data.draw(self.sigmas(params.p))
         span = verified_span(originals, params, params.m, random.Random(seed))
         E = gf.linear_combine(originals, coeffs, params.q)
         assert agrees(params, span, E, sigma) == (sigma == validity.sign_validity(params, E))
 
     @given(coeffs=coeffs, at=st.integers(0, 2), delta=delta, seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
-    def test_changed_coding_chunk(self, sim_epoch, coeffs, at, delta, seed):
-        originals, params = sim_epoch
+    def test_changed_coding_chunk(self, span_epoch, coeffs, at, delta, seed):
+        originals, params = span_epoch
         span = verified_span(originals, params, params.m, random.Random(seed))
         E = gf.linear_combine(originals, coeffs, params.q)
         coding = list(E.coding_vector)
@@ -487,8 +512,8 @@ class TestVerifiedSpan:
     @given(payload=st.lists(st.integers(0, SIM.q - 1), min_size=2, max_size=2).filter(any),
            count=st.integers(0, 3), seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
-    def test_zero_coding_vector_nonzero_payload(self, sim_epoch, payload, count, seed):
-        originals, params = sim_epoch
+    def test_zero_coding_vector_nonzero_payload(self, span_epoch, payload, count, seed):
+        originals, params = span_epoch
         span = verified_span(originals, params, count, random.Random(seed))
         E = gf.vector(payload, [0] * params.m, params.q)
         for sigma in (1, validity.sign_validity(params, E)):
@@ -497,8 +522,8 @@ class TestVerifiedSpan:
     @given(count=st.integers(1, 2), coeffs=coeffs, seed=st.integers(0, 2**32),
            tamper=st.sampled_from(["none", "payload", "sigma"]))
     @settings(max_examples=60, deadline=None)
-    def test_outside_rank_deficient_span(self, sim_epoch, count, coeffs, tamper, seed):
-        originals, params = sim_epoch
+    def test_outside_rank_deficient_span(self, span_epoch, count, coeffs, tamper, seed):
+        originals, params = span_epoch
         span = verified_span(originals, params, count, random.Random(seed))
         E = gf.linear_combine(originals, coeffs, params.q)
         sigma = validity.sign_validity(params, E)
@@ -508,22 +533,83 @@ class TestVerifiedSpan:
             sigma = sigma * params.generators[0] % params.p
         assert agrees(params, span, E, sigma) == (tamper == "none")
 
-    def test_span_path_skips_the_generator_product(self, sim_epoch, monkeypatch):
+    def test_span_path_skips_the_generator_product(self, span_epoch, monkeypatch):
         """Once the span has rank m, no packet pays for prod g_i^{e_i}."""
-        originals, params = sim_epoch
+        originals, params = span_epoch
         span = verified_span(originals, params, params.m, random.Random(1))
         E = gf.linear_combine(originals, [5, 6, 7], params.q)
         sigma = validity.sign_validity(params, E)
         calls = []
-        power = validity._FixedBase.power
+        product = validity.power_product
 
-        def counted(base, exponents):
-            calls.append(base is params._generator_base)
-            return power(base, exponents)
+        def counted(bases, *args):
+            calls.append(bases is params.generators)
+            return product(bases, *args)
 
-        monkeypatch.setattr(validity._FixedBase, "power", counted)
+        monkeypatch.setattr(validity, "power_product", counted)
         assert validity.verify_validity(params, E, sigma, span)
         assert not validity.verify_validity(params, E, sigma * sigma % params.p, span)
         assert calls == [False, False]
         assert validity.verify_validity(params, E, sigma)
         assert calls[2:] == [True, False]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Each call of ``modexp.powmod``, wrapped so that the kernel counts as
+    loaded whether or not libcrypto is; and every ``_FixedBase`` built."""
+    calls, tables = [], []
+    powmod, init = modexp.powmod, validity._FixedBase.__init__
+
+    def counted(*args):
+        calls.append(args)
+        return powmod(*args)
+
+    def built(self, *args):
+        tables.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(modexp, "powmod", counted)
+    monkeypatch.setattr(validity._FixedBase, "__init__", built)
+    return calls, tables
+
+
+def every_product(profile):
+    """Runs each product in turn, yielding the name of the one just run:
+    the epoch's set-up, G(E), H(c), combine_validity at d = 1 and d = 3,
+    and a Log-PIP tree over three parents."""
+    inputs, params, ctx = build_token_fixture(3, profile)
+    yield "epoch_setup"
+    E = gf.linear_combine(ctx["originals"], [2, 3], params.q)
+    sigma = validity.sign_validity(params, E)
+    yield "sign_validity"
+    assert validity.verify_validity(params, E, sigma)
+    yield "verify_validity"
+    assert validity.claimed_validity(params, E.coding_vector) == sigma
+    yield "claimed_validity"
+    for d in (1, 3):
+        validity.combine_validity([i.sigma for i in inputs[:d]], [i.coeff for i in inputs[:d]], params)
+        yield f"combine_validity d={d}"
+    pipcore.logpip_build(inputs, params)
+    yield "logpip_build"
+
+
+class TestRoute:
+    """Which products go to the kernel: all of them at 512 bits and up,
+    none below."""
+
+    def test_production_products_call_the_kernel(self, kernel_calls):
+        calls, tables = kernel_calls
+        assert validity.route(PRODUCTION.p) == "libcrypto BN_mod_exp"
+        for name in every_product(PRODUCTION):
+            assert calls, name
+            calls.clear()
+        assert tables == []
+
+    @pytest.mark.parametrize("profile", [TEST, SIM], ids=lambda p: p.name)
+    def test_small_profiles_never_call_the_kernel(self, kernel_calls, profile):
+        calls, tables = kernel_calls
+        assert validity.route(profile.p) == "pure Python"
+        for name in every_product(profile):
+            assert not calls, name
+        assert tables
