@@ -183,6 +183,14 @@ def _write_runs(path: str, rows) -> None:
             w.writerow([getattr(row, col) for col in RUN_COLUMNS])
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     profile = get_profile(args.profile)
     out_path = args.out or "sweep.csv"
@@ -218,7 +226,7 @@ def cmd_simulate(args) -> int:
         try:
             with open(args.topology) as f:
                 topo = sim_mod.parse_topology(f.read())
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             print(f"rlncheck simulate: {args.topology}: {e}", file=sys.stderr)
             return 2
     cuts = {sink: sim_mod.min_cut(topo, topo.source, sink) for sink in topo.sinks}
@@ -541,7 +549,7 @@ def main(argv=None) -> int:
     p_sim.add_argument("--edges", type=int, default=1000)
     p_sim.add_argument("--mincut", type=int, default=10, help="sweep cuts 1..N")
     p_sim.add_argument("--byzantine", type=int, default=1)
-    p_sim.add_argument("--packets", type=int, default=5)
+    p_sim.add_argument("--packets", type=_at_least_one, default=5)
     p_sim.add_argument("--trials", type=int, default=20, help="seeds per point")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="sweep.csv")

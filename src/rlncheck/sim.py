@@ -670,8 +670,11 @@ class Simulation:
         challenges: int = 1,
         collect_proofs: bool = False,
     ):
-        if m < 1 or epochs < 1:
-            raise ValueError(f"m and epochs must be >= 1, got m={m}, epochs={epochs}")
+        if min(m, epochs, challenges) < 1:
+            raise ValueError(
+                f"m and epochs must be >= 1, as must challenges; got m={m}, epochs={epochs}, "
+                f"challenges={challenges}"
+            )
         self.parents, self.children, longest = _run_shape(
             tuple(topo.edges), tuple((n, spec.role) for n, spec in topo.nodes.items()),
             topo.source,

@@ -19,54 +19,43 @@ replayed packets from earlier transmissions fail verification.
 Every product of powers prod b_i^{e_i} mod p goes through
 ``power_product``, which reduces each exponent mod q (the subgroup's
 order) and gives bit for bit what the powers taken one at a time with
-``pow`` give.  It picks the route:
+``pow`` give.  It takes one of two routes:
 
-1. Native, when p has at least NATIVE_BITS = 512 bits and
-   ``modexp.powmod`` loaded OpenSSL's libcrypto: one ``BN_mod_exp`` per
-   base with a non-zero exponent, multiplied together.  At the
-   production profile (1024-bit p, 160-bit q) one such power costs
-   about 90 us, against 0.7 ms for builtin ``pow``; the fixed-base
-   tables of route 2 lose to it too (H(c) over 4 bases: 0.33 ms against
-   0.72 ms; G(E) over 36: 3.1 ms against 4.4 ms), so at that size no
-   table is built.  Below 512 bits the fixed cost of a ``ctypes`` call
-   dominates: at the sim profile (67-bit p) a kernel call costs about
-   17 us, while a table product costs about 7-9 us per base, so the
-   small profiles keep the pure-Python routes.  (Single-threaded
-   CPython 3.11 on a 2-core x86_64 VM.)  Neither route is
-   constant-time; builtin ``pow`` was not either.
+1. Epoch tables, for G(E) = prod g_i^{e_i} and H(c) = prod h_j^{c_j}
+   unless the kernel serves p (see route 2).  These run over bases the
+   epoch fixes, so they use the fixed-base method of Brickell, Gordon,
+   McCurley and Wilson (EUROCRYPT 1992).  For each base b the epoch
+   keeps the powers b^(2^(w*k)) for k < ceil(|q|/w), built once per
+   parameters object, the first time the route needs them, and cached
+   on it.  One product prod b_i^{e_i} then reads every exponent
+   (reduced mod q) w bits at a time, multiplies the table entry of each
+   non-zero digit d into a bucket B[d], and returns prod B[d]^d as a
+   running product over d = 2^w-1..1, in 2(2^w - 1) multiplications.
+   The digit width w is derived, not set: it minimises
+   count * ceil(|q|/w) + 2^(w+1) over the number of bases, which gives
+   w = 7 for 36 bases at 160 bits and w = 4 for 5 bases at 61.  The
+   buckets only regroup the same factors.
 
-Otherwise the product is computed in pure Python:
+2. One power per base with a non-zero exponent, multiplied together,
+   for every other product.  A power is ``modexp.powmod`` (OpenSSL's
+   ``BN_mod_exp``) when the kernel serves p, that is when it loaded and
+   p has at least NATIVE_BITS = 512 bits; then every product takes this
+   route.  Otherwise a power is builtin ``pow``.  At the production
+   profile (1024-bit p, 160-bit q) a kernel power costs about 90 us
+   against 0.7 ms for ``pow``, and the kernel beats the tables too
+   (H(c) over 4 bases: 0.33 against 0.72 ms; G(E) over 36: 3.1 against
+   4.4 ms), so no table is built.  Below 512 bits the fixed cost of a
+   ``ctypes`` call dominates: at the sim profile (67-bit p) a kernel
+   call costs about 17 us, so ``pow`` serves there.  The bases of
+   ``combine_validity`` arrive with each packet, so they get no table;
+   at the sim profile its d powers cost about 45 us at d = 2, 110 us at
+   d = 5 and 330 us at d = 16.  Where the epoch fixes the bases a table
+   product still wins: G(E) over 5 bases costs 31-36 us with tables and
+   about 100 us without.  Without libcrypto, a production combine at
+   d = 10 costs about 8.5 ms.
 
-2. Fixed bases: G(E) = prod g_i^{e_i} and H(c) = prod h_j^{c_j} run over
-   bases the epoch fixes, so they use the fixed-base method of
-   Brickell, Gordon, McCurley and Wilson (EUROCRYPT 1992).  For each
-   base b the epoch keeps the powers b^(2^(w*k)) for k < ceil(|q|/w),
-   built once per parameters object, the first time the route needs
-   them, and cached on it.  One product
-   prod b_i^{e_i} then reads every exponent (reduced mod q) w bits at a
-   time, multiplies the table entry of each non-zero digit d into a
-   bucket B[d], and returns prod B[d]^d as a running product over
-   d = 2^w-1..1, in 2(2^w - 1) multiplications.  The digit width w is
-   derived, not set: it minimises count * ceil(|q|/w) + 2^(w+1) over
-   the number of bases, which gives w = 7 for 36 bases at 160 bits and
-   w = 4 for 5 bases at 61.  The buckets only regroup the same factors.
-
-3. Per-packet bases: ``combine_validity`` raises validity signatures
-   that arrive with each packet, so no table can be kept.  With two or
-   more of them it interleaves their exponentiations (Straus 1964;
-   Möller, "Algorithms for multi-exponentiation", SAC 2001): each
-   exponent is cut, from its low end, into odd digits of at most w bits
-   at the positions where they start; each base gets a table of its odd
-   powers b, b^3, .., up to its largest digit; and one pass from the
-   top position down squares a single accumulator, shared by every
-   base, and multiplies in the table entries of the digits at each
-   position.  A product of d powers then costs |q| squarings plus, per
-   base, its table and one multiplication per digit, against d times
-   |q| squarings for d separate powers.  w minimises a base's own share,
-   2^(w-1) + |q|/(w+1), so it does not depend on d: 4 at 160 bits, 3 at
-   61.  A single power is builtin ``pow``.  Since every digit sits at
-   the position it came from, the pass computes prod sigma_i^{a_i mod q}
-   exactly, as the powers taken one at a time do.
+(Single-threaded CPython 3.11 on a 2-core x86_64 VM.)  Neither route is
+constant-time, and builtin ``pow`` is not either.
 
 Drafts: a node that codes E = sum a_i E_i over packets that each
    passed ``verify_validity`` knows sigma_i = H(c_i) for each, so the
@@ -96,7 +85,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 from . import modexp, sigcrypto
 from .gf import CodedVector, Span
@@ -122,20 +111,19 @@ def power_product(
     q: int,
     table: Callable[[], _FixedBase] | None = None,
 ) -> int:
-    """prod b_i^(e_i mod q) mod p, by the route the module docstring
-    describes; ``table``, when given, returns the bases' power tables."""
-    if _native(p):
-        out = 1
-        for b, e in zip(bases, exponents):
-            e %= q
-            if e:
-                out = out * modexp.powmod(b, e, p) % p
-        return out
-    if table is not None:
+    """prod b_i^(e_i mod q) mod p by one of the module docstring's two
+    routes: the power tables that ``table``, when given, returns, unless
+    the kernel serves p; else one power per non-zero exponent."""
+    native = _native(p)
+    if table is not None and not native:
         return table().power(exponents)
-    if len(bases) == 1:
-        return pow(bases[0], exponents[0] % q, p)
-    return _interleaved_power(bases, exponents, p, q)
+    power = modexp.powmod if native else pow
+    out = 1
+    for b, e in zip(bases, exponents):
+        e %= q
+        if e:
+            out = out * power(b, e, p) % p
+    return out
 
 
 def _window(count: int, bits: int) -> int:
@@ -349,44 +337,6 @@ def claimed_validity(params: SourceEpochParams, coding_vector: tuple[int, ...]) 
     return power_product(
         params.original_hashes, coding_vector, params.p, params.q, lambda: params._hash_base
     )
-
-
-@cache
-def _interleave_window(bits: int) -> int:
-    """Digit width minimising one base's share of an interleaved product:
-    its table of odd powers plus one multiplication per digit."""
-    return min(range(1, bits + 1), key=lambda w: (1 << (w - 1)) + bits / (w + 1))
-
-
-def _interleaved_power(bases: list[int], exponents: list[int], p: int, q: int) -> int:
-    """prod b_i^(e_i mod q) mod p in one pass of shared squarings."""
-    mask = (1 << _interleave_window(q.bit_length())) - 1
-    slots: dict[int, int] = {}  # bit position -> product of the digits' powers there
-    for b, e in zip(bases, exponents):
-        e %= q
-        digits = []
-        while e:
-            lo = (e & -e).bit_length() - 1
-            d = (e >> lo) & mask
-            e ^= d << lo
-            digits.append((lo, d >> 1))
-        if not digits:
-            continue
-        table = [b % p]  # table[i] = b^(2i+1)
-        top = max(i for _, i in digits)
-        if top:
-            square = table[0] * table[0] % p
-            for _ in range(top):
-                table.append(table[-1] * square % p)
-        for lo, i in digits:
-            slots[lo] = slots[lo] * table[i] % p if lo in slots else table[i]
-    if not slots:
-        return 1
-    positions = sorted(slots, reverse=True)
-    acc = slots[positions[0]]
-    for hi, lo in zip(positions, positions[1:]):
-        acc = pow(acc, 1 << (hi - lo), p) * slots[lo] % p
-    return pow(acc, 1 << positions[-1], p)
 
 
 def combine_validity(sigmas: list[int], coeffs: list[int], params: SourceEpochParams) -> int:

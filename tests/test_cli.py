@@ -122,15 +122,32 @@ class TestSimulate:
          "line 3: node a declared twice"),
         ("node s source honest\nnode a interior honest\nnode t sink honest\ns a\ns a\na t\n",
          r"edge \(s,a\) listed twice"),
-    ], ids=["no_sink", "repeated_node", "repeated_edge"])
+        (None, "No such file or directory"),
+        ("", "Is a directory"),
+    ], ids=["no_sink", "repeated_node", "repeated_edge", "missing", "directory"])
     def test_malformed_topology_file(self, tmp_path, capsys, text, message):
+        """A topology file that is malformed, missing (text None) or a
+        directory (text "") is a usage error, and nothing is written."""
         path = tmp_path / "topo.txt"
-        path.write_text(text)
+        if text == "":
+            path.mkdir()
+        elif text is not None:
+            path.write_text(text)
         out = tmp_path / "rows.csv"
         code = cli.main(["simulate", "--topology", str(path), "--trials", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
         assert re.search(message, err) and str(path) in err
+
+    @pytest.mark.parametrize("topology", ["random", "butterfly"])
+    @pytest.mark.parametrize("packets", ["0", "-3"])
+    def test_packets_below_one_is_a_usage_error(self, tmp_path, capsys, topology, packets):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["simulate", "--topology", topology, "--packets", packets,
+                      "--trials", "1", "--out", str(out)])
+        assert exit_.value.code == 2 and not out.exists()
+        assert "argument --packets: must be at least 1" in capsys.readouterr().err
 
 
 class TestSizes:

@@ -1656,6 +1656,16 @@ class TestSimulationInputs:
         with pytest.raises(ValueError, match="m and epochs must be >= 1"):
             run_simulation(butterfly_topology(), protocol, m, epochs=epochs)
 
+    @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("challenges", [0, -1])
+    def test_challenges_at_least_one(self, protocol, challenges):
+        """With no challenge a Log-PIP run would open no Merkle path (and
+        a negative count would fail partway through), so both are refused."""
+        with pytest.raises(ValueError, match=f"challenges={challenges}"):
+            sim.Simulation(butterfly_topology(), protocol, m=2, challenges=challenges)
+        with pytest.raises(ValueError, match=f"challenges={challenges}"):
+            run_simulation(butterfly_topology(), protocol, 2, challenges=challenges)
+
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_sim.json")
 

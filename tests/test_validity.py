@@ -1,5 +1,6 @@
 """Homomorphic validity signatures: hand oracles and soundness at desk scale."""
 
+import inspect
 import itertools
 import random
 from dataclasses import replace
@@ -605,6 +606,41 @@ class TestRoute:
             assert calls, name
             calls.clear()
         assert tables == []
+
+    def test_unloaded_kernel_leaves_production_in_pure_python(self, monkeypatch):
+        """Without libcrypto, 1024-bit products take the epoch tables and
+        builtin pow, and each equals one pow per term."""
+        kernel = modexp.powmod
+        if kernel is not pow:
+            # The kernel's every call starts with BN_CTX_new, and once
+            # powmod is builtin pow nothing may reach it.
+            lib = inspect.getclosurevars(kernel).nonlocals["lib"]
+            monkeypatch.setattr(lib, "BN_CTX_new", lambda: pytest.fail("kernel called"))
+        monkeypatch.setattr(modexp, "powmod", pow)
+        products, tabled, tables = [], set(), []
+        product, init = validity.power_product, validity._FixedBase.__init__
+
+        def checked(bases, exponents, p, q, table=None):
+            out = product(bases, exponents, p, q, table)
+            assert out == reference_product(bases, exponents, p, q)
+            products.append(bases)
+            if table is not None:
+                tabled.add(bases)
+            return out
+
+        def built(self, bases, p, q):
+            tables.append(bases)
+            init(self, bases, p, q)
+
+        monkeypatch.setattr(validity, "power_product", checked)
+        monkeypatch.setattr(pipcore, "power_product", checked)
+        monkeypatch.setattr(validity._FixedBase, "__init__", built)
+        assert validity.route(PRODUCTION.p) == "pure Python"
+        for name in every_product(PRODUCTION):
+            assert products, name
+            products.clear()
+        # One table for the generators (G) and one for the hashes (H).
+        assert len(tables) == 2 and set(tables) == tabled
 
     @pytest.mark.parametrize("profile", [TEST, SIM], ids=lambda p: p.name)
     def test_small_profiles_never_call_the_kernel(self, kernel_calls, profile):
