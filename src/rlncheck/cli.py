@@ -183,12 +183,19 @@ def _write_runs(path: str, rows) -> None:
             w.writerow([getattr(row, col) for col in RUN_COLUMNS])
 
 
-def _at_least_one(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_at_least_one, _non_negative = _at_least(1), _at_least(0)
 
 
 def cmd_simulate(args) -> int:
@@ -512,7 +519,7 @@ def cmd_bench(args) -> int:
     for name, us in _bench_prf(profile, samples).items():
         print(f"{name:>14} {us:>10.2f}")
 
-    print(f"\nEd25519 ({ED25519_MESSAGE_BYTES}-byte message):")
+    print(f"\nEd25519 ({ED25519_MESSAGE_BYTES}-byte message, {sigcrypto.route()}):")
     print(f"{'operation':>14} {'us':>10}")
     for name, us in _bench_ed25519(samples).items():
         print(f"{name:>14} {us:>10.2f}")
@@ -547,10 +554,10 @@ def main(argv=None) -> int:
                        help="random, butterfly, or a topology file path")
     p_sim.add_argument("--nodes", type=int, default=50)
     p_sim.add_argument("--edges", type=int, default=1000)
-    p_sim.add_argument("--mincut", type=int, default=10, help="sweep cuts 1..N")
-    p_sim.add_argument("--byzantine", type=int, default=1)
+    p_sim.add_argument("--mincut", type=_at_least_one, default=10, help="sweep cuts 1..N")
+    p_sim.add_argument("--byzantine", type=_non_negative, default=1)
     p_sim.add_argument("--packets", type=_at_least_one, default=5)
-    p_sim.add_argument("--trials", type=int, default=20, help="seeds per point")
+    p_sim.add_argument("--trials", type=_at_least_one, default=20, help="seeds per point")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="sweep.csv")
     p_sim.set_defaults(func=cmd_simulate)

@@ -7,11 +7,37 @@ truncated to a configurable width (160 bits by default).  The PRF is
 HMAC-SHA256 keyed with a public seed; coefficient derivation maps its
 output into Z_q^* by rejection sampling over successive counters.
 
-Inside a ``shared_verifications()`` scope, ``verify`` runs OpenSSL's
-Ed25519 verification once per distinct (public key, message, signature)
-triple and answers a repeat from the scope's set of triples that passed.
-That is exact: verification is a deterministic function of the triple,
-and a failure is never stored, so every verdict is the one a fresh check
+``verify`` takes one of two routes, named by ``route()``:
+
+1. libsodium's ``crypto_sign_ed25519_verify_detached``, through
+   ``ctypes``.  The library is loaded by its soname, ``libsodium.so.23``,
+   never looked up with ``ctypes.util.find_library``, and
+   ``sodium_init`` runs once, at import.
+2. If the library, a symbol or ``sodium_init`` fails, the
+   ``cryptography`` package (OpenSSL), with two checks in front of it.
+
+Both routes accept exactly the same triples.  A (pk, message, sig)
+triple passes when pk is 32 bytes, sig = R || s is 64 bytes, s < L, and
+the encoding of sB - H(R || pk || M)A equals R byte for byte (RFC 8032's
+cofactorless check), and also:
+
+- pk encodes its y-coordinate canonically, y < 2^255 - 19;
+- neither pk nor R, with its sign bit masked, is one of libsodium's
+  seven small-order encodings (``_SMALL_ORDER_Y``).
+
+OpenSSL alone accepts such weak keys: the identity pk ``01 00...00``
+with sig ``01 00...00 || 00...00`` passes for every message, and so does
+its non-canonical twin, y = 2^255 - 18.  A pk or sig of another length is
+rejected before either route runs, so the kernel never reads past a
+short buffer.  Signing and key generation always use ``cryptography``;
+Ed25519 signatures are deterministic, so the bytes are the same as
+libsodium's.
+
+Inside a ``shared_verifications()`` scope, ``verify`` runs the full
+check once per distinct (public key, message, signature) triple and
+answers a repeat from the scope's set of triples that passed.  That is
+exact: verification is a deterministic function of the triple, and a
+failure is never stored, so every verdict is the one a fresh check
 would give.  ``sim.Simulation.run`` enters one scope per run, shared by
 all of that run's nodes; outside any scope every call does the full
 check.
@@ -22,6 +48,7 @@ lives in ``pipcore``.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import random
 from collections.abc import Iterable
@@ -38,6 +65,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 SIG_BYTES = 64
 PK_BYTES = 32
+SONAME = "libsodium.so.23"
 
 _CERT_CONTEXT = b"rlncheck-node-cert-v1:"
 
@@ -160,9 +188,9 @@ def sign(sk: bytes, message: bytes) -> bytes:
 
 @lru_cache(maxsize=256)
 def _verifying_key(pk: bytes) -> Ed25519PublicKey:
-    """Parsed key object for pk, reused across verifications.  A malformed
-    pk raises ValueError, and ``lru_cache`` keeps no entry for a call that
-    raised."""
+    """Parsed key object for pk, reused across verifications on the
+    ``cryptography`` route.  A malformed pk raises ValueError, and
+    ``lru_cache`` keeps no entry for a call that raised."""
     return Ed25519PublicKey.from_public_bytes(pk)
 
 
@@ -193,24 +221,76 @@ def _as_bytes(data) -> bytes:
     return data if type(data) is bytes else bytes(memoryview(data))
 
 
-def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
-    """Deterministic verification; False on any malformed input.
+_P = 2**255 - 19
+_Y_MASK = (1 << 255) - 1
+# The y-coordinates of the points of order 1, 2, 4 and 8 (the last two
+# are ±y of the order-8 points), and the non-canonical encodings p and
+# p + 1 of y = 0 and y = 1: libsodium's list of small-order encodings.
+_Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+_SMALL_ORDER_Y = frozenset({0, 1, _P - 1, _Y8, _P - _Y8, _P, _P + 1})
 
-    Inside a ``shared_verifications()`` scope a triple that already
-    passed in that scope returns True without running OpenSSL again.
-    Only passing triples are stored, so a forged or altered signature,
-    message or key is always checked in full.  The parsed public key is
-    reused across calls (``_verifying_key``); a malformed one is parsed,
-    and rejected, every time.
+
+def _y(encoding: bytes) -> int:
+    """The y-coordinate field of a point encoding, sign bit masked."""
+    return int.from_bytes(encoding, "little") & _Y_MASK
+
+
+def _load_kernel():
+    """libsodium's detached Ed25519 verify, or None if the library, a
+    symbol or ``sodium_init`` fails."""
+    try:
+        lib = ctypes.CDLL(SONAME)
+        init, kernel = lib.sodium_init, lib.crypto_sign_ed25519_verify_detached
+    except (OSError, AttributeError):
+        return None
+    init.restype, init.argtypes = ctypes.c_int, ()
+    buf = ctypes.c_char_p
+    kernel.restype = ctypes.c_int
+    kernel.argtypes = (buf, buf, ctypes.c_ulonglong, buf)
+    # sodium_init returns 0 once it has run, 1 if it had run before, -1 on failure.
+    return kernel if init() >= 0 else None
+
+
+_kernel = _load_kernel()
+
+
+def route() -> str:
+    """The name of the route ``verify`` takes: the loaded library."""
+    return "libsodium" if _kernel is not None else "cryptography"
+
+
+def _ed25519_verify(pk: bytes, message: bytes, sig: bytes) -> bool:
+    """The module docstring's acceptance rule on a 32-byte pk and a
+    64-byte sig, by libsodium when it is loaded, else by ``cryptography``."""
+    if _kernel is not None:
+        return _kernel(sig, message, len(message), pk) == 0
+    y = _y(pk)
+    if y >= _P or y in _SMALL_ORDER_Y or _y(sig[:32]) in _SMALL_ORDER_Y:
+        return False
+    try:
+        _verifying_key(pk).verify(sig, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
+    """Deterministic verification under the module docstring's
+    acceptance rule; False on any malformed input.
+
+    A pk that is not 32 bytes or a sig that is not 64 bytes is False
+    without reaching either route.  Inside a ``shared_verifications()``
+    scope a triple that already passed in that scope returns True
+    without being checked again.  Only passing triples are stored, so a
+    forged or altered signature, message or key is always checked in
+    full.
     """
     key = (_as_bytes(pk), _as_bytes(message), _as_bytes(sig))
     pk, message, sig = key
     memo = _verified.get()
     if memo is not None and key in memo:
         return True
-    try:
-        _verifying_key(pk).verify(sig, message)
-    except (InvalidSignature, ValueError):
+    if len(pk) != PK_BYTES or len(sig) != SIG_BYTES or not _ed25519_verify(pk, message, sig):
         return False
     if memo is not None:
         memo.add(key)

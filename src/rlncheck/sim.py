@@ -377,6 +377,7 @@ def random_topology(
     Byzantine nodes are the first ``_Flow.cut_candidates`` of the
     sink's smallest minimum cut, so removing any one of them provably
     drops the max-flow by one.  Deterministic per seed; raises
+    ValueError for a negative ``byzantine_count``, and
     InfeasibleTopologyError when the parameters cannot be met within
     _TOPOLOGY_ATTEMPTS attempts.
 
@@ -384,6 +385,8 @@ def random_topology(
     keeps it: feeding a starving tail adds one arc and augments from the
     current flow, and the placement reads the cut from that flow.
     """
+    if byzantine_count < 0:
+        raise ValueError(f"byzantine_count must be at least 0, got {byzantine_count}")
     if node_count < 4 or target_min_cut < 1:
         raise InfeasibleTopologyError("need at least 4 nodes and min-cut >= 1")
     rng = random.Random(rng_seed)

@@ -14,35 +14,32 @@ def rng():
 
 
 @pytest.fixture
-def openssl_verifies(monkeypatch):
-    """Every ((pk, message, sig), passed) that reached OpenSSL's Ed25519
-    verification, in call order.  The parsed-key cache is emptied before
-    and after, so that every key is parsed by the counting class while it
-    is in place, and by the real one otherwise."""
+def ed25519_verifies(monkeypatch):
+    """Every ((pk, message, sig), passed) that reached a full Ed25519
+    check, in call order: the calls into ``sigcrypto._ed25519_verify``,
+    which both routes take."""
     calls = []
-    real = sigcrypto.Ed25519PublicKey
+    real = sigcrypto._ed25519_verify
 
-    class Counting:
-        def __init__(self, pk):
-            self.pk, self.key = pk, real.from_public_bytes(pk)
+    def counting(pk, message, sig):
+        ok = real(pk, message, sig)
+        calls.append(((pk, message, sig), ok))
+        return ok
 
-        @classmethod
-        def from_public_bytes(cls, pk):
-            return cls(pk)
+    monkeypatch.setattr(sigcrypto, "_ed25519_verify", counting)
+    return calls
 
-        def verify(self, sig, message):
-            triple = (self.pk, bytes(message), bytes(sig))
-            try:
-                self.key.verify(sig, message)
-            except Exception:
-                calls.append((triple, False))
-                raise
-            calls.append((triple, True))
 
-    sigcrypto._verifying_key.cache_clear()
-    monkeypatch.setattr(sigcrypto, "Ed25519PublicKey", Counting)
-    yield calls
-    sigcrypto._verifying_key.cache_clear()
+@pytest.fixture(params=["libsodium", "cryptography"])
+def ed25519_route(request, monkeypatch):
+    """Runs a test once on each ``sigcrypto.verify`` route: libsodium as
+    loaded, and ``cryptography`` with the kernel switched off."""
+    if request.param == "libsodium":
+        if sigcrypto._kernel is None:
+            pytest.skip("libsodium is not loaded")
+    else:
+        monkeypatch.setattr(sigcrypto, "_kernel", None)
+    return request.param
 
 
 @pytest.fixture

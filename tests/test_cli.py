@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from rlncheck import cli
+from rlncheck import cli, sigcrypto
 
 
 def run_cli(argv, capsys):
@@ -149,6 +149,20 @@ class TestSimulate:
         assert exit_.value.code == 2 and not out.exists()
         assert "argument --packets: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("topology", ["random", "butterfly"])
+    @pytest.mark.parametrize("flag, value, floor", [
+        ("--byzantine", "-1", 0), ("--trials", "0", 1), ("--trials", "-2", 1), ("--mincut", "0", 1),
+    ])
+    def test_counts_below_their_floor_are_usage_errors(self, tmp_path, capsys, topology,
+                                                       flag, value, floor):
+        """A negative Byzantine count, or a sweep with no seeds or no cuts,
+        is refused before any CSV is written."""
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["simulate", "--topology", topology, flag, value, "--out", str(out)])
+        assert exit_.value.code == 2 and not out.exists()
+        assert f"argument {flag}: must be at least {floor}, got {value}" in capsys.readouterr().err
+
 
 class TestSizes:
     def test_audit_passes(self, capsys):
@@ -216,7 +230,7 @@ class TestBench:
     def test_bench_reports_ed25519_rows(self, bench_run):
         code, out = bench_run
         assert code == 0
-        section = out.split("Ed25519 (256-byte message):\n", 1)[1]
+        section = out.split(f"Ed25519 (256-byte message, {sigcrypto.route()}):\n", 1)[1]
         lines = section.splitlines()
         assert lines[0].split() == ["operation", "us"]
         rows = [line.strip().rsplit(None, 1) for line in lines[1:4]]

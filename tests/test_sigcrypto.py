@@ -1,14 +1,102 @@
 """Identities, signatures, certificates, and the PRF."""
 
+import ctypes
 import hashlib
 import hmac
+import importlib
 import random
+import types
 from dataclasses import replace
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlncheck import sigcrypto
+
+needs_kernel = pytest.mark.skipif(sigcrypto._kernel is None, reason="libsodium is not loaded")
+
+# Edwards25519 (RFC 8032): field prime, group order, curve constant.
+P = 2**255 - 19
+L = 2**252 + 27742317777372353535851937790883648493
+D = -121665 * pow(121666, -1, P) % P
+
+# The identity point as a pk, its non-canonical twin (y = p + 1), and a
+# signature R = identity, s = 0, which OpenSSL accepts under either pk
+# for every message.
+IDENTITY_PK = (1).to_bytes(32, "little")
+NON_CANONICAL_PK = (P + 1).to_bytes(32, "little")
+WEAK_SIG = IDENTITY_PK + bytes(32)
+
+
+def point_add(a, b):
+    """Sum of two points in extended coordinates (x, y, z, t)."""
+    x1, y1, z1, t1 = a
+    x2, y2, z2, t2 = b
+    minus, plus = (y1 - x1) * (y2 - x2), (y1 + x1) * (y2 + x2)
+    c, d = 2 * D * t1 * t2, 2 * z1 * z2
+    e, f, g, h = plus - minus, d - c, d + c, plus + minus
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
+
+
+def point_mul(k, pt):
+    out = (0, 1, 1, 0)
+    while k:
+        if k & 1:
+            out = point_add(out, pt)
+        pt, k = point_add(pt, pt), k >> 1
+    return out
+
+
+def encode(pt):
+    x, y, z, _ = pt
+    zi = pow(z, -1, P)
+    x, y = x * zi % P, y * zi % P
+    return (y | (x & 1) << 255).to_bytes(32, "little")
+
+
+def decode(data):
+    """The point a canonical encoding names."""
+    y = int.from_bytes(data, "little") & ((1 << 255) - 1)
+    x2 = (y * y - 1) * pow(D * y * y + 1, -1, P) % P
+    x = pow(x2, (P + 3) // 8, P)
+    if (x * x - x2) % P:
+        x = x * pow(2, (P - 1) // 4, P) % P
+    assert (x * x - x2) % P == 0, "not on the curve"
+    if x & 1 != data[31] >> 7:
+        x = P - x
+    return (x, y, 1, x * y % P)
+
+
+BASE = decode((4 * pow(5, -1, P) % P).to_bytes(32, "little"))
+ORDER_8 = decode(sigcrypto._Y8.to_bytes(32, "little"))
+
+
+def small_order_r_triple():
+    """(pk, message, sig) with R the identity, a point of order 1, that
+    OpenSSL accepts: pk = aB + T for T of order 8, s = ha mod L, and a
+    message whose h = H(R || pk || M) mod L is a multiple of 8, so that
+    sB - h pk = -hT is the identity."""
+    a = 0x5EED
+    pk = encode(point_add(point_mul(a, BASE), ORDER_8))
+    for i in range(200):
+        message = b"small order R %d" % i
+        h = int.from_bytes(hashlib.sha512(IDENTITY_PK + pk + message).digest(), "little") % L
+        if h % 8 == 0:
+            return pk, message, IDENTITY_PK + (h * a % L).to_bytes(32, "little")
+    raise AssertionError("no message found")
+
+
+def verdicts(pk, message, sig):
+    """``verify``'s verdict on the loaded kernel, then on ``cryptography``."""
+    kernel = sigcrypto.verify(pk, message, sig)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigcrypto, "_kernel", None)
+        return kernel, sigcrypto.verify(pk, message, sig)
 
 
 class TestKeygenSignVerify:
@@ -48,8 +136,9 @@ class TestKeygenSignVerify:
         assert sigcrypto._signing_key.cache_info().maxsize is not None
 
     def test_verify_reuses_key_object(self, rng, monkeypatch):
-        """A public key is parsed once, on its first verification; a
-        malformed one is rejected every time and never kept."""
+        """On the ``cryptography`` route a public key is parsed once, on
+        its first verification; one of the wrong length, or with a
+        non-canonical y, is rejected every time and never parsed or kept."""
         ident = sigcrypto.keygen(rng)
         sigs = [sigcrypto.sign(ident.sk, m) for m in (b"abc", b"abd")]
         parsed = []
@@ -62,6 +151,7 @@ class TestKeygenSignVerify:
                 return real(pk)
 
         sigcrypto._verifying_key.cache_clear()
+        monkeypatch.setattr(sigcrypto, "_kernel", None)
         monkeypatch.setattr(sigcrypto, "Ed25519PublicKey", Parsing)
         try:
             assert sigcrypto.verify(ident.pk, b"abc", sigs[0])
@@ -71,7 +161,8 @@ class TestKeygenSignVerify:
             size = sigcrypto._verifying_key.cache_info().currsize
             for _ in range(2):
                 assert not sigcrypto.verify(b"short", b"abc", sigs[0])
-            assert parsed == [ident.pk, b"short", b"short"]
+                assert not sigcrypto.verify(NON_CANONICAL_PK, b"abc", WEAK_SIG)
+            assert parsed == [ident.pk]
             assert sigcrypto._verifying_key.cache_info().currsize == size
             assert sigcrypto._verifying_key.cache_info().maxsize is not None
         finally:
@@ -87,18 +178,19 @@ class TestKeygenSignVerify:
         assert a.pk == b.pk
 
 
+@pytest.mark.usefixtures("ed25519_route")
 class TestSharedVerifications:
     """Inside a ``shared_verifications()`` scope a triple that passed is
-    answered without OpenSSL; everything else is checked in full."""
+    answered without a full check; everything else is checked in full."""
 
-    def test_passing_triple_is_remembered(self, rng, openssl_verifies):
+    def test_passing_triple_is_remembered(self, rng, ed25519_verifies):
         ident = sigcrypto.keygen(rng)
         sig = sigcrypto.sign(ident.sk, b"abc")
         with sigcrypto.shared_verifications():
             assert all(sigcrypto.verify(ident.pk, b"abc", sig) for _ in range(3))
-        assert openssl_verifies == [((ident.pk, b"abc", sig), True)]
+        assert ed25519_verifies == [((ident.pk, b"abc", sig), True)]
 
-    def test_altered_triples_are_checked_and_rejected(self, rng, openssl_verifies):
+    def test_altered_triples_are_checked_and_rejected(self, rng, ed25519_verifies):
         a, b = sigcrypto.keygen(rng), sigcrypto.keygen(rng)
         sig = sigcrypto.sign(a.sk, b"abc")
         other = sigcrypto.sign(a.sk, b"abd")
@@ -114,9 +206,9 @@ class TestSharedVerifications:
             for _ in range(2):
                 for triple in altered:
                     assert not sigcrypto.verify(*triple), triple
-        assert openssl_verifies == [((a.pk, b"abc", sig), True)] + [(t, False) for t in altered] * 2
+        assert ed25519_verifies == [((a.pk, b"abc", sig), True)] + [(t, False) for t in altered] * 2
 
-    def test_failing_triple_is_never_stored(self, rng, openssl_verifies):
+    def test_failing_triple_is_never_stored(self, rng, ed25519_verifies):
         ident = sigcrypto.keygen(rng)
         sig = sigcrypto.sign(ident.sk, b"abc")
         with sigcrypto.shared_verifications():
@@ -125,18 +217,19 @@ class TestSharedVerifications:
                 assert not sigcrypto.verify(ident.pk, b"abc", b"junk")
                 assert not sigcrypto.verify(b"short", b"abc", sig)
             assert sigcrypto._verified.get() == set()
-        assert [ok for _, ok in openssl_verifies] == [False] * 4
+        # The junk sig and the short pk fail the length guard, before any check.
+        assert ed25519_verifies == [((ident.pk, b"abd", sig), False)] * 2
 
-    def test_nothing_is_remembered_outside_a_scope(self, rng, openssl_verifies):
+    def test_nothing_is_remembered_outside_a_scope(self, rng, ed25519_verifies):
         ident = sigcrypto.keygen(rng)
         sig = sigcrypto.sign(ident.sk, b"abc")
         assert all(sigcrypto.verify(ident.pk, b"abc", sig) for _ in range(2))
         with sigcrypto.shared_verifications():
             assert sigcrypto.verify(ident.pk, b"abc", sig)
         assert sigcrypto.verify(ident.pk, b"abc", sig)
-        assert len(openssl_verifies) == 4
+        assert len(ed25519_verifies) == 4
 
-    def test_scope_resets_after_an_exception(self, rng, openssl_verifies):
+    def test_scope_resets_after_an_exception(self, rng, ed25519_verifies):
         ident = sigcrypto.keygen(rng)
         sig = sigcrypto.sign(ident.sk, b"abc")
         with pytest.raises(RuntimeError):
@@ -145,21 +238,21 @@ class TestSharedVerifications:
                 raise RuntimeError
         assert sigcrypto._verified.get() is None
         assert sigcrypto.verify(ident.pk, b"abc", sig)
-        assert len(openssl_verifies) == 2
+        assert len(ed25519_verifies) == 2
 
-    def test_nested_scope_starts_empty_and_restores_the_outer(self, rng, openssl_verifies):
+    def test_nested_scope_starts_empty_and_restores_the_outer(self, rng, ed25519_verifies):
         ident = sigcrypto.keygen(rng)
         sig = sigcrypto.sign(ident.sk, b"abc")
         with sigcrypto.shared_verifications():
             assert sigcrypto.verify(ident.pk, b"abc", sig)
             with sigcrypto.shared_verifications():
                 assert sigcrypto.verify(ident.pk, b"abc", sig)
-            assert len(openssl_verifies) == 2
+            assert len(ed25519_verifies) == 2
             assert sigcrypto.verify(ident.pk, b"abc", sig)
-            assert len(openssl_verifies) == 2
+            assert len(ed25519_verifies) == 2
         assert sigcrypto._verified.get() is None
 
-    def test_buffer_messages(self, rng, openssl_verifies):
+    def test_buffer_messages(self, rng, ed25519_verifies):
         """A bytearray or memoryview message gets the verdict of its
         bytes, and is remembered as those bytes."""
         ident = sigcrypto.keygen(rng)
@@ -170,11 +263,132 @@ class TestSharedVerifications:
             assert sigcrypto.verify(ident.pk, b"abc", memoryview(sig))
             assert not sigcrypto.verify(ident.pk, bytearray(b"abd"), sig)
             assert not sigcrypto.verify(ident.pk, memoryview(b"abd"), sig)
-        assert openssl_verifies == [
+        assert ed25519_verifies == [
             ((ident.pk, b"abc", sig), True),
             ((ident.pk, b"abd", sig), False),
             ((ident.pk, b"abd", sig), False),
         ]
+
+
+class TestRoutes:
+    """libsodium's kernel and the ``cryptography`` route accept the same
+    triples, and a malformed one reaches neither."""
+
+    @needs_kernel
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        message=st.binary(max_size=300),
+        part=st.sampled_from([None, "pk", "message", "sig"]),
+        bit=st.integers(min_value=0, max_value=8 * 300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_routes_agree_on_honest_and_flipped_triples(self, seed, message, part, bit):
+        ident = sigcrypto.keygen(random.Random(seed))
+        triple = {"pk": ident.pk, "message": message, "sig": sigcrypto.sign(ident.sk, message)}
+        if part is not None and triple[part]:
+            data = bytearray(triple[part])
+            data[bit // 8 % len(data)] ^= 1 << bit % 8
+            triple[part] = bytes(data)
+        kernel, fallback = verdicts(triple["pk"], triple["message"], triple["sig"])
+        assert kernel == fallback
+        assert kernel == (part is None or not triple[part])
+
+    def test_small_order_encodings(self):
+        """``_SMALL_ORDER_Y`` is the y of every point of order dividing
+        8, plus the non-canonical encodings of y = 0 and y = 1."""
+        assert encode(point_mul(8, ORDER_8)) == IDENTITY_PK != encode(point_mul(4, ORDER_8))
+        ys = {sigcrypto._y(encode(point_mul(k, ORDER_8))) for k in range(8)}
+        assert ys | {P, P + 1} == sigcrypto._SMALL_ORDER_Y and len(ys) == 5
+
+    @pytest.mark.parametrize("triple", [
+        (IDENTITY_PK, b"any message", WEAK_SIG),
+        (NON_CANONICAL_PK, b"any message", WEAK_SIG),
+        small_order_r_triple(),
+    ], ids=["identity_pk", "non_canonical_pk", "small_order_r"])
+    def test_weak_triples_rejected_on_both_routes(self, ed25519_route, triple):
+        pk, message, sig = triple
+        Ed25519PublicKey.from_public_bytes(pk).verify(sig, message)  # OpenSSL accepts
+        assert not sigcrypto.verify(pk, message, sig)
+
+    def test_fallback_screens_each_weak_encoding(self, rng, monkeypatch):
+        """With an OpenSSL check that accepts everything, the fallback still
+        rejects a non-canonical pk, and a small-order pk or R with either
+        sign bit, each on its own."""
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        monkeypatch.setattr(sigcrypto, "_kernel", None)
+        monkeypatch.setattr(sigcrypto, "_verifying_key",
+                            lambda pk: types.SimpleNamespace(verify=lambda sig, message: None))
+        assert sigcrypto.verify(ident.pk, b"abc", sig)
+        for y in range(P + 2, 2**255):  # non-canonical, and not of small order
+            assert not sigcrypto.verify(y.to_bytes(32, "little"), b"abc", sig), y
+        for y in sigcrypto._SMALL_ORDER_Y:
+            for sign in (0, 1 << 255):
+                encoding = (y | sign).to_bytes(32, "little")
+                assert not sigcrypto.verify(encoding, b"abc", sig), (y, sign)
+                assert not sigcrypto.verify(ident.pk, b"abc", encoding + sig[32:]), (y, sign)
+
+    def test_malformed_lengths_never_reach_a_route(self, rng, monkeypatch):
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        monkeypatch.setattr(sigcrypto, "_ed25519_verify", lambda *a: pytest.fail("checked"))
+        for pk, s in ((ident.pk[:31], sig), (ident.pk + b"\0", sig), (b"", sig),
+                      (ident.pk, sig[:63]), (ident.pk, sig + b"\0"), (ident.pk, b"")):
+            assert not sigcrypto.verify(pk, b"abc", s)
+
+    @needs_kernel
+    def test_lengths_and_buffers_get_the_fallbacks_verdict(self, rng):
+        ident = sigcrypto.keygen(rng)
+        sig = sigcrypto.sign(ident.sk, b"abc")
+        cases = [
+            ((ident.pk[:31], b"abc", sig), False),
+            ((ident.pk + b"\0", b"abc", sig), False),
+            ((ident.pk, b"abc", sig[:63]), False),
+            ((ident.pk, b"abc", sig + b"\0"), False),
+            ((bytearray(ident.pk), bytearray(b"abc"), bytearray(sig)), True),
+            ((memoryview(ident.pk), memoryview(b"abc"), memoryview(sig)), True),
+            ((memoryview(ident.pk), bytearray(b"abd"), sig), False),
+            ((bytearray(ident.pk[:31]), b"abc", memoryview(sig)), False),
+        ]
+        for triple, want in cases:
+            assert verdicts(*triple) == (want, want), triple
+
+
+class Missing:
+    """A loaded library that lacks every symbol."""
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+class FailingInit:
+    """A loaded library whose ``sodium_init`` fails."""
+
+    def __init__(self):
+        self.sodium_init = lambda: -1
+        self.crypto_sign_ed25519_verify_detached = lambda *args: 0
+
+
+def no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("loader", [no_library, lambda name: Missing(), lambda name: FailingInit()],
+                         ids=["library", "symbol", "init"])
+def test_failed_load_leaves_the_cryptography_route(rng, monkeypatch, loader):
+    loaded = sigcrypto._kernel is not None
+    ident = sigcrypto.keygen(rng)
+    sig = sigcrypto.sign(ident.sk, b"abc")
+    with monkeypatch.context() as mp:
+        mp.setattr(ctypes, "CDLL", loader)
+        importlib.reload(sigcrypto)
+        assert sigcrypto._kernel is None and sigcrypto.route() == "cryptography"
+        assert sigcrypto.verify(ident.pk, b"abc", sig)
+        assert not sigcrypto.verify(ident.pk, b"abd", sig)
+        assert not sigcrypto.verify(IDENTITY_PK, b"abc", WEAK_SIG)
+    importlib.reload(sigcrypto)
+    assert (sigcrypto._kernel is not None) == loaded
+    assert sigcrypto.route() == ("libsodium" if loaded else "cryptography")
 
 
 class TestCertificates:

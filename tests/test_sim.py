@@ -377,6 +377,13 @@ class TestRandomTopology:
         with pytest.raises(InfeasibleTopologyError):
             random_topology(5, 4, 4, 0, rng_seed=1)
 
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_byzantine_count_raises(self, count):
+        """A negative count would slice all but the last |count| cut
+        candidates off as Byzantine."""
+        with pytest.raises(ValueError, match="byzantine_count must be at least 0"):
+            random_topology(10, 30, 3, count, rng_seed=0)
+
     def test_adjacency_matches_parents_and_children(self):
         for topo in (butterfly_topology(), random_topology(30, 200, 3, 1, rng_seed=4)):
             parents, children = topo.adjacency()
@@ -889,6 +896,7 @@ class TestCheckMemo:
         assert s.report.verdicts[-1][3].kind is ViolationKind.BAD_HELPER_SIG
 
 
+@pytest.mark.usefixtures("ed25519_route")
 class TestSharedVerifications:
     """``Simulation.run`` verifies each distinct Ed25519 triple once, for
     all of its nodes; calls outside a run do the full work."""
@@ -912,7 +920,7 @@ class TestSharedVerifications:
     @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
     @pytest.mark.parametrize("case", ["random", "forge"])
     def test_each_passing_triple_verified_once_per_run(
-        self, monkeypatch, openssl_verifies, proto, case
+        self, monkeypatch, ed25519_verifies, proto, case
     ):
         topo = (MEMO_CASES[case] if case == "random"
                 else soundness_topology(Behavior(BehaviorKind.FORGE_TOKEN)))
@@ -926,28 +934,29 @@ class TestSharedVerifications:
 
         monkeypatch.setattr(sigcrypto, "verify", counted)
         sim.Simulation(topo, proto, m=2, rng_seed=8, epochs=2, challenges=1).run()
-        passing = [t for t, ok in openssl_verifies if ok]
+        passing = [t for t, ok in ed25519_verifies if ok]
         assert len(passing) == len(set(passing))
         assert set(passing) == {t for t, ok in calls if ok}
-        assert [c for c in calls if not c[1]] == [c for c in openssl_verifies if not c[1]]
-        assert len(openssl_verifies) < len(calls)
+        assert [c for c in calls if not c[1]] == [c for c in ed25519_verifies if not c[1]]
+        assert len(ed25519_verifies) < len(calls)
         if case == "forge":
             assert any(not ok for _, ok in calls)
 
-    def test_checks_outside_a_run_verify_in_full(self, openssl_verifies):
+    def test_checks_outside_a_run_verify_in_full(self, ed25519_verifies):
         """``verify_incoming`` and ``adjudicate`` called on their own, as
-        the production relay and adjudication do, run OpenSSL every time."""
+        the production relay and adjudication do, check every signature in
+        full every time."""
         s = sim.Simulation(soundness_topology(Behavior.honest()), Protocol.PIP, m=2, rng_seed=13)
         s.run()
         st, pkt = s.nodes["c1"].state, s.nodes["byz"].sent[1]["c1"]
         proof = node_mod.build_misbehavior_proof(st, pkt)
         for check in (lambda: node_mod.verify_incoming(st, pkt),
                       lambda: node_mod.adjudicate(proof, s.master.pk, s.master.pk).violation):
-            openssl_verifies.clear()
+            ed25519_verifies.clear()
             assert check() is None
-            first = list(openssl_verifies)
+            first = list(ed25519_verifies)
             assert check() is None
-            assert first and openssl_verifies == first * 2
+            assert first and ed25519_verifies == first * 2
 
 
 def _spans_at_epoch_ends(monkeypatch):
@@ -1050,11 +1059,12 @@ def span_reads(monkeypatch):
     return read
 
 
+@pytest.mark.usefixtures("ed25519_route")
 class TestRunCounts:
     """``Simulation.run`` logs one DEBUG record of the work it did."""
 
     @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
-    def test_counts_match_the_work_done(self, monkeypatch, caplog, openssl_verifies, proto):
+    def test_counts_match_the_work_done(self, monkeypatch, caplog, ed25519_verifies, proto):
         counted = {"checks": 0, "contents": 0, "challenges": 0}
         for name, key in (("verify_incoming", "checks"), ("_check_content", "contents"),
                           ("check_challenge", "challenges")):
@@ -1074,7 +1084,7 @@ class TestRunCounts:
         counts = records[0].args
         assert counts == {
             "deliveries": len(report.verdicts), **counted,
-            "triples": len({t for t, ok in openssl_verifies if ok}),
+            "triples": len({t for t, ok in ed25519_verifies if ok}),
             "spans": len({id(rows) for rows in read}),
         }
         assert counts["deliveries"] > counts["checks"] > counts["contents"] > 0
