@@ -4,18 +4,33 @@ A node ingests one packet per parent per round, runs the check
 pipeline (attest signature, epoch binding, validity signature, token
 type and full PIP token, helper token), then codes over its required
 set, which is all of its registered parents, with PRF-derived
-coefficients and assembles the outgoing packet:
+coefficients and assembles the outgoing packet.  On the wire it is
 
-    E, sigma, test token, helper token, epoch reference, sender id,
-    attest signature over all preceding bytes.
+    E, sigma, test token, epoch reference, sender id   (the signed prefix)
+    helper token, attest signature over the signed prefix.
+
+The attest is signed once per emission (``build_draft``) and every
+child gets the same one; only the helper token is made per child
+(``finalize_packet``).  The attest does not need to cover the helper:
+the helper alone binds a packet to its edge.  sigma binds E, because a
+receiver checks E's validity signature against it, and the helper is
+the sender's signature on sigma and on the names of the sender and of
+the receiver.  So a sibling that holds the same packet cannot show it
+as one sent to another node: it has no helper that names that node.
 
 Receivers and ``adjudicate`` run the same pipeline (``_check_packet``)
-and Log-PIP response check (``_check_response``), so the attest token
-makes any violation a receiver finds provable to a third party.  A
-sender with a required set must carry a full PIP token, checked under
-either protocol, or, to a Log-PIP receiver, a Merkle root that the
-receiver challenges.  ``enter_epoch`` checks the epoch's master
-signature once; a packet's epoch reference must then equal it.
+and Log-PIP response check (``_check_response``), so a violation in
+what the attest covers is provable to a third party: a bad epoch
+binding aside, every violation of the content stage (validity
+signature, token type, full PIP token and its entries' helpers), a
+helper on a zero packet, and a failed challenge response, which the
+sender signs.  A bad edge helper is not provable, since the attest does
+not cover the helper bytes and anyone can swap them; it only gets the
+packet dropped, which proves no more than silence.  A sender with a
+required set must carry a full PIP token, checked under either
+protocol, or, to a Log-PIP receiver, a Merkle root that the receiver
+challenges.  ``enter_epoch`` checks the epoch's master signature once;
+a packet's epoch reference must then equal it.
 
 A receiver also keeps, per epoch, the span of the packets whose
 validity signatures it has checked in full (``NodeState.verified``).
@@ -25,12 +40,12 @@ times per epoch when its packets pass; ``adjudicate`` keeps no span
 and checks every packet in full.  The verdicts are the same (see
 ``validity``).
 
-Of the pipeline, the attest and helper signatures belong to one edge;
-the rest, the packet's content, is the same for every child of a
-sender.  Inside a ``shared_content_checks()`` scope, which
-``sim.Simulation.run`` enters for a whole run, the content verdict is
-computed once for every receiver with the same view of the sender and
-reused by the others (``_check_packet``).  Outside a scope, as in
+Of the pipeline, only the helper signature belongs to one edge; the
+rest, the attest and the packet's content, is the same for every child
+of a sender.  Inside a ``shared_content_checks()`` scope, which
+``sim.Simulation.run`` enters for a whole run, that verdict is computed
+once for every receiver with the same view of the sender and reused by
+the others (``_check_packet``).  Outside a scope, as in
 ``adjudicate`` and in a caller that drives nodes itself, every check
 does the full work.
 
@@ -40,7 +55,8 @@ buffered, because a child blames a packet that leaves out a parent on
 its sender.  ``build_draft`` is the shared tail of every emission,
 the source's included: it signs a coded vector and builds its test
 token, for ``process_round`` and for callers that choose their own
-coefficients and token entries (``buffered_inputs``).
+coefficients and token entries (``buffered_inputs``), and it signs
+the draft's one attest.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ import random
 from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import gf, pipcore, sigcrypto, validity
 from .gf import CodedVector
@@ -136,19 +152,23 @@ def derive_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# Packet serialization (canonical field order; attest covers all prior bytes)
+# Packet serialization (canonical field order: the signed prefix, the
+# helper, then the attest over the prefix)
 
 
 # h_bytes is unread; it stays while rlnbench/workloads.py passes it positionally.
-def packet_signed_bytes(pkt: Packet, params: SourceEpochParams, h_bytes: int = 20) -> bytes:
-    """Everything the attest signature covers, in canonical order."""
+def packet_signed_bytes(
+    pkt: "Packet | OutgoingDraft", params: SourceEpochParams, h_bytes: int = 20
+) -> bytes:
+    """The signed prefix, everything the attest signature covers, in
+    canonical order: E, sigma, test token, epoch reference and sender id.
+    The same for every child of an emission, so a draft has it too."""
     w = Writer()
     w.u16(pkt.E.n).u16(pkt.E.m)
     for c in pkt.E.chunks:
         w.uint(c, params.q_bytes)
     w.uint(pkt.sigma, params.p_bytes)
     w.raw(pipcore.serialize_token(pkt.test_token, params))
-    w.raw(pkt.helper)
     w.u64(pkt.epoch_ref.k).raw(pkt.epoch_ref.master_sig)
     w.var_bytes(pkt.sender_id)
     return w.getvalue()
@@ -156,7 +176,7 @@ def packet_signed_bytes(pkt: Packet, params: SourceEpochParams, h_bytes: int = 2
 
 # h_bytes is unread; it stays while rlnbench/workloads.py passes it positionally.
 def serialize_packet(pkt: Packet, params: SourceEpochParams, h_bytes: int = 20) -> bytes:
-    return packet_signed_bytes(pkt, params) + pkt.attest
+    return packet_signed_bytes(pkt, params) + pkt.helper + pkt.attest
 
 
 def deserialize_packet(data: bytes, params: SourceEpochParams, h_bytes: int = 20) -> Packet:
@@ -169,10 +189,10 @@ def deserialize_packet(data: bytes, params: SourceEpochParams, h_bytes: int = 20
         raise DecodeError("chunk out of field range", r.pos)
     sigma = r.uint(params.p_bytes)
     token = pipcore.parse_token(r, params, h_bytes)
-    helper = r.take(sigcrypto.SIG_BYTES)
     k = r.u64()
     master_sig = r.take(sigcrypto.SIG_BYTES)
     sender_id = r.var_bytes()
+    helper = r.take(sigcrypto.SIG_BYTES)
     attest = r.take(sigcrypto.SIG_BYTES)
     r.expect_end()
     return Packet(
@@ -252,19 +272,19 @@ _shared_content: ContextVar[dict | None] = ContextVar("rlncheck_shared_content",
 def shared_content_checks():
     """Scope in which ``_check_packet`` checks each packet content once.
 
-    The content of a packet (``_check_content``: epoch binding, validity
-    signature, token type and full PIP token) is the part of the check
-    that does not depend on who receives it: a sender sends every child
-    the same E, sigma and token, and only the helper token and the
-    attest signature differ per edge.  Inside a scope the first receiver
-    to reach that stage runs it, and every later receiver of the same
-    content, under the same view of its sender, takes the stored
-    verdict.  Each scope starts empty and the enclosing one (or none) is
-    restored on exit, also after an exception; it yields its dict of
-    verdicts.  The dict lives in a ``ContextVar``, so a scope covers
-    only the thread or task that entered it.  ``sim.Simulation.run``
-    enters one per run; outside any scope every check does the full
-    work.
+    The attest and content of a packet (``_check_content``: attest
+    signature, epoch binding, validity signature, token type and full
+    PIP token) are the part of the check that does not depend on who
+    receives it: a sender sends every child the same E, sigma, token and
+    attest, and only the helper token differs per edge.  Inside a scope
+    the first receiver to reach that stage runs it, and every later
+    receiver of the same content, under the same view of its sender,
+    takes the stored verdict.  Each scope starts empty and the enclosing
+    one (or none) is restored on exit, also after an exception; it
+    yields its dict of verdicts.  The dict lives in a ``ContextVar``, so
+    a scope covers only the thread or task that entered it.
+    ``sim.Simulation.run`` enters one per run; outside any scope every
+    check does the full work.
     """
     verdicts: dict = {}
     token = _shared_content.set(verdicts)
@@ -278,11 +298,14 @@ def _check_content(
     pkt: Packet, sender: ParentInfo, seed: bytes, params: SourceEpochParams,
     protocol: Protocol, verified: gf.Span | None,
 ) -> tuple[Violation | None, bool]:
-    """The receiver-independent stage of ``_check_packet``: epoch binding,
-    validity signature, then token type and full PIP token (senders with
-    a required set only).  Returns the first Violation or None, and
-    whether the validity signature passed."""
+    """The receiver-independent stage of ``_check_packet``: attest
+    signature over the signed prefix, epoch binding, validity signature,
+    then token type and full PIP token (senders with a required set
+    only).  Returns the first Violation or None, and whether the
+    validity signature passed."""
     sender_id = pkt.sender_id
+    if not verify_attest(sender.pk, packet_signed_bytes(pkt, params), pkt.attest):
+        return Violation(ViolationKind.BAD_ATTEST, sender_id), False
     if pkt.epoch_ref != EpochRef(k=params.k, master_sig=params.master_sig):
         return Violation(ViolationKind.BAD_EPOCH, sender_id, f"epoch {pkt.epoch_ref.k}"), False
     if not validity.verify_validity(params, pkt.E, pkt.sigma, verified):
@@ -305,53 +328,69 @@ def _check_content(
     return None, True
 
 
+def _content_verdict(
+    pkt: Packet, sender: ParentInfo, seed: bytes, params: SourceEpochParams,
+    protocol: Protocol, verified: gf.Span | None,
+) -> Violation | None:
+    """``_check_content``'s Violation, or None; inside a
+    ``shared_content_checks()`` scope, computed once per key.
+
+    The verdict is stored under every input ``_check_content`` reads but
+    the receiver's span, so a receiver with another view of the sender
+    (its key, its key registry, its required set) gets a verdict of its
+    own.  A receiver that takes a stored verdict grows its span as its
+    own check would have (``validity.record_verified``); the verdict of
+    ``verify_validity`` does not depend on the span, save on a
+    discrete-log collision (see ``validity``).
+    """
+    shared = _shared_content.get()
+    if shared is None:
+        return _check_content(pkt, sender, seed, params, protocol, verified)[0]
+    key = (
+        sender.pk, pkt.attest, pkt.sender_id, pkt.E, pkt.sigma, pkt.test_token, pkt.epoch_ref,
+        frozenset(sender.required_set), frozenset(sender.grandparent_pks.items()),
+        seed, params, protocol,
+    )
+    found = shared.get(key)
+    if found is None:
+        v, _ = shared[key] = _check_content(pkt, sender, seed, params, protocol, verified)
+        return v
+    v, valid = found
+    if valid and verified is not None:
+        validity.record_verified(params, pkt.E, verified)
+    return v
+
+
+def _check_edge(
+    pkt: Packet, sender: ParentInfo, receiver_id: bytes, params: SourceEpochParams,
+) -> Violation | None:
+    """The per-edge stage of ``_check_packet``: the helper token must not
+    cover a zero packet and must be the sender's signature on sigma for
+    this receiver (``pipcore.check_helper``)."""
+    return pipcore.check_helper(
+        all(c == 0 for c in pkt.E.coding_vector),
+        pkt.sigma, pkt.helper, sender.pk, pkt.sender_id, receiver_id, params,
+    )
+
+
 def _check_packet(
     pkt: Packet, sender: ParentInfo, receiver_id: bytes, seed: bytes,
     params: SourceEpochParams, protocol: Protocol, verified: gf.Span | None = None,
 ) -> Violation | None:
     """Check one packet against the verifier's view of its sender.
 
-    Order: attest signature, content (``_check_content``: epoch binding,
-    validity signature, token type and full PIP token), helper token.
-    Returns the first Violation, or None when the packet is good.
-    ``verified`` is the receiver's span for ``validity.verify_validity``.
+    Order: attest signature and content (``_check_content``: attest,
+    epoch binding, validity signature, token type and full PIP token),
+    then the edge's helper token (``_check_edge``).  Returns the first
+    Violation, or None when the packet is good.  ``verified`` is the
+    receiver's span for ``validity.verify_validity``.
 
-    The attest and helper signatures belong to one edge and are checked
-    for every receiver.  Inside a ``shared_content_checks()`` scope the
-    content verdict is shared: it is stored under every input
-    ``_check_content`` reads but the receiver's span, so a receiver with
-    another view of the sender (its key registry, its required set) gets
-    a verdict of its own.  A receiver that takes a stored verdict grows
-    its span as its own check would have (``validity.record_verified``);
-    the verdict of ``verify_validity`` does not depend on the span, save
-    on a discrete-log collision (see ``validity``).
+    Only the helper belongs to one edge and is checked for every
+    receiver; inside a ``shared_content_checks()`` scope the attest and
+    content verdict is shared (``_content_verdict``).
     """
-    sender_id = pkt.sender_id
-    if not verify_attest(sender.pk, packet_signed_bytes(pkt, params), pkt.attest):
-        return Violation(ViolationKind.BAD_ATTEST, sender_id)
-    shared = _shared_content.get()
-    if shared is None:
-        v, _ = _check_content(pkt, sender, seed, params, protocol, verified)
-    else:
-        key = (
-            sender_id, pkt.E, pkt.sigma, pkt.test_token, pkt.epoch_ref,
-            frozenset(sender.required_set), frozenset(sender.grandparent_pks.items()),
-            seed, params, protocol,
-        )
-        found = shared.get(key)
-        if found is None:
-            v, _ = shared[key] = _check_content(pkt, sender, seed, params, protocol, verified)
-        else:
-            v, valid = found
-            if valid and verified is not None:
-                validity.record_verified(params, pkt.E, verified)
-    if v is not None:
-        return v
-
-    return pipcore.check_helper(
-        all(c == 0 for c in pkt.E.coding_vector),
-        pkt.sigma, pkt.helper, sender.pk, sender_id, receiver_id, params,
-    )
+    v = _content_verdict(pkt, sender, seed, params, protocol, verified)
+    return v if v is not None else _check_edge(pkt, sender, receiver_id, params)
 
 
 def _check_response(
@@ -462,13 +501,14 @@ def challenge_parent(
 
 @dataclass
 class OutgoingDraft:
-    """Per-round output before the per-child helper/attest are attached."""
+    """Per-round output, attest signed, before the per-child helper is attached."""
 
     E: CodedVector
     sigma: int
     test_token: PipTestToken | LogPipTestToken
     epoch_ref: EpochRef
     sender_id: bytes
+    attest: bytes
     # Always False: no draft leaves out a parent.  Kept while rlnbench reads it.
     degraded: bool = False
 
@@ -486,7 +526,7 @@ def build_draft(
     coded: list[ParentInput],
     claims: list[ParentInput],
 ) -> OutgoingDraft:
-    """Sign one round's coded vector and build its test token.
+    """Sign one round's coded vector, build its test token and sign its attest.
 
     Precondition: ``E`` is sum a_i E_i mod q over the inputs in
     ``coded`` (coefficient a_i), and every E_i is the vector of the
@@ -507,6 +547,10 @@ def build_draft(
     equals ``validity.sign_validity`` of it, and under either protocol
     it sends an empty PIP token, which its children do not check (it has
     no required set).
+
+    The attest over the signed prefix (``packet_signed_bytes``) is
+    signed here, once per draft; ``finalize_packet`` adds only each
+    child's helper.
     """
     params = state.params
     if state.protocol is Protocol.LOGPIP and claims:
@@ -518,13 +562,16 @@ def build_draft(
         sigma = state.current_tree.root.sigma
     else:
         sigma = validity.claimed_validity(params, E.coding_vector)
-    return OutgoingDraft(
+    draft = OutgoingDraft(
         E=E,
         sigma=sigma,
         test_token=token,
         epoch_ref=EpochRef(k=params.k, master_sig=params.master_sig),
         sender_id=state.node_id,
+        attest=b"",
     )
+    draft.attest = attest_packet(state.identity.sk, packet_signed_bytes(draft, params))
+    return draft
 
 
 def process_round(
@@ -565,22 +612,20 @@ def process_round(
 
 
 def finalize_packet(state: NodeState, draft: OutgoingDraft, child_id: bytes) -> Packet:
-    """Attach the per-child helper token and the attest signature."""
+    """The draft's packet to one child: the draft's attest, plus the
+    per-child helper token."""
     assert state.identity.sk is not None and state.params is not None
-    helper = pipcore.make_helper_token(
-        state.identity.sk, draft.sigma, state.node_id, child_id, state.params
-    )
-    pkt = Packet(
+    return Packet(
         E=draft.E,
         sigma=draft.sigma,
         test_token=draft.test_token,
-        helper=helper,
+        helper=pipcore.make_helper_token(
+            state.identity.sk, draft.sigma, state.node_id, child_id, state.params
+        ),
         epoch_ref=draft.epoch_ref,
         sender_id=draft.sender_id,
-        attest=b"",
+        attest=draft.attest,
     )
-    signed = packet_signed_bytes(pkt, state.params)
-    return replace(pkt, attest=attest_packet(state.identity.sk, signed))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +634,8 @@ def finalize_packet(state: NodeState, draft: OutgoingDraft, child_id: bytes) -> 
 
 # A proof of these adjudicates INADMISSIBLE: without a valid attest the
 # packet is not bound to its sender, and a stale packet does not show when
-# it was sent.
+# it was sent.  So does a bad edge helper (see adjudicate), which shares
+# its kind with a bad token entry's helper and so is not listed here.
 UNPROVABLE = frozenset({ViolationKind.BAD_ATTEST, ViolationKind.BAD_EPOCH})
 
 
@@ -666,6 +712,13 @@ def adjudicate(
     under a parent outside the required set (which fixes the path's
     shape) makes the proof inadmissible, so honest nodes cannot be
     framed with doctored packets; any other violation is guilty.
+
+    A bad edge helper (``_check_edge``'s BadHelperSig) also makes the
+    proof inadmissible: the attest does not cover the helper bytes, so
+    anyone holding the packet can swap them.  The content stage runs first, so a packet that
+    breaks an attested rule is guilty whatever its helper; a helper on a
+    zero packet is guilty too, since it depends on attested content
+    alone.
     """
     params = proof.params
     if not validity.verify_epoch(params, master_pk):
@@ -686,7 +739,11 @@ def adjudicate(
     sender = ParentInfo(
         pk=proof.sender_pk, required_set=proof.required_set, grandparent_pks=proof.parent_pks
     )
-    v = _check_packet(pkt, sender, proof.receiver_id, proof.seed, params, proof.protocol)
+    v = _content_verdict(pkt, sender, proof.seed, params, proof.protocol, None)
+    if v is None:
+        v = _check_edge(pkt, sender, proof.receiver_id, params)
+        if v is not None and v.kind is ViolationKind.BAD_HELPER_SIG:
+            return Adjudication(Verdict.INADMISSIBLE, reason=f"{v}: edge helper not attested")
     if v is None and isinstance(pkt.test_token, LogPipTestToken):
         for pid, proof_bytes in proof.transcript:
             try:

@@ -7,19 +7,25 @@ truncated to a configurable width (160 bits by default).  The PRF is
 HMAC-SHA256 keyed with a public seed; coefficient derivation maps its
 output into Z_q^* by rejection sampling over successive counters.
 
-``verify`` takes one of two routes, named by ``route()``:
+``sign``, ``keygen`` and ``verify`` take one of two routes, named by
+``route()``:
 
-1. libsodium's ``crypto_sign_ed25519_verify_detached``, through
-   ``ctypes``.  The library is loaded by its soname, ``libsodium.so.23``,
-   never looked up with ``ctypes.util.find_library``, and
-   ``sodium_init`` runs once, at import.
+1. libsodium, through ``ctypes``: ``crypto_sign_ed25519_seed_keypair``,
+   ``crypto_sign_ed25519_detached`` and
+   ``crypto_sign_ed25519_verify_detached``.  The library is loaded by its
+   soname, ``libsodium.so.23``, never looked up with
+   ``ctypes.util.find_library``, and ``sodium_init`` runs once, at
+   import.
 2. If the library, a symbol or ``sodium_init`` fails, the
-   ``cryptography`` package (OpenSSL), with two checks in front of it.
+   ``cryptography`` package (OpenSSL) for all three, with two checks in
+   front of its verify.
 
-Both routes accept exactly the same triples.  A (pk, message, sig)
-triple passes when pk is 32 bytes, sig = R || s is 64 bytes, s < L, and
-the encoding of sB - H(R || pk || M)A equals R byte for byte (RFC 8032's
-cofactorless check), and also:
+Ed25519 signing is deterministic (RFC 8032), so both routes make the
+same public key from a 32-byte secret key and the same signature of a
+message, byte for byte.  Both also accept exactly the same triples.  A
+(pk, message, sig) triple passes when pk is 32 bytes, sig = R || s is 64
+bytes, s < L, and the encoding of sB - H(R || pk || M)A equals R byte for
+byte (RFC 8032's cofactorless check), and also:
 
 - pk encodes its y-coordinate canonically, y < 2^255 - 19;
 - neither pk nor R, with its sign bit masked, is one of libsodium's
@@ -28,10 +34,9 @@ cofactorless check), and also:
 OpenSSL alone accepts such weak keys: the identity pk ``01 00...00``
 with sig ``01 00...00 || 00...00`` passes for every message, and so does
 its non-canonical twin, y = 2^255 - 18.  A pk or sig of another length is
-rejected before either route runs, so the kernel never reads past a
-short buffer.  Signing and key generation always use ``cryptography``;
-Ed25519 signatures are deterministic, so the bytes are the same as
-libsodium's.
+rejected before either route runs, and a secret key of another length
+raises ValueError on both, so the library never reads past a short
+buffer.
 
 Inside a ``shared_verifications()`` scope, ``verify`` runs the full
 check once per distinct (public key, message, signature) triple and
@@ -171,19 +176,44 @@ class Certificate:
 def keygen(rng: random.Random, node_id: bytes = b"") -> NodeIdentity:
     """Fresh Ed25519 keypair; key bytes drawn from the supplied rng."""
     sk = rng.randbytes(32)
-    pk = _signing_key(sk).public_key().public_bytes_raw()
+    if _signer is not None:
+        pk = _expanded_key(sk)[-PK_BYTES:]
+    else:
+        pk = _signing_key(sk).public_key().public_bytes_raw()
     return NodeIdentity(node_id=node_id, pk=pk, sk=sk)
 
 
-@lru_cache(maxsize=256)
+# The key caches hold more keys than a simulation makes identities (450 in
+# the benchmark's network_sim set-up), so a run prepares each key once.
+@lru_cache(maxsize=1024)
+def _expanded_key(sk: bytes) -> bytes:
+    """libsodium's 64-byte secret key for the 32-byte sk, seed || pk,
+    reused across signatures: expanding it costs about two thirds of a
+    signature.  ValueError for an sk of another length; ``lru_cache``
+    keeps no entry for a call that raised."""
+    if len(sk) != 32:
+        raise ValueError(f"an Ed25519 secret key is 32 bytes, not {len(sk)}")
+    pk, expanded = ctypes.create_string_buffer(PK_BYTES), ctypes.create_string_buffer(64)
+    _signer.keypair(pk, expanded, sk)
+    return expanded.raw
+
+
+@lru_cache(maxsize=1024)
 def _signing_key(sk: bytes) -> Ed25519PrivateKey:
-    """Parsed key object for sk, reused across signatures: parsing costs
-    about as much as signing."""
+    """Parsed key object for sk on the ``cryptography`` route, reused
+    across signatures: parsing costs about as much as signing."""
     return Ed25519PrivateKey.from_private_bytes(sk)
 
 
 def sign(sk: bytes, message: bytes) -> bytes:
-    return _signing_key(sk).sign(message)
+    """The Ed25519 signature of ``message`` under the 32-byte secret key
+    ``sk``, by libsodium when it is loaded, else by ``cryptography``."""
+    message = _as_bytes(message)
+    if _signer is None:
+        return _signing_key(sk).sign(message)
+    sig = ctypes.create_string_buffer(SIG_BYTES)
+    _signer.sign(sig, None, message, len(message), _expanded_key(sk))
+    return sig.raw
 
 
 @lru_cache(maxsize=256)
@@ -235,28 +265,51 @@ def _y(encoding: bytes) -> int:
     return int.from_bytes(encoding, "little") & _Y_MASK
 
 
-def _load_kernel():
-    """libsodium's detached Ed25519 verify, or None if the library, a
-    symbol or ``sodium_init`` fails."""
+@dataclass(frozen=True)
+class _Signer:
+    """libsodium's seed-to-keypair and detached-sign functions."""
+
+    keypair: object
+    sign: object
+
+
+def _load_kernels():
+    """libsodium's detached Ed25519 verify and its ``_Signer``, or
+    (None, None) if the library, a symbol or ``sodium_init`` fails."""
     try:
         lib = ctypes.CDLL(SONAME)
-        init, kernel = lib.sodium_init, lib.crypto_sign_ed25519_verify_detached
+        init = lib.sodium_init
+        verify = lib.crypto_sign_ed25519_verify_detached
+        keypair = lib.crypto_sign_ed25519_seed_keypair
+        signer = lib.crypto_sign_ed25519_detached
     except (OSError, AttributeError):
-        return None
+        return None, None
     init.restype, init.argtypes = ctypes.c_int, ()
-    buf = ctypes.c_char_p
-    kernel.restype = ctypes.c_int
-    kernel.argtypes = (buf, buf, ctypes.c_ulonglong, buf)
+    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    for fn in (verify, keypair, signer):
+        fn.restype = ctypes.c_int
+    verify.argtypes = (buf, buf, size, buf)  # sig, message, its length, pk
+    keypair.argtypes = (buf, buf, buf)  # pk out (32), sk out (64), seed (32)
+    signer.argtypes = (buf, ctypes.c_void_p, buf, size, buf)  # sig out, NULL, message, length, sk
     # sodium_init returns 0 once it has run, 1 if it had run before, -1 on failure.
-    return kernel if init() >= 0 else None
+    if init() < 0:
+        return None, None
+    return verify, _Signer(keypair=keypair, sign=signer)
 
 
-_kernel = _load_kernel()
+_kernel, _signer = _load_kernels()
 
 
 def route() -> str:
-    """The name of the route ``verify`` takes: the loaded library."""
-    return "libsodium" if _kernel is not None else "cryptography"
+    """The libraries ``sign`` (with ``keygen``) and ``verify`` take: "sign
+    and verify by libsodium" when it loaded, else "sign and verify by
+    cryptography"; they load together, so they differ only where a
+    caller switched one off."""
+    signs = "libsodium" if _signer is not None else "cryptography"
+    verifies = "libsodium" if _kernel is not None else "cryptography"
+    if signs == verifies:
+        return f"sign and verify by {signs}"
+    return f"sign by {signs}, verify by {verifies}"
 
 
 def _ed25519_verify(pk: bytes, message: bytes, sig: bytes) -> bool:

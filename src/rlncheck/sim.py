@@ -765,11 +765,13 @@ class Simulation:
 
         The whole run is one ``node.shared_content_checks()`` scope and
         one ``sigcrypto.shared_verifications()`` scope, shared by all of
-        the run's nodes.  In the first, the content of a packet (epoch
-        binding, validity signature, token type and full PIP token) is
-        checked once, by the first of the sender's children to get it,
-        and the others take that verdict; each child still checks the
-        attest and helper signatures of its own edge.  In the second, an
+        the run's nodes.  In the first, the attest and content of a packet
+        (attest signature, epoch binding, validity signature, token type
+        and full PIP token) are checked once, by the first of the
+        sender's children to get it, and the others take that verdict;
+        each child still checks the helper signature of its own edge.
+        Every child of an emission gets the same attest
+        (``node.build_draft``), so it is checked once.  In the second, an
         Ed25519 triple that passed at one node is not verified again by
         another: a grandparent's helper signature, which a relay checks
         and each of its children checks again, and the master signature
@@ -899,7 +901,7 @@ class Simulation:
         what a check costs but not its verdict
         (``validity.verify_validity``); a second check of a packet would
         not grow the span again.  This memo is per receiver because each
-        edge has its own attest and helper signatures; the content stage
+        edge has its own helper signature; the attest and content stage
         of the check is shared by all receivers (``run``).
 
         Each challenge is checked once per epoch for all of the sender's

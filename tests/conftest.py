@@ -30,15 +30,31 @@ def ed25519_verifies(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def ed25519_signs(monkeypatch):
+    """Every (sk, message, sig) that ``sigcrypto.sign`` made, in call order."""
+    calls = []
+    real = sigcrypto.sign
+
+    def counting(sk, message):
+        sig = real(sk, message)
+        calls.append((sk, message, sig))
+        return sig
+
+    monkeypatch.setattr(sigcrypto, "sign", counting)
+    return calls
+
+
 @pytest.fixture(params=["libsodium", "cryptography"])
 def ed25519_route(request, monkeypatch):
-    """Runs a test once on each ``sigcrypto.verify`` route: libsodium as
-    loaded, and ``cryptography`` with the kernel switched off."""
+    """Runs a test once on each ``sigcrypto`` route: libsodium as loaded,
+    and ``cryptography`` with libsodium's sign and verify switched off."""
     if request.param == "libsodium":
         if sigcrypto._kernel is None:
             pytest.skip("libsodium is not loaded")
     else:
         monkeypatch.setattr(sigcrypto, "_kernel", None)
+        monkeypatch.setattr(sigcrypto, "_signer", None)
     return request.param
 
 
@@ -52,7 +68,8 @@ def tiny_epoch(rng):
 
 
 def finish_packet(sender, E, sigma, token, params, receiver_id):
-    """Attach the per-receiver helper token and the attest signature."""
+    """Attach the per-receiver helper token and the attest signature over
+    the signed prefix."""
     helper = pipcore.make_helper_token(sender.sk, sigma, sender.node_id, receiver_id, params)
     pkt = Packet(
         E=E, sigma=sigma, test_token=token, helper=helper,

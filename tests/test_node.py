@@ -420,6 +420,139 @@ class TestSharedContentChecks:
         assert len(checked) == 2
 
 
+    def test_attest_and_sender_key_are_part_of_the_shared_key(self):
+        """In a scope, a packet whose attest, or whose sender's registered
+        key, differs from one already checked is checked afresh."""
+        net = Net()
+        pkt, _ = net.n_packet()
+        other = sigcrypto.keygen(net.rng, b"n")
+        twin = NodeState(identity=net.idents[b"c"], seed=net.seed, authority_pk=net.master.pk,
+                         master_pk=net.master.pk, profile=TEST, protocol=net.protocol)
+        twin.enter_epoch(net.params)
+        twin.register_parent(b"n", replace(net.c_state.parents[b"n"], pk=other.pk))
+        with node_mod.shared_content_checks() as shared:
+            assert verify_incoming(net.c_state, pkt) is None
+            v = verify_incoming(net.c_state, replace(pkt, attest=bytes(64)))
+            assert v is not None and v.kind is ViolationKind.BAD_ATTEST
+            v = verify_incoming(twin, pkt)
+            assert v is not None and v.kind is ViolationKind.BAD_ATTEST
+            assert len(shared) == 3
+
+
+class TestEdgeBinding:
+    """The attest covers the signed prefix and is shared by every child of
+    an emission; the helper alone binds the packet to its edge."""
+
+    @staticmethod
+    def n_draft(net, incoming=None):
+        draft, _ = process_round(net.n_state, net.relay_packets() if incoming is None else incoming)
+        assert draft is not None
+        return draft
+
+    def test_one_attest_per_draft_and_one_helper_per_child(self, ed25519_signs):
+        """A node with k children signs k + 1 times per draft, and every
+        child gets the same attest."""
+        net = Net()
+        incoming = net.relay_packets()
+        ed25519_signs.clear()
+        draft = self.n_draft(net, incoming)
+        children = [b"c", b"x", b"y"]
+        pkts = [node_mod.finalize_packet(net.n_state, draft, child) for child in children]
+        assert len(ed25519_signs) == len(children) + 1
+        assert {pkt.attest for pkt in pkts} == {draft.attest}
+        assert len({pkt.helper for pkt in pkts}) == len(children)
+        assert ed25519_signs[0][1:] == (packet_signed_bytes(draft, net.params), draft.attest)
+
+    def test_wire_layout_is_prefix_helper_attest(self):
+        net = Net()
+        pkt, _ = net.n_packet()
+        raw = serialize_packet(pkt, net.params)
+        assert raw == packet_signed_bytes(pkt, net.params) + pkt.helper + pkt.attest
+        assert packet_signed_bytes(replace(pkt, helper=bytes(64)), net.params) == raw[:-128]
+
+    def test_helper_made_for_another_receiver_rejected(self):
+        net = Net()
+        draft = self.n_draft(net)
+        pkt = node_mod.finalize_packet(net.n_state, draft, b"c")
+        sibling = node_mod.finalize_packet(net.n_state, draft, b"x")
+        assert verify_incoming(net.c_state, pkt) is None
+        v = verify_incoming(net.c_state, replace(pkt, helper=sibling.helper))
+        assert v is not None and v.kind is ViolationKind.BAD_HELPER_SIG
+
+    def test_attest_moved_to_another_packet_rejected(self):
+        """n's attest on one emission does not cover another (other E and
+        sigma), though that packet carries n's own helper for its sigma."""
+        net = Net()
+        a = node_mod.finalize_packet(net.n_state, self.n_draft(net), b"c")
+        b = node_mod.finalize_packet(
+            net.n_state, self.n_draft(net, net.relay_packets(combos=((6, 1), (3, 8)))), b"c"
+        )
+        assert a.E != b.E and a.sigma != b.sigma
+        assert verify_incoming(net.c_state, b) is None
+        v = verify_incoming(net.c_state, replace(b, attest=a.attest))
+        assert v is not None and v.kind is ViolationKind.BAD_ATTEST
+
+    @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
+    @pytest.mark.parametrize("doctored", ["zeros", "sibling", "other_sender"])
+    def test_honest_packet_with_doctored_helper_inadmissible(self, protocol, doctored):
+        """Anyone can swap the unattested helper bytes, so a proof of an
+        honest packet whose helper fails is never GUILTY."""
+        net = Net(protocol=protocol)
+        draft = self.n_draft(net)
+        pkt = node_mod.finalize_packet(net.n_state, draft, b"c")
+        helper = {
+            "zeros": bytes(64),
+            "sibling": node_mod.finalize_packet(net.n_state, draft, b"x").helper,
+            "other_sender": pipcore.make_helper_token(
+                net.idents[b"p1"].sk, pkt.sigma, b"n", b"c", net.params
+            ),
+        }[doctored]
+        bad = replace(pkt, helper=helper)
+        assert verify_incoming(net.c_state, bad).kind is ViolationKind.BAD_HELPER_SIG
+        out = adjudicate(build_misbehavior_proof(net.c_state, bad), net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.INADMISSIBLE, out
+
+    @pytest.mark.parametrize("helper", ["zeros", "own"])
+    def test_polluted_packet_guilty_whatever_its_helper(self, helper):
+        """The content stage runs before the edge helper, so a packet that
+        breaks an attested rule is GUILTY with a doctored helper too."""
+        net = Net()
+        pkt, _ = net.n_packet()
+        bad_payload = ((pkt.E.payload[0] + 1) % TEST.q,) + pkt.E.payload[1:]
+        bad = replace(pkt, E=gf.CodedVector(bad_payload, pkt.E.coding_vector))
+        bad = replace(bad, attest=sigcrypto.sign(net.idents[b"n"].sk,
+                                                 packet_signed_bytes(bad, net.params)))
+        if helper == "zeros":
+            bad = replace(bad, helper=bytes(64))
+        assert verify_incoming(net.c_state, bad).kind is ViolationKind.POLLUTED_PACKET
+        out = adjudicate(build_misbehavior_proof(net.c_state, bad), net.master.pk, net.master.pk)
+        assert out.verdict is Verdict.GUILTY
+        assert out.violation.kind is ViolationKind.POLLUTED_PACKET
+
+    def test_forged_token_entry_guilty_whatever_the_edge_helper(self):
+        """A token entry's helper is attested content: a forged one is
+        GUILTY (BadHelperSig), with the edge helper honest or doctored."""
+        net = Net()
+        p1_pkt, p2_pkt = net.relay_packets()
+        process_round(net.n_state, [p1_pkt, p2_pkt])
+        inputs = node_mod.buffered_inputs(net.n_state, [
+            (pid, derive_coefficient(net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q))
+            for pid in (b"p1", b"p2")
+        ])
+        forged = [inputs[0]._replace(helper_sig=sigcrypto.sign(net.idents[b"n"].sk, b"forged")),
+                  inputs[1]]
+        E = gf.linear_combine([p1_pkt.E, p2_pkt.E], [i.coeff for i in inputs], net.params.q)
+        draft = node_mod.build_draft(net.n_state, E, inputs, forged)
+        pkt = node_mod.finalize_packet(net.n_state, draft, b"c")
+        for edge_helper in (pkt.helper, bytes(64)):
+            bad = replace(pkt, helper=edge_helper)
+            assert verify_incoming(net.c_state, bad).kind is ViolationKind.BAD_HELPER_SIG
+            out = adjudicate(build_misbehavior_proof(net.c_state, bad), net.master.pk,
+                             net.master.pk)
+            assert out.verdict is Verdict.GUILTY
+            assert out.violation.kind is ViolationKind.BAD_HELPER_SIG
+
+
 class TestBuildDraft:
     @pytest.mark.parametrize("protocol", [Protocol.PIP, Protocol.LOGPIP])
     def test_sigma_is_the_combination_of_coded_inputs(self, monkeypatch, protocol):

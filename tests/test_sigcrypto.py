@@ -127,13 +127,21 @@ class TestKeygenSignVerify:
         assert sigcrypto.verify(ident.pk, b"", sigcrypto.sign(ident.sk, b""))
 
     def test_sign_reuses_key_object(self, rng):
+        """The loaded route's key cache serves every signature after
+        keygen, and holds more keys than a simulation makes identities."""
+        cache = sigcrypto._signing_key if sigcrypto._signer is None else sigcrypto._expanded_key
         ident = sigcrypto.keygen(rng)
         fresh = Ed25519PrivateKey.from_private_bytes(ident.sk)
-        hits = sigcrypto._signing_key.cache_info().hits
+        hits = cache.cache_info().hits
         for message in (b"abc", b"abd"):
             assert sigcrypto.sign(ident.sk, message) == fresh.sign(message)
-        assert sigcrypto._signing_key.cache_info().hits == hits + 2
-        assert sigcrypto._signing_key.cache_info().maxsize is not None
+        assert cache.cache_info().hits == hits + 2
+        assert 512 <= cache.cache_info().maxsize < float("inf")
+
+    def test_short_secret_key_rejected(self, ed25519_route):
+        for sk in (b"", bytes(31), bytes(33)):
+            with pytest.raises(ValueError):
+                sigcrypto.sign(sk, b"abc")
 
     def test_verify_reuses_key_object(self, rng, monkeypatch):
         """On the ``cryptography`` route a public key is parsed once, on
@@ -293,6 +301,24 @@ class TestRoutes:
         assert kernel == fallback
         assert kernel == (part is None or not triple[part])
 
+    @needs_kernel
+    @pytest.mark.parametrize("size", [0, 1, 64, 255, 4096])
+    def test_routes_sign_and_make_keys_alike(self, size, monkeypatch):
+        """libsodium and ``cryptography`` make the same public key from
+        a secret key, and the same signature of a message, byte for byte."""
+        def keys_and_sigs():
+            out = []
+            for seed in range(40):
+                rng = random.Random(f"{seed}/{size}")
+                ident = sigcrypto.keygen(rng)
+                out.append((ident.pk, sigcrypto.sign(ident.sk, rng.randbytes(size))))
+            return out
+
+        kernel = keys_and_sigs()
+        monkeypatch.setattr(sigcrypto, "_signer", None)
+        assert keys_and_sigs() == kernel
+        assert len({pk for pk, _ in kernel}) == 40
+
     def test_small_order_encodings(self):
         """``_SMALL_ORDER_Y`` is the y of every point of order dividing
         8, plus the non-canonical encodings of y = 0 and y = 1."""
@@ -362,11 +388,13 @@ class Missing:
 
 
 class FailingInit:
-    """A loaded library whose ``sodium_init`` fails."""
+    """A loaded library with every symbol, whose ``sodium_init`` fails."""
 
     def __init__(self):
         self.sodium_init = lambda: -1
-        self.crypto_sign_ed25519_verify_detached = lambda *args: 0
+        for name in ("crypto_sign_ed25519_verify_detached", "crypto_sign_ed25519_seed_keypair",
+                     "crypto_sign_ed25519_detached"):
+            setattr(self, name, types.SimpleNamespace())
 
 
 def no_library(name):
@@ -376,19 +404,33 @@ def no_library(name):
 @pytest.mark.parametrize("loader", [no_library, lambda name: Missing(), lambda name: FailingInit()],
                          ids=["library", "symbol", "init"])
 def test_failed_load_leaves_the_cryptography_route(rng, monkeypatch, loader):
+    """Signing, key generation and verification all fall back, and give
+    the bytes and verdicts of the loaded route."""
     loaded = sigcrypto._kernel is not None
+    state = rng.getstate()
     ident = sigcrypto.keygen(rng)
     sig = sigcrypto.sign(ident.sk, b"abc")
     with monkeypatch.context() as mp:
         mp.setattr(ctypes, "CDLL", loader)
         importlib.reload(sigcrypto)
-        assert sigcrypto._kernel is None and sigcrypto.route() == "cryptography"
+        assert sigcrypto._kernel is None and sigcrypto._signer is None
+        assert sigcrypto.route() == "sign and verify by cryptography"
+        rng.setstate(state)
+        again = sigcrypto.keygen(rng)  # a NodeIdentity of the reloaded module
+        assert (again.pk, again.sk) == (ident.pk, ident.sk)
+        assert sigcrypto.sign(ident.sk, b"abc") == sig
         assert sigcrypto.verify(ident.pk, b"abc", sig)
         assert not sigcrypto.verify(ident.pk, b"abd", sig)
         assert not sigcrypto.verify(IDENTITY_PK, b"abc", WEAK_SIG)
     importlib.reload(sigcrypto)
-    assert (sigcrypto._kernel is not None) == loaded
-    assert sigcrypto.route() == ("libsodium" if loaded else "cryptography")
+    assert (sigcrypto._kernel is not None) == (sigcrypto._signer is not None) == loaded
+    assert sigcrypto.route() == f"sign and verify by {'libsodium' if loaded else 'cryptography'}"
+
+
+def test_route_names_each_side(monkeypatch):
+    monkeypatch.setattr(sigcrypto, "_kernel", None)
+    monkeypatch.setattr(sigcrypto, "_signer", object())
+    assert sigcrypto.route() == "sign by libsodium, verify by cryptography"
 
 
 class TestCertificates:

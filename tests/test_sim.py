@@ -975,9 +975,47 @@ def _spans_at_epoch_ends(monkeypatch):
 
 
 class TestSharedContent:
-    """``Simulation.run`` checks the content of a packet (epoch binding,
-    validity signature, token) once for all of its sender's children;
-    each child checks its own edge's attest and helper signatures."""
+    """``Simulation.run`` checks the attest and content of a packet (attest
+    signature, epoch binding, validity signature, token) once for all of
+    its sender's children; each child checks its own edge's helper."""
+
+    @pytest.mark.parametrize("case", ["random", "skipparent"])
+    def test_one_attest_per_draft(self, monkeypatch, ed25519_signs, case):
+        """A PIP run signs each draft's attest once, and the draft's
+        children check that one triple once: the distinct attest triples
+        checked are the drafts delivered (an epoch's last round is never
+        delivered).  Every other signature is a helper, one per child of
+        each draft, or an epoch's master signature."""
+        drafts, attests, delivered, helpers = [], [], [], []
+        build, finalize, verify = (node_mod.build_draft, node_mod.finalize_packet,
+                                   node_mod.verify_attest)
+        accepts = sim.Simulation._accepts
+
+        def built(st, *args):
+            draft = build(st, *args)
+            drafts.append((st.identity.pk, node_mod.packet_signed_bytes(draft, st.params),
+                           draft.attest))
+            return draft
+
+        def finalized(st, draft, child_id):
+            helpers.append(child_id)
+            return finalize(st, draft, child_id)
+
+        monkeypatch.setattr(node_mod, "build_draft", built)
+        monkeypatch.setattr(node_mod, "finalize_packet", finalized)
+        monkeypatch.setattr(node_mod, "verify_attest",
+                            lambda *triple: attests.append(triple) or verify(*triple))
+        monkeypatch.setattr(sim.Simulation, "_accepts",
+                            lambda s, r, name, sender, pkt: delivered.append(pkt)
+                            or accepts(s, r, name, sender, pkt))
+        s = sim.Simulation(MEMO_CASES[case], Protocol.PIP, m=2, rng_seed=8, epochs=2)
+        ed25519_signs.clear()  # the certificates made in set-up
+        s.run()
+        assert len(set(drafts)) == len(drafts)
+        sent = {pkt.attest for pkt in delivered}
+        assert sorted(attests) == sorted(d for d in drafts if d[2] in sent)
+        assert len(set(delivered)) > len(sent) > len(drafts) / 2
+        assert len(ed25519_signs) == 2 + len(drafts) + len(helpers)
 
     @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
     @pytest.mark.parametrize("kind", sorted(BehaviorKind, key=lambda k: k.value))
