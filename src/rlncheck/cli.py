@@ -362,12 +362,13 @@ def _bench_validity(profile: Profile, n: int, samples: int) -> tuple[float, floa
 
 
 PRODUCT_D = (1, 2, 10)  # signature counts of the combine_validity rows
+G_BASES = 36  # generators of the G(E) row: n+m of a relay_production packet
 
 
 def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
     """ms per combine_validity of d received signatures, for each d in
-    PRODUCT_D, per H(c), the product a node signs its draft with, and per
-    single-base power."""
+    PRODUCT_D, per H(c), the product a node signs its draft with, per
+    single-base power, and per G(E) over G_BASES generators."""
     inputs, params, _ = build_token_fixture(max(PRODUCT_D), profile)
     rng = random.Random(len(inputs))
     c = tuple(gf.random_nonzero(profile.q, rng) for _ in range(params.m))
@@ -380,6 +381,9 @@ def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
     out["H(c)"] = _time_op(lambda: validity.claimed_validity(params, c), samples)
     base, e = inputs[0].sigma, inputs[0].coeff
     out["power"] = _time_op(lambda: validity.power_product((base,), (e,), params.p, params.q), samples)
+    _, wide, ctx = build_token_fixture(1, profile, n_chunks=G_BASES - params.m)
+    E = gf.linear_combine(ctx["originals"], c, profile.q)
+    out[f"G(E) n+m={G_BASES}"] = _time_op(lambda: validity.sign_validity(wide, E), samples)
     return out
 
 

@@ -165,8 +165,9 @@ def packet_signed_bytes(
     The same for every child of an emission, so a draft has it too."""
     w = Writer()
     w.u16(pkt.E.n).u16(pkt.E.m)
+    qw = params.q_bytes
     for c in pkt.E.chunks:
-        w.uint(c, params.q_bytes)
+        w.uint(c, qw)
     w.uint(pkt.sigma, params.p_bytes)
     w.raw(pipcore.serialize_token(pkt.test_token, params))
     w.u64(pkt.epoch_ref.k).raw(pkt.epoch_ref.master_sig)

@@ -469,10 +469,11 @@ def serialize_token(token: PipTestToken | LogPipTestToken, params: SourceEpochPa
     w = Writer()
     if isinstance(token, PipTestToken):
         w.u8(_TAG_PIP).u16(len(token.entries))
+        q, qw, pw = params.q, params.q_bytes, params.p_bytes
         for e in token.entries:
             w.var_bytes(e.parent_id)
-            w.uint(e.coeff % params.q, params.q_bytes)
-            w.uint(e.sigma, params.p_bytes)
+            w.uint(e.coeff % q, qw)
+            w.uint(e.sigma, pw)
             w.raw(e.helper_sig)
     else:
         w.u8(_TAG_LOGPIP).raw(token.root)

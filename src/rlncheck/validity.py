@@ -36,17 +36,23 @@ order) and gives bit for bit what the powers taken one at a time with
    w = 7 for 36 bases at 160 bits and w = 4 for 5 bases at 61.  The
    buckets only regroup the same factors.
 
-2. One power per base with a non-zero exponent, multiplied together,
-   for every other product.  A power is ``modexp.powmod`` (OpenSSL's
-   ``BN_mod_exp``) when the kernel serves p, that is when it loaded and
-   p has at least NATIVE_BITS = 512 bits; then every product takes this
-   route.  Otherwise a power is builtin ``pow``.  At the production
-   profile (1024-bit p, 160-bit q) a kernel power costs about 90 us
-   against 0.7 ms for ``pow``, and the kernel beats the tables too
-   (H(c) over 4 bases: 0.33 against 0.72 ms; G(E) over 36: 3.1 against
-   4.4 ms), so no table is built.  Below 512 bits the fixed cost of a
-   ``ctypes`` call dominates: at the sim profile (67-bit p) a kernel
-   call costs about 17 us, so ``pow`` serves there.  The bases of
+2. The terms with a non-zero exponent, for every other product.  When
+   the kernel serves p, that is when it loaded and p is odd with at
+   least NATIVE_BITS = 512 bits, the whole product is one call of
+   ``modexp.product``; then every product takes this route.  It pairs
+   the terms through OpenSSL's ``BN_mod_exp2_mont``, which takes two
+   powers with one shared chain of squarings, and multiplies the partial
+   results inside libcrypto.  Montgomery arithmetic rejects an even
+   modulus, so an even p takes builtin ``pow`` at any size.  Otherwise
+   each term is one builtin ``pow``.  At the production profile
+   (1024-bit p, 160-bit q) a one-term kernel product costs about 73 us
+   against 0.66 ms for ``pow``, and the kernel beats the tables too
+   (H(c) over 4 bases: 0.17 against 0.64 ms; G(E) over 36: 1.46
+   against 3.85 ms), so no table is built.  Pairing halves the
+   squarings: taken one kernel power per base, H(c) would cost 0.29 ms
+   and G(E) 2.7 ms.  Below 512 bits the fixed cost of a ``ctypes`` call
+   dominates: at the sim profile (67-bit p) a one-term kernel product
+   costs about 17 us, so ``pow`` serves there.  The bases of
    ``combine_validity`` arrive with each packet, so they get no table;
    at the sim profile its d powers cost about 45 us at d = 2, 110 us at
    d = 5 and 330 us at d = 16.  Where the epoch fixes the bases a table
@@ -96,12 +102,13 @@ NATIVE_BITS = 512  # moduli from this size up take the native route
 
 
 def _native(p: int) -> bool:
-    return modexp.powmod is not pow and p.bit_length() >= NATIVE_BITS
+    # Montgomery exponentiation needs an odd modulus.
+    return p.bit_length() >= NATIVE_BITS and p % 2 == 1 and modexp.product is not modexp.pow_product
 
 
 def route(p: int) -> str:
     """The name of the route products mod ``p`` take."""
-    return "libcrypto BN_mod_exp" if _native(p) else "pure Python"
+    return "libcrypto BN_mod_exp2_mont" if _native(p) else "pure Python"
 
 
 def power_product(
@@ -113,17 +120,13 @@ def power_product(
 ) -> int:
     """prod b_i^(e_i mod q) mod p by one of the module docstring's two
     routes: the power tables that ``table``, when given, returns, unless
-    the kernel serves p; else one power per non-zero exponent."""
+    the kernel serves p; else the terms with a non-zero exponent, in one
+    kernel call or one pow each."""
     native = _native(p)
     if table is not None and not native:
         return table().power(exponents)
-    power = modexp.powmod if native else pow
-    out = 1
-    for b, e in zip(bases, exponents):
-        e %= q
-        if e:
-            out = out * power(b, e, p) % p
-    return out
+    terms = [(b, r) for b, e in zip(bases, exponents) if (r := e % q)]
+    return (modexp.product if native else modexp.pow_product)(terms, p)
 
 
 def _window(count: int, bits: int) -> int:

@@ -220,12 +220,12 @@ class TestBench:
         section = out.split("validity products (sim, m=2, pure Python):\n", 1)[1]
         lines = section.splitlines()
         assert lines[0].split() == ["product", "ms"]
-        rows = [line.strip().rsplit(None, 1) for line in lines[1:6]]
+        rows = [line.strip().rsplit(None, 1) for line in lines[1:7]]
         assert [name for name, _ in rows] == [
-            "combine d=1", "combine d=2", "combine d=10", "H(c)", "power"
+            "combine d=1", "combine d=2", "combine d=10", "H(c)", "power", "G(E) n+m=36"
         ]
         assert all(float(ms) > 0 for _, ms in rows)
-        assert lines[6] == ""
+        assert lines[7] == ""
 
     def test_bench_reports_ed25519_rows(self, bench_run):
         code, out = bench_run
