@@ -214,6 +214,17 @@ def cmd_simulate(args) -> int:
             profile=profile,
         )
         rows, summary = sim_mod.mode_sweep(config)
+        # A random topology has one sink, so a pair with no row was skipped.
+        done = {(row.min_cut, row.seed) for row in rows}
+        for cut in cuts:
+            for seed in config.seeds:
+                if (cut, seed) not in done:
+                    print(f"rlncheck simulate: skipped cut {cut}, seed {seed}: "
+                          f"no topology met the parameters", file=sys.stderr)
+        if not rows:
+            print("rlncheck simulate: every (cut, seed) pair was skipped; nothing written",
+                  file=sys.stderr)
+            return 1
         runs_path = out_path + ".runs.csv"
         _write_runs(runs_path, rows)
         with open(out_path, "w", newline="") as f:

@@ -23,6 +23,16 @@ data (coefficient, parent validity signature, parent helper token):
 
 Helper tokens bind a validity signature to a specific (sender,
 receiver) pair so a colluding node cannot re-use another node's data.
+
+Both protocols check one relation among exponents, the packet's
+validity signature against the combination of its parents' signatures.
+A sender that knows the discrete logs of those signatures can meet it
+with q^(d-1) - 1 codings other than the prescribed one, and neither
+protocol tells them apart.  So detection is certain (PIP) or t/d per
+round (Log-PIP) only against a sender that computes no discrete logs:
+at the ``test`` profile a forwarding relay passes both protocols,
+``sim`` results assume such a sender, and only ``production`` claims
+more (see ``profiles``).
 """
 
 from __future__ import annotations

@@ -15,6 +15,19 @@ Three presets:
   enough that a 50-node simulation finishes in seconds.
 * ``production`` -- the RFC 5114 1024-bit MODP group with a 160-bit
   prime-order subgroup.
+
+The guarantee that a packet passing verification was coded as
+prescribed holds only against a sender that cannot take discrete logs
+in the order-q subgroup.  A sender that knows the logs of its inputs'
+validity signatures can pick any of q^(d-1) - 1 other codings of its d
+inputs with the same signature (see ``validity`` and ``pipcore``).  At
+``test`` a log is a table lookup, and a relay that forwards one parent
+with a matching coefficient passes PIP and Log-PIP alike.  At ``sim``
+a log costs about 2^30.5 group operations (Pollard rho on a 61-bit q),
+within an offline adversary's reach, so ``sim`` results, the
+throughput sweeps among them, assume an adversary that computes no
+discrete logs.  Only ``production`` (a log at about 2^80) claims the
+guarantee against one that tries.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ changed, or, as a Mode-1 adversary, every round; otherwise it resends
 what it last coded (``Simulation._emit_round``).  What a run checks
 once and shares is stated in ``Simulation.run`` and
 ``Simulation._accepts``; what is built only when read or shared across
-runs, in ``_SimNode.span``, ``_run_shape`` and ``_honest_table``.  The
+runs, in ``_SimNode.span``, ``_run_shape``, ``_honest_table`` and, for
+the nodes an adversary cannot reach, ``Simulation._replay``.  The
 outputs are those of re-coding and re-checking everything every round
 at every receiver, with every span kept up to date.
 
@@ -61,6 +62,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import gf, node as node_mod, sigcrypto, validity
 from .gf import CodedVector, Span
@@ -142,15 +144,31 @@ class Topology:
         return sorted(n for n, spec in self.nodes.items() if spec.role is Role.SINK)
 
     def with_behavior(self, name: str, behavior: Behavior) -> "Topology":
+        """A copy with ``name`` given ``behavior``; ValueError for a name not
+        in the topology, or for a Byzantine source (see ``validate``)."""
+        if name not in self.nodes:
+            raise ValueError(f"node {name} not in topology")
         nodes = {
             n: NodeSpec(role=s.role, behavior=behavior if n == name else s.behavior)
             for n, s in self.nodes.items()
         }
-        return Topology(nodes=nodes, edges=list(self.edges), source=self.source,
+        topo = Topology(nodes=nodes, edges=list(self.edges), source=self.source,
                         byzantine=list(self.byzantine))
+        topo._check_source()
+        return topo
 
     def validate(self) -> None:
+        """ValueError unless the topology is valid (see the class docstring)
+        and its source is honest: the source round draws its combinations
+        the same way whatever the source's behaviour, so a Byzantine source
+        would run honest."""
         _checked_adjacency(self)
+        self._check_source()
+
+    def _check_source(self) -> None:
+        spec = self.nodes.get(self.source)
+        if spec is not None and spec.behavior.kind is not BehaviorKind.HONEST:
+            raise ValueError(f"source {self.source} must be honest, not {spec.behavior.kind.value}")
 
 
 def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
@@ -187,9 +205,10 @@ def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
     return parents, children, order
 
 
-def _reachable(children: dict, start: str) -> set[str]:
-    seen = {start}
-    stack = [start]
+def _reachable(children: dict, *starts: str) -> set[str]:
+    """The nodes reachable from any of ``starts``, them included."""
+    seen = set(starts)
+    stack = list(starts)
     while stack:
         u = stack.pop()
         for v in children[u]:
@@ -537,6 +556,41 @@ def _honest_table(seed: bytes, context: bytes, q: int, plan: tuple) -> tuple:
     )
 
 
+class _Record(NamedTuple):
+    """What the nodes outside a run's reach did, under Protocol.NONE, for
+    the runs that share its key (see ``Simulation._replay``).  Every value
+    is immutable, so that no run can change another's record."""
+
+    # per epoch: the source's delivery to each child, ((child, vector), ...),
+    # and ``Simulation.rng``'s state after the source round
+    source: tuple
+    # node -> per epoch, the vector it coded in each round 0..rounds, or None
+    sends: MappingProxyType
+    # sink -> (rank, decoded, the last epoch's received vectors)
+    sinks: MappingProxyType
+
+
+# The record, (edges, roles, source, rng_seed, m, q, epochs) -> _Record,
+# in the order the keys were first stored.  Its bound is that of
+# ``_run_shape`` and ``_honest_table``: room for the mode runs of one sweep
+# point, so an entry is shared within a point and is gone a few points
+# later.
+_RECORDS = 4
+_records: dict[tuple, _Record] = {}
+
+
+def _store(key: tuple, record: _Record | None, source: list, sends: dict, sinks: dict) -> None:
+    """Store ``record`` (a new one when None) under ``key``, with the nodes
+    of ``sends`` and ``sinks`` added, and drop the entries stored first
+    past _RECORDS."""
+    sends = {n: tuple(per_epoch) for n, per_epoch in sends.items()}
+    if record is not None:
+        source, sends, sinks = record.source, {**record.sends, **sends}, {**record.sinks, **sinks}
+    _records[key] = _Record(tuple(source), MappingProxyType(sends), MappingProxyType(sinks))
+    while len(_records) > _RECORDS:
+        del _records[next(iter(_records))]
+
+
 def _non_innovative_coeffs(
     received: dict, child_spans: list[Span], q: int, rng: random.Random
 ) -> tuple[list[int], CodedVector] | None:
@@ -559,7 +613,10 @@ def _non_innovative_coeffs(
     zero and it gives no columns.  Zero columns change neither the
     reduced basis B nor the nullspace, so leaving them out changes no
     coefficient and no draw from ``rng``.  A full span is not empty, so
-    it still keeps the caller from falling back.
+    it still keeps the caller from falling back.  When every non-empty
+    span is full there are no columns at all: the nullspace is the whole
+    space, whose RREF basis is the d x d identity, so each try draws one
+    coefficient per parent without reducing anything.
 
     Each try draws one c_j from ``rng`` per basis vector b_j, in basis
     order, and alpha = sum(c_j b_j) mod q.  ``gf.left_nullspace`` returns
@@ -578,20 +635,23 @@ def _non_innovative_coeffs(
     m = spans[0].width
     unit = [[int(i == j) for i in range(m)] for j in range(m)]
     columns = [col for s in spans if s.dim < m for col in zip(*[s.residual(e) for e in unit])]
-    reduced, pivots = gf.row_reduce(columns, q)
-    rows = [
-        [sum(map(mul, v.coding_vector, b)) % q for b in reduced[:len(pivots)]]
-        for v in vecs
-    ]
-    basis = gf.left_nullspace(rows, q)
-    if not basis:
-        return None
-    leads = [b.index(1) for b in basis]
-    lead_set = set(leads)
-    others = [(i, [b[i] for b in basis]) for i in range(len(vecs)) if i not in lead_set]
+    if columns:
+        reduced, pivots = gf.row_reduce(columns, q)
+        rows = [
+            [sum(map(mul, v.coding_vector, b)) % q for b in reduced[:len(pivots)]]
+            for v in vecs
+        ]
+        basis = gf.left_nullspace(rows, q)
+        if not basis:
+            return None
+        leads = [b.index(1) for b in basis]
+        lead_set = set(leads)
+        others = [(i, [b[i] for b in basis]) for i in range(len(vecs)) if i not in lead_set]
+    else:  # no span constrains: the identity basis, one lead per parent
+        leads, others = range(len(vecs)), []
     fallback = None
     for _ in range(64):
-        draws = [rng.randrange(q) for _ in basis]
+        draws = [rng.randrange(q) for _ in leads]
         if 0 in draws:
             continue
         alpha = [0] * len(vecs)
@@ -630,6 +690,12 @@ class _SimNode:
     stored_old: tuple | None = None  # REPLAY_OLD: (vector, packets per child) of epoch 1
     # This epoch's verdicts as a receiver, Packet -> verdict (see Simulation._accepts)
     checked: dict = field(default_factory=dict)
+    # Under Protocol.NONE (see Simulation._replay): a replayed node's vector
+    # coded in each round of this epoch, or None, and its simulated children;
+    # a node being recorded logs what it codes in each round of this epoch.
+    replay: tuple | None = None
+    replay_to: tuple = ()
+    log: list | None = None
 
     @property
     def span(self) -> Span:
@@ -660,6 +726,9 @@ class Simulation:
     path come from caches shared across runs (``_honest_table``,
     ``_run_shape``); ``parents`` and ``children`` are read-only mappings
     of tuples.  A node's span is built only when read (``_SimNode.span``).
+    Under Protocol.NONE a run replays from the record (``_records``) the
+    nodes outside its adversaries' reach that an earlier run of the same
+    key recorded (``_replay``).
     """
 
     def __init__(
@@ -678,10 +747,12 @@ class Simulation:
                 f"m and epochs must be >= 1, as must challenges; got m={m}, epochs={epochs}, "
                 f"challenges={challenges}"
             )
-        self.parents, self.children, longest = _run_shape(
+        self._shape = (
             tuple(topo.edges), tuple((n, spec.role) for n, spec in topo.nodes.items()),
             topo.source,
         )
+        self.parents, self.children, longest = _run_shape(*self._shape)
+        self.rng_seed = rng_seed
         self.topo = topo
         self.protocol = protocol
         self.verified = protocol is not Protocol.NONE
@@ -784,10 +855,12 @@ class Simulation:
         the run pays nothing for it: deliveries given a verdict,
         per-receiver checks, shared content checks, challenges, distinct
         Ed25519 triples that passed, and spans read (one per node and
-        epoch in which its span was read).  Its ``args`` is a dict of those
-        counts, under the keys ``deliveries``, ``checks``, ``contents``,
-        ``challenges``, ``triples`` and ``spans``; under Protocol.NONE,
-        which checks nothing, all but ``spans`` are 0.
+        epoch in which its span was read), and nodes replayed from the
+        record (``_replay``).  Its ``args`` is a dict of those counts,
+        under the keys ``deliveries``, ``checks``, ``contents``,
+        ``challenges``, ``triples``, ``spans`` and ``replayed``; under
+        Protocol.NONE, which checks nothing, all but ``spans`` and
+        ``replayed`` are 0, and under PIP and Log-PIP ``replayed`` is 0.
         """
         with (sigcrypto.shared_verifications() as triples,
               node_mod.shared_content_checks() as contents):
@@ -795,10 +868,11 @@ class Simulation:
         logger.debug(
             "run: %(deliveries)d deliveries, %(checks)d per-receiver checks, "
             "%(contents)d shared content checks, %(challenges)d challenges, "
-            "%(triples)d distinct Ed25519 triples, %(spans)d spans read",
+            "%(triples)d distinct Ed25519 triples, %(spans)d spans read, "
+            "%(replayed)d nodes replayed",
             {"deliveries": len(report.verdicts), "checks": checks,
              "contents": len(contents or ()), "challenges": challenges,
-             "triples": len(triples or ()), "spans": spans},
+             "triples": len(triples or ()), "spans": spans, "replayed": len(self._replayed)},
         )
         return report
 
@@ -806,6 +880,11 @@ class Simulation:
         """The report, with the per-receiver checks and the challenges run
         and the spans read, each summed over the epochs."""
         checks = challenges = spans = 0
+        key, record, recorded = self._replay()
+        src = self.topo.source
+        sources = []  # per epoch, the source's deliveries and rng state after them
+        replaying = [(self.nodes[n], record.sends[n]) for n in self._order if n in self._replayed]
+        logs = {n: [] for n in recorded}
         for epoch in range(1, self.epochs + 1):
             self.originals = self._first_originals or self._draw_originals()
             self._first_originals = None
@@ -830,17 +909,38 @@ class Simulation:
                 sim_node.stale = True
                 sim_node.checked.clear()
             self._challenges.clear()
+            for sim_node, sends in replaying:
+                sim_node.replay = sends[epoch - 1]
+            for name in recorded:
+                self.nodes[name].log = [None] * (self.rounds + 1)
 
-            deliveries = self._source_round()
+            if record is None:
+                deliveries = self._source_round()
+                if key is not None:
+                    sources.append((tuple((c, deliveries[c][0][1]) for c in self.children[src]),
+                                    self.rng.getstate()))
+            else:
+                sent, state = record.source[epoch - 1]
+                self.rng.setstate(state)
+                deliveries = {n: [] for n in self._live}
+                for child, E in sent:
+                    if child in deliveries:
+                        deliveries[child].append((src, E))
             for r in range(1, self.rounds + 1):
                 self._ingest_round(r, deliveries)
-                deliveries = self._emit_round(epoch)
+                deliveries = self._emit_round(epoch, r)
             checks += sum(len(sim_node.checked) for sim_node in self.nodes.values())
             challenges += len(self._challenges)
+            for name, log in logs.items():
+                log.append(tuple(self.nodes[name].log))
 
         ranks, decoded = {}, {}
         for s in self.topo.sinks:
             sim_node = self.nodes[s]
+            if s in self._replayed:
+                ranks[s], decoded[s], vectors = record.sinks[s]
+                sim_node.received_vectors = list(vectors)
+                continue
             ranks[s] = sim_node.span.dim
             solved = gf.solve_originals(sim_node.received_vectors, self.q)
             decoded[s] = solved is not None and solved == [o.payload for o in self.originals]
@@ -848,12 +948,68 @@ class Simulation:
         self.report.decoded = decoded
         self.report.rounds = self.rounds * self.epochs
         spans += sum(sim_node.synced is not None for sim_node in self.nodes.values())
+        if recorded:
+            _store(key, record, sources, logs, {
+                s: (ranks[s], decoded[s], tuple(self.nodes[s].received_vectors))
+                for s in ranks if s in logs
+            })
         return self.report, checks, challenges, spans
+
+    def _replay(self) -> tuple[tuple | None, _Record | None, list[str]]:
+        """This run's key in the record, the entry it replays, and the nodes
+        it records; (None, None, []) under PIP and Log-PIP, which neither
+        read nor build the record.  Sets ``_replayed``, the nodes taken
+        from the entry, ``_live``, the nodes it simulates, in ``nodes``
+        order, and ``_order``, the nodes that emit, in ``_emit_order``.
+
+        Under Protocol.NONE a run's *reach* is every node whose behaviour
+        is not HONEST, with all of their descendants.  A node outside the
+        reach emits exactly what it emits in the all-honest run: all of its
+        inputs come from honest nodes outside the reach, its coefficients
+        from the shared honest table, and the only randomness it sees is
+        the source round's, which ``rng`` draws the same way whatever the
+        behaviours (Mode 1 draws only from ``adversary_rng``).  So every
+        run under one key (edges, roles, source, rng_seed, m, q, epochs)
+        gets the same emissions from it.
+
+        A run replays every recorded node outside its reach: in its turn
+        in ``_emit_order`` such a node sets ``sent`` to what it coded that
+        round (so a Mode-1 view of the other parents is unchanged) and
+        delivers it to its simulated children only; it ingests nothing.
+        The source round is replayed too, and leaves ``rng`` in the state
+        it was recorded with, so later epochs draw the same originals.  A
+        replayed sink takes its rank, decoded flag and last epoch's
+        received vectors from the entry.  Every other node is simulated,
+        and those outside the reach are recorded for the next run.
+
+        No simulated node sends to a replayed one.  After each run every
+        node outside its reach is recorded, so the simulated nodes are
+        this run's reach and the nodes inside the reach of every earlier
+        run of the entry; each of those sets holds the descendants of its
+        nodes.
+        """
+        if self.verified:
+            self._replayed, self._live, self._order = set(), tuple(self.nodes), self._emit_order
+            return None, None, []
+        key = self._shape + (self.rng_seed, self.m, self.q, self.epochs)
+        reach = _reachable(self.children, *(
+            n for n, spec in self.topo.nodes.items() if spec.behavior.kind is not BehaviorKind.HONEST
+        ))
+        record = _records.get(key)
+        self._replayed = set() if record is None else set(record.sends) - reach
+        self._live = tuple(n for n in self.nodes if n not in self._replayed)
+        for name in self._replayed:
+            self.nodes[name].replay_to = tuple(
+                c for c in self.children[name] if c not in self._replayed)
+        # A replayed node with no simulated child is read by no one.
+        self._order = [n for n in self._emit_order
+                       if n not in self._replayed or self.nodes[n].replay_to]
+        return key, record, [n for n in self._live if n not in reach]
 
     def _source_round(self) -> dict[str, list]:
         """One fresh random combination of the originals per source child."""
         src = self.topo.source
-        deliveries: dict[str, list] = {n: [] for n in self.nodes}
+        deliveries: dict[str, list] = {n: [] for n in self._live}
         for child in self.children[src]:
             combo = [gf.random_nonzero(self.q, self.rng) for _ in range(self.m)]
             pkt = E = gf.linear_combine(self.originals, combo, self.q)
@@ -867,8 +1023,9 @@ class Simulation:
         """Take in every delivery, once accepted under PIP and Log-PIP
         (``_accepts``); one equal to its sender's last accepted delivery
         changes nothing."""
-        for name, sim_node in self.nodes.items():
-            for sender, pkt in deliveries[name]:
+        for name, arrived in deliveries.items():
+            sim_node = self.nodes[name]
+            for sender, pkt in arrived:
                 if self.verified:
                     if not self._accepts(r, name, sender, pkt):
                         continue
@@ -940,7 +1097,7 @@ class Simulation:
                 self.report.proofs.append(node_mod.build_misbehavior_proof(st, pkt, transcript))
         return not failures
 
-    def _emit_round(self, epoch: int) -> dict[str, list]:
+    def _emit_round(self, epoch: int, r: int) -> dict[str, list]:
         """Every ready node sends; it codes only if its inputs changed.
 
         An honest emission is a function of the node's accepted inputs, so
@@ -950,10 +1107,19 @@ class Simulation:
         vector is not delivered again, since it adds nothing to a child;
         under PIP and Log-PIP every packet is delivered and gets a
         verdict, which a resent packet takes from its receiver's memo.
+        A replayed node sends what it coded in round ``r`` of the recorded
+        run (``_replay``).
         """
-        deliveries: dict[str, list] = {n: [] for n in self.nodes}
-        for name in self._emit_order:
+        deliveries: dict[str, list] = {n: [] for n in self._live}
+        for name in self._order:
             sim_node = self.nodes[name]
+            if sim_node.replay is not None:
+                E = sim_node.replay[r]
+                if E is not None:
+                    sim_node.sent = E, dict.fromkeys(sim_node.replay_to, E)
+                    for child in sim_node.replay_to:
+                        deliveries[child].append((name, E))
+                continue
             kind = sim_node.spec.behavior.kind
             recode = sim_node.stale or kind is BehaviorKind.NON_INNOVATIVE
             sim_node.stale = False
@@ -966,6 +1132,8 @@ class Simulation:
                 sim_node.sent = sim_node.stored_old  # resend epoch 1's packets unchanged
             elif recode:
                 sim_node.sent = self._code(name)
+                if sim_node.log is not None:
+                    sim_node.log[r] = sim_node.sent[0]
                 if kind is BehaviorKind.REPLAY_OLD and sim_node.stored_old is None:
                     sim_node.stored_old = sim_node.sent
             out = sim_node.sent

@@ -16,6 +16,13 @@ sigma(E1)^a * sigma(E2)^b, which is what the token verification in
 ``pipcore`` relies on.  Rotating the generators every epoch makes
 replayed packets from earlier transmissions fail verification.
 
+The hash binds a vector only while discrete logs in the order-q
+subgroup are out of the signer's reach: one who knows log sigma of
+each of its inputs can solve for other combinations with the same
+sigma.  That holds at the ``production`` profile; at ``test`` every
+log is a table lookup, and at ``sim`` results assume a signer that
+computes none (see ``profiles``).
+
 Every product of powers prod b_i^{e_i} mod p goes through
 ``power_product``, which reduces each exponent mod q (the subgroup's
 order) and gives bit for bit what the powers taken one at a time with

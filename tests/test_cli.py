@@ -73,6 +73,23 @@ class TestSimulate:
             fell_back = int(row["fallbacks"])
             assert fell_back >= 1 if row["mode"] == "mode1" else fell_back == 0, row
 
+    @pytest.mark.parametrize("argv, skipped, code", [
+        (["--nodes", "5", "--edges", "8", "--mincut", "4"], [(4, 0), (4, 1)], 0),
+        (["--nodes", "3", "--mincut", "1"], [(1, 0), (1, 1)], 1),
+    ], ids=["one_cut", "every_pair"])
+    def test_skipped_pairs_on_stderr(self, tmp_path, capsys, argv, skipped, code):
+        """Each (cut, seed) pair with no feasible topology is named on
+        stderr; when every pair is skipped nothing is written and the
+        exit code is 1."""
+        out = tmp_path / "sweep.csv"
+        got = cli.main(["simulate", *argv, "--packets", "2", "--trials", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert got == code
+        assert re.findall(r"skipped cut (\d+), seed (\d+)", err) == [
+            (str(c), str(s)) for c, s in skipped]
+        assert out.exists() == (code == 0)
+        assert ("every (cut, seed) pair was skipped" in err) == (code == 1)
+
     def test_repeat_identical(self, tmp_path, capsys):
         argv = lambda p: [
             "simulate", "--nodes", "20", "--edges", "100", "--mincut", "2",

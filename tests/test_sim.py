@@ -503,7 +503,10 @@ class TestLiteSimulation:
 
 @pytest.fixture
 def code_calls(monkeypatch):
-    """Names of the nodes ``Simulation._code`` ran for, in call order."""
+    """Names of the nodes ``Simulation._code`` ran for, in call order.
+    The record starts empty, so a run of a key not run in the test
+    simulates (and codes at) every node."""
+    sim._records.clear()
     calls = []
     code = sim.Simulation._code
 
@@ -562,7 +565,9 @@ def readiness(monkeypatch):
     holds only parents, so that the count is a recount.  Returns the
     (epoch start, node, count) and (round, node, count) records and the
     (node, sender) of each accepted vector that replaced an earlier one
-    from the same sender within an epoch."""
+    from the same sender within an epoch.  The record starts empty, so a
+    run of a key not run in the test simulates every node."""
+    sim._records.clear()
     starts, counts, replaced = [], [], []
     source_round, ingest = sim.Simulation._source_round, sim.Simulation._ingest_round
 
@@ -1123,7 +1128,7 @@ class TestRunCounts:
         assert counts == {
             "deliveries": len(report.verdicts), **counted,
             "triples": len({t for t, ok in ed25519_verifies if ok}),
-            "spans": len({id(rows) for rows in read}),
+            "spans": len({id(rows) for rows in read}), "replayed": 0,
         }
         assert counts["deliveries"] > counts["checks"] > counts["contents"] > 0
         assert (counts["challenges"] > 0) == (proto is Protocol.LOGPIP)
@@ -1131,18 +1136,22 @@ class TestRunCounts:
         assert "shared content checks" in records[0].getMessage()
 
     def test_unverified_run_counts_nothing(self, caplog):
+        """A first run of its key simulates every node: it replays none."""
+        sim._records.clear()
         caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
         sim.Simulation(MEMO_CASES["random"], Protocol.NONE, m=2, rng_seed=8).run()
         (record,) = [r for r in caplog.records if r.name == "rlncheck.sim"]
         assert {k: v for k, v in record.args.items() if k != "spans"} == dict.fromkeys(
-            ["deliveries", "checks", "contents", "challenges", "triples"], 0)
+            ["deliveries", "checks", "contents", "challenges", "triples", "replayed"], 0)
 
     @pytest.mark.parametrize("epochs", [1, 2])
     @pytest.mark.parametrize("topo", [butterfly_topology(), random_topology(30, 200, 3, 1, 4)],
                              ids=["butterfly", "random"])
     def test_honest_unverified_run_reads_only_the_sinks(self, monkeypatch, caplog, topo, epochs):
-        """Under Protocol.NONE an honest run reads a span only for the
-        sinks' ranks at the end: one span per sink, in the last epoch."""
+        """Under Protocol.NONE an honest run that simulates every node (the
+        record is cleared first) reads a span only for the sinks' ranks at
+        the end: one span per sink, in the last epoch."""
+        sim._records.clear()
         read = span_reads(monkeypatch)
         caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
         s = sim.Simulation(topo, Protocol.NONE, m=3, rng_seed=8, epochs=epochs)
@@ -1196,6 +1205,9 @@ class TestLazySpans:
             assert _rows(sim_node.span) == _rows(_received_span(sim_node, s.q, m))
 
     def test_honest_unverified_run_adds_only_to_the_sinks_span(self, monkeypatch):
+        """In an honest run that simulates every node (the record is
+        cleared first), only the sink's span takes in vectors."""
+        sim._records.clear()
         topo = random_topology(30, 200, 3, 1, rng_seed=4)
         added = []
         real = gf.Span.add
@@ -1664,6 +1676,164 @@ class TestRunShape:
         assert sim._run_shape.cache_info().currsize == 1
 
 
+def _modes(topo: Topology, kinds) -> list[Topology]:
+    """``topo`` once per kind, every Byzantine node given that kind."""
+    out = []
+    for kind in kinds:
+        t = topo
+        for byz in topo.byzantine:
+            t = t.with_behavior(byz, Behavior(kind))
+        out.append(t)
+    return out
+
+
+def _reach(topo: Topology) -> set[str]:
+    """The Byzantine nodes and all of their descendants."""
+    _, children = topo.adjacency()
+    return sim._reachable(children, *topo.byzantine)
+
+
+def clear_before_every_run(monkeypatch) -> list:
+    """From now on, empty the record before every run, so that every run
+    simulates every node; returns the runs, in order."""
+    runs = []
+    replay = sim.Simulation._replay
+
+    def cleared(self):
+        sim._records.clear()
+        runs.append(self)
+        return replay(self)
+
+    monkeypatch.setattr(sim.Simulation, "_replay", cleared)
+    return runs
+
+
+def _outcome(t, seed, m, epochs):
+    """A run's report, the sinks' received vectors and both rng states."""
+    s = sim.Simulation(t, Protocol.NONE, m=m, rng_seed=seed, epochs=epochs)
+    report = s.run()
+    return (report, {n: s.nodes[n].received_vectors for n in t.sinks},
+            s.rng.getstate(), s.adversary_rng.getstate())
+
+
+RECORD_CASES = {
+    **{f"byzantine{k}": (random_topology(24, 150, 3, k, rng_seed=k), k) for k in (1, 2, 3)},
+    "butterfly": (butterfly_topology(), 7),
+}
+MODE_ORDERS = {
+    "mode1_first": list(sim.MODES.values()),
+    "mode3_first": list(sim.MODES.values())[::-1],
+    "every_kind": list(BehaviorKind),
+}
+
+
+class TestRecord:
+    """Under Protocol.NONE a run replays, from the record its key shares,
+    every node outside its reach (``Simulation._replay``)."""
+
+    def test_sweep_rows_equal_with_the_record_cleared(self, monkeypatch):
+        cfg = sim.SweepConfig(node_count=24, edge_count=150, m=3,
+                              min_cuts=(1, 2, 3), seeds=(0, 1, 2))
+        sim._records.clear()
+        shared = mode_sweep(cfg)
+        runs = clear_before_every_run(monkeypatch)
+        assert mode_sweep(cfg) == shared
+        assert runs and not any(run._replayed for run in runs)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("order", MODE_ORDERS)
+    @pytest.mark.parametrize("case", RECORD_CASES)
+    def test_runs_equal_with_the_record_cleared(self, monkeypatch, case, order, epochs):
+        """Reports, the sinks' received vectors and the rng states after
+        the run, over one to three Byzantine nodes and the two-sink
+        butterfly, every behaviour, one and two epochs, and both mode
+        orders."""
+        topo, seed = RECORD_CASES[case]
+        variants = _modes(topo, MODE_ORDERS[order])
+        sim._records.clear()
+        shared = [_outcome(t, seed, 3, epochs) for t in variants]
+        assert len(sim._records) == 1
+        clear_before_every_run(monkeypatch)
+        assert [_outcome(t, seed, 3, epochs) for t in variants] == shared
+
+    @pytest.mark.parametrize("case", ["byzantine1", "byzantine2", "byzantine3"])
+    def test_later_modes_simulate_exactly_mode1s_reach(self, code_calls, case):
+        """After mode1 only its reach is simulated, whatever the mode;
+        mode3 records it, after which an all-honest run replays every node,
+        the sinks included."""
+        topo, seed = RECORD_CASES[case]
+        mode1, mode2, mode3 = _modes(topo, sim.MODES.values())
+        reach = _reach(topo)
+        outside = set(topo.nodes) - reach - {topo.source}
+        sim._records.clear()
+        first = sim.Simulation(mode1, Protocol.NONE, m=3, rng_seed=seed)
+        first.run()
+        assert first._replayed == set() and set(first._live) == set(first.nodes)
+        for t in (mode2, mode3, mode1):
+            s = sim.Simulation(t, Protocol.NONE, m=3, rng_seed=seed)
+            del code_calls[:]
+            s.run()
+            assert set(s._live) == reach and s._replayed == outside
+            assert set(code_calls) <= reach
+        del code_calls[:]
+        replayed = _outcome(topo, seed, 3, 1)
+        assert code_calls == []
+        sim._records.clear()
+        assert replayed == _outcome(topo, seed, 3, 1)  # ranks, decoded, sinks' vectors, rng
+
+    def test_replaying_run_reads_only_what_it_simulates(self, monkeypatch, caplog, code_calls):
+        """A replaying run runs no source round, and codes, ingests and
+        reads spans only at its simulated nodes; the DEBUG record counts
+        the nodes it replayed."""
+        topo, seed = RECORD_CASES["byzantine2"]
+        mode1, mode2, _ = _modes(topo, sim.MODES.values())
+        sim._records.clear()
+        sim.Simulation(mode1, Protocol.NONE, m=3, rng_seed=seed).run()
+        sources, ingested = [], set()
+        source_round, ingest = sim.Simulation._source_round, sim.Simulation._ingest_round
+
+        def sourced(self):
+            sources.append(self)
+            return source_round(self)
+
+        def took(self, r, deliveries):
+            ingested.update(name for name, arrived in deliveries.items() if arrived)
+            return ingest(self, r, deliveries)
+
+        monkeypatch.setattr(sim.Simulation, "_source_round", sourced)
+        monkeypatch.setattr(sim.Simulation, "_ingest_round", took)
+        read = span_reads(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
+        del code_calls[:]
+        s = sim.Simulation(mode2, Protocol.NONE, m=3, rng_seed=seed)
+        s.run()
+        reach = _reach(topo)
+        assert sources == [] and ingested <= reach and set(code_calls) <= reach
+        assert {id(rows) for rows in read} <= {id(s.nodes[n].rows) for n in reach}
+        (record,) = [r for r in caplog.records if r.name == "rlncheck.sim"]
+        assert record.args["replayed"] == len(topo.nodes) - 1 - len(reach) > 0
+
+    @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
+    def test_verified_runs_neither_read_nor_build_the_record(self, monkeypatch, proto):
+        monkeypatch.setattr(sim, "_records", None)  # any use raises
+        s = sim.Simulation(butterfly_topology(), proto, m=2, rng_seed=7)
+        assert s.run().sink_ranks == {"n2": 2, "n3": 2} and s._replayed == set()
+
+    def test_holds_at_most_four_immutable_entries(self):
+        topo = butterfly_topology()
+        sim._records.clear()
+        for seed in range(6):
+            run_simulation(topo, Protocol.NONE, m=2, rng_seed=seed)
+        assert [k[-4] for k in sim._records] == [2, 3, 4, 5]
+        for entry in sim._records.values():
+            assert isinstance(entry.source, tuple) and all(
+                isinstance(v, tuple) for v in entry.sends.values())
+            with pytest.raises(TypeError):
+                entry.sends["n1"] = ()
+            with pytest.raises(TypeError):
+                entry.sinks["n2"] = ()
+
+
 class TestTopologyFile:
     def test_roundtrip(self):
         topo = butterfly_topology().with_behavior("n1", Behavior(BehaviorKind.FORWARD_ONLY))
@@ -1689,13 +1859,28 @@ class TestTopologyFile:
          r"edge \(s,a\) listed twice"),
         ("node s source honest\nnode s2 source honest\nnode t sink honest\ns t\ns2 t\n",
          r"source s2 must be the one source node, found \['s', 's2'\]"),
-    ], ids=["no_sink", "repeated_node", "repeated_edge", "second_source"])
+        ("node s source forwardonly\nnode t sink honest\ns t\n",
+         "source s must be honest, not forwardonly"),
+    ], ids=["no_sink", "repeated_node", "repeated_edge", "second_source", "byzantine_source"])
     def test_malformed_file(self, text, message):
         with pytest.raises(ValueError, match=message):
             sim.parse_topology(text)
 
 
 class TestSimulationInputs:
+    def test_with_behavior_refuses_unknown_node_and_byzantine_source(self):
+        """The source round draws the same combinations whatever the
+        source's behaviour, so a Byzantine source would run honest."""
+        topo = butterfly_topology()
+        with pytest.raises(ValueError, match="node nope not in topology"):
+            topo.with_behavior("nope", Behavior(BehaviorKind.FORWARD_ONLY))
+        with pytest.raises(ValueError, match="source s must be honest, not forwardonly"):
+            topo.with_behavior("s", Behavior(BehaviorKind.FORWARD_ONLY))
+        assert topo.with_behavior("s", Behavior.honest()).nodes == topo.nodes
+        topo.nodes["s"] = NodeSpec(Role.SOURCE, Behavior(BehaviorKind.NON_INNOVATIVE))
+        with pytest.raises(ValueError, match="source s must be honest, not noninnovative"):
+            topo.validate()
+
     @pytest.mark.parametrize("protocol", [Protocol.NONE, Protocol.PIP])
     @pytest.mark.parametrize("m, epochs", [(0, 1), (1, 0), (-1, 1)])
     def test_m_and_epochs_at_least_one(self, protocol, m, epochs):
