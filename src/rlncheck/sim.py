@@ -37,14 +37,13 @@ The adversary model: Byzantine nodes are omniscient (they code after
 the round's honest emissions and see every child's span) and hold
 valid keys, so whatever they send carries valid signatures.  Each
 behavior is one choice of the coefficients the node codes with and of
-the token entries it claims (``Simulation._strategy``).  They cover
-throughput attacks that remain *valid* coding (non-innovative
-coefficients, plain forwarding), deviations that the coding-verification
-tokens catch (skipped parents, zero or wrong coefficients, forged token
-entries), and replay across epochs.  Without verification every
-behavior acts and nothing is caught; with it, the children that receive
-a packet coded other than as prescribed flag its sender (under Log-PIP,
-with probability t/d per round of t challenges).
+the token entries it claims, written once in the adversary catalogue
+(``deviation`` and ``forged_claims``, which list the behaviors);
+``Simulation._strategy`` looks it up, and a single-node test builds the
+same packets from it.  Without verification every behavior acts and
+nothing is caught; with it, the children that receive a packet coded
+other than as prescribed flag its sender (under Log-PIP, with
+probability t/d per round of t challenges).
 
 Simulations are deterministic per seed: identities, epoch parameters,
 source combinations, challenge picks, and adversarial choices all
@@ -62,7 +61,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import mul
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from . import gf, node as node_mod, sigcrypto, validity
 from .gf import CodedVector, Span
@@ -97,6 +96,63 @@ class Behavior:
     @staticmethod
     def honest() -> "Behavior":
         return Behavior(BehaviorKind.HONEST)
+
+
+# A parent key: a node name in ``Simulation``, a node id at a single node.
+K = TypeVar("K")
+
+
+def deviation(
+    kind: BehaviorKind, honest: list[tuple[K, int]], target: K, q: int
+) -> tuple[list[tuple[K, int]], list[tuple[K, int]]] | None:
+    """The adversary catalogue: what a node behaving as ``kind`` codes
+    with, and what its test token claims.
+
+    ``honest`` is the node's prescribed (parent, coefficient) pairs over
+    its required set, and ``target`` the parent a deviation acts on.
+    Returns (coding, claimed): the pairs its emission combines, and the
+    pairs its token states (under Log-PIP, the leaves it commits to).
+    Returns None when the node sends nothing.
+
+    - HONEST (Mode 3), REPLAY_OLD, FORGE_TOKEN and NON_INNOVATIVE: the
+      honest pairs, claimed as coded.  REPLAY_OLD resends its epoch-1
+      packets in later epochs (``Simulation._emit_round``).  FORGE_TOKEN
+      lies in the target's token entry (``forged_claims``).
+      NON_INNOVATIVE (Mode 1) codes this way only when no coefficients
+      give an output that every child already holds or gets from its
+      other parents; the look-ahead needs the run
+      (``Simulation._non_innovative``).
+    - FORWARD_ONLY (Mode 2): coefficient 1 on the target alone, while the
+      token claims the honest pairs.
+    - SKIP_PARENT: the honest pairs without the target, claimed as coded;
+      None when the target is the only parent.
+    - ZERO_COEFFICIENT, WRONG_COEFFICIENT: the target's coefficient
+      zeroed, or raised by one (q - 1 wraps to 1, never 0), claimed as
+      coded.
+    """
+    if (kind is BehaviorKind.HONEST or kind is BehaviorKind.NON_INNOVATIVE
+            or kind is BehaviorKind.REPLAY_OLD or kind is BehaviorKind.FORGE_TOKEN):
+        return honest, honest
+    if kind is BehaviorKind.FORWARD_ONLY:
+        return [(target, 1)], honest
+    if kind is BehaviorKind.SKIP_PARENT:
+        coding = [(p, a) for p, a in honest if p != target]
+        if not coding:
+            return None
+    elif kind is BehaviorKind.ZERO_COEFFICIENT:
+        coding = [(p, 0 if p == target else a) for p, a in honest]
+    elif kind is BehaviorKind.WRONG_COEFFICIENT:
+        coding = [(p, ((a + 1) % q or 1) if p == target else a) for p, a in honest]
+    else:
+        raise ValueError(f"no deviation for {kind}")
+    return coding, coding
+
+
+def forged_claims(claims: list[ParentInput], target_id: bytes, sk: bytes) -> list[ParentInput]:
+    """FORGE_TOKEN's token entries: ``claims`` with the target's helper
+    signature replaced by one the sender makes with its own key ``sk``."""
+    fake = sigcrypto.sign(sk, b"forged" + target_id)
+    return [c._replace(helper_sig=fake) if c.parent_id == target_id else c for c in claims]
 
 
 @dataclass
@@ -1169,62 +1225,39 @@ class Simulation:
         Returns the (parent, coefficient) pairs its emission combines, the
         emission (their combination, computed once), and the token entries
         it claims (none under Protocol.NONE), or None when it sends
-        nothing.  Each behaviour is one branch:
-
-        - HONEST (Mode 3) and REPLAY_OLD, in epoch 1: the prescribed PRF
-          coefficients over every required parent, claimed as coded.
-        - NON_INNOVATIVE (Mode 1): coefficients whose output lies in what
-          every child already holds or gets from its other parents this
-          round, claimed as coded; honest coding when no such choice
-          exists.  The adversary is omniscient: it codes after the honest
-          nodes of the round and sees every child's span.
-        - FORWARD_ONLY (Mode 2): coefficient 1 on the first required
-          parent alone, while the token claims honest coding.
-        - SKIP_PARENT, ZERO_COEFFICIENT, WRONG_COEFFICIENT: honest coding
-          with the first required parent (the target) dropped, zeroed or
-          off by one, claimed as coded.
-        - FORGE_TOKEN: honest coding; the target's token entry carries a
-          helper signature of the node's own making.
-
-        REPLAY_OLD's later epochs resend stored packets (``_emit_round``).
+        nothing.  The choice is the catalogue's (``deviation``), with the
+        first required parent as the target.  Two parts need the run: a
+        Mode-1 node's look-ahead (``_non_innovative``), which is omniscient
+        since it codes after the round's honest nodes and sees every
+        child's span, and FORGE_TOKEN's helper, which the node signs with
+        its own key (``forged_claims``).  REPLAY_OLD's later epochs resend
+        stored packets (``_emit_round``).
         """
         sim_node = self.nodes[name]
-        st = sim_node.state
         kind = sim_node.spec.behavior.kind
-        honest = self._honest[name]
         target = self.parents[name][0]
-        coding, E = honest, None
-        if kind is BehaviorKind.SKIP_PARENT:
-            coding = [(p, a) for p, a in honest if p != target]
-            if not coding:
-                return None
-        elif kind is BehaviorKind.ZERO_COEFFICIENT:
-            coding = [(p, 0 if p == target else a) for p, a in honest]
-        elif kind is BehaviorKind.WRONG_COEFFICIENT:
-            coding = [(p, ((a + 1) % self.q or 1) if p == target else a) for p, a in honest]
-        elif kind is BehaviorKind.NON_INNOVATIVE:
+        plan = deviation(kind, self._honest[name], target, self.q)
+        if plan is None:
+            return None
+        coding, claimed = plan
+        E = None
+        if kind is BehaviorKind.NON_INNOVATIVE:
             choice = self._non_innovative(name)
             if choice is None:
                 self.report.fallbacks[name] = self.report.fallbacks.get(name, 0) + 1
             else:
                 coding, E = choice
-        elif kind is BehaviorKind.FORWARD_ONLY:
-            coding = [(target, 1)]
+                claimed = coding
         if E is None:
             E = gf.linear_combine(
                 [sim_node.vectors[p] for p, _ in coding], [a for _, a in coding], self.q
             )
         if not self.verified:
             return coding, E, []
-        claimed = honest if kind is BehaviorKind.FORWARD_ONLY else coding
+        st = sim_node.state
         claims = node_mod.buffered_inputs(st, [(p.encode(), a) for p, a in claimed])
         if kind is BehaviorKind.FORGE_TOKEN:
-            target_id = target.encode()
-            claims = [
-                c._replace(helper_sig=sigcrypto.sign(st.identity.sk, b"forged" + target_id))
-                if c.parent_id == target_id else c
-                for c in claims
-            ]
+            claims = forged_claims(claims, target.encode(), st.identity.sk)
         return coding, E, claims
 
     def _non_innovative(self, name: str) -> tuple[list[tuple[str, int]], CodedVector] | None:
@@ -1274,7 +1307,7 @@ def run_simulation(
     has delivered an accepted packet this epoch, so an honest node never
     emits a degraded packet.  Byzantine nodes are omniscient and hold
     valid keys; each behavior chooses the coefficients the node codes
-    with and the token entries it claims (see ``Simulation._strategy``).
+    with and the token entries it claims (see ``deviation``).
     """
     return Simulation(
         topo, protocol, m, rng_seed=rng_seed, profile=profile, epochs=epochs,

@@ -3,9 +3,22 @@ from dataclasses import replace
 
 import pytest
 
-from rlncheck import gf, node as node_mod, pipcore, sigcrypto, validity
+from rlncheck import gf, node as node_mod, pipcore, sigcrypto, sim, validity
 from rlncheck.node import EpochRef, Packet
+from rlncheck.pipcore import ViolationKind
 from rlncheck.profiles import TEST
+from rlncheck.sim import BehaviorKind
+
+# The verdicts each deviating behavior draws from an honest child, in a
+# network run and at a single node alike.
+NETWORK_STRATEGIES = {
+    BehaviorKind.SKIP_PARENT: {ViolationKind.MISSING_ENTRY},
+    BehaviorKind.ZERO_COEFFICIENT: {ViolationKind.ZERO_COEFFICIENT},
+    BehaviorKind.WRONG_COEFFICIENT: {ViolationKind.WRONG_COEFFICIENT},
+    BehaviorKind.FORGE_TOKEN: {ViolationKind.BAD_HELPER_SIG},
+    BehaviorKind.FORWARD_ONLY: {ViolationKind.SIGNATURE_COMBINE_MISMATCH},
+    BehaviorKind.NON_INNOVATIVE: {ViolationKind.WRONG_COEFFICIENT},
+}
 
 
 @pytest.fixture
@@ -78,6 +91,16 @@ def finish_packet(sender, E, sigma, token, params, receiver_id):
     )
     signed = node_mod.packet_signed_bytes(pkt, params)
     return replace(pkt, attest=sigcrypto.sign(sender.sk, signed))
+
+
+def deviant_entries(kind, entries, target, q):
+    """(coded, claimed) token entries of a sender that deviates from the
+    honest ``entries`` as the catalogue's ``kind`` does against the parent
+    id ``target`` (``sim.deviation``).  Every caller has a parent left to
+    code with, so there is always a packet."""
+    plan = sim.deviation(kind, [(e.parent_id, e.coeff) for e in entries], target, q)
+    by_id = {e.parent_id: e for e in entries}
+    return tuple([by_id[p]._replace(coeff=a) for p, a in pairs] for pairs in plan)
 
 
 def source_packet(master, originals, params, receiver_id, combo):

@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from conftest import finish_packet, source_packet
+from conftest import NETWORK_STRATEGIES, deviant_entries, finish_packet
 
-from rlncheck import cli, gf, node as node_mod, pipcore, sigcrypto, sim, validity
+from rlncheck import cli, gf, pipcore, sigcrypto, sim, validity
 from rlncheck.node import NodeState, ParentInfo, Verdict, adjudicate, build_misbehavior_proof, derive_coefficient, verify_incoming
 from rlncheck.pipcore import ParentInput, Protocol, ViolationKind
 from rlncheck.profiles import SIM, TEST
@@ -56,11 +56,10 @@ def test_criterion_1_butterfly_halving():
 
 class AdversaryLab:
     """One epoch at the sim profile; per-trial packets from a sender with
-    a randomized required set, verified by a child node."""
+    a randomized required set of 2 to 5 of its ``parents``, verified by a
+    child node."""
 
-    MAX_D = 6
-
-    def __init__(self, seed=2024):
+    def __init__(self, seed=2024, parents=6):
         self.rng = random.Random(seed)
         self.profile = SIM
         self.q = SIM.q
@@ -73,7 +72,7 @@ class AdversaryLab:
         self.byz = sigcrypto.keygen(self.rng, b"byz")
         self.byz.cert = sigcrypto.certify(self.master.sk, self.byz.pk, b"byz")
         self.parents = {}
-        for i in range(self.MAX_D):
+        for i in range(parents):
             pid = b"p%d" % i
             ident = sigcrypto.keygen(self.rng, pid)
             ident.cert = sigcrypto.certify(self.master.sk, ident.pk, pid)
@@ -117,72 +116,42 @@ class AdversaryLab:
             packets[pid] = E
         return ids, inputs, packets
 
-    def packet_from(self, entries, packets, coeffs=None, forwarded=None):
-        """Assemble the sender's packet: honest coding unless forwarding."""
-        if forwarded is not None:
-            E = packets[forwarded]
-            sigma = validity.sign_validity(self.params, E)
-        else:
-            use = coeffs or {e.parent_id: e.coeff for e in entries}
-            E = gf.linear_combine(
-                [packets[e.parent_id] for e in entries],
-                [use[e.parent_id] for e in entries], self.q,
-            )
-            sigma = validity.combine_validity(
-                [e.sigma for e in entries], [use[e.parent_id] for e in entries], self.params
-            )
-        token = pipcore.pip_combine(entries)
-        return finish_packet(self.byz, E, sigma, token, self.params, b"c")
+    def packet_from(self, packets, coded, claimed):
+        """The sender's packet: the combination of the ``coded`` entries,
+        under a token that claims the ``claimed`` ones."""
+        coeffs = [e.coeff for e in coded]
+        E = gf.linear_combine([packets[e.parent_id] for e in coded], coeffs, self.q)
+        sigma = validity.combine_validity([e.sigma for e in coded], coeffs, self.params)
+        return finish_packet(self.byz, E, sigma, pipcore.pip_combine(claimed), self.params, b"c")
 
-    def honest_trial(self):
+    def trial(self, strategy):
+        """One packet from a sender that acts as ``strategy`` against a
+        random target: a catalogue ``BehaviorKind`` (``sim.deviation``),
+        or one of the lab's own strategies.
+
+        ``"recoded"`` redraws every coefficient, nonzero and other than
+        the prescribed one.  That is valid coding, but not the Mode 1 of
+        ``BehaviorKind.NON_INNOVATIVE``, which chooses its coefficients
+        from its children's spans; the lab has no children.
+        ``"extra"`` and ``"duplicate"`` forward the target's packet under
+        a token with one more entry, a new id or the target's own.
+        """
         ids, inputs, packets = self.fresh_inputs(self.rng.randint(2, 5))
-        return self.packet_from(list(inputs.values()), packets)
-
-    def adversarial_trial(self, strategy):
-        d = self.rng.randint(2, 5)
-        ids, inputs, packets = self.fresh_inputs(d)
-        target = self.rng.choice(ids)
         entries = list(inputs.values())
-
-        if strategy == "skip":
-            kept = [e for e in entries if e.parent_id != target]
-            return self.packet_from(kept, packets)
-        if strategy == "zero":
-            mutated = [
-                e if e.parent_id != target else ParentInput(e.parent_id, e.sigma, e.helper_sig, 0)
-                for e in entries
-            ]
-            return self.packet_from(mutated, packets)
-        if strategy == "wrong":
-            mutated = [
-                e if e.parent_id != target else ParentInput(
-                    e.parent_id, e.sigma, e.helper_sig, (e.coeff + 1) % self.q or 1
-                )
-                for e in entries
-            ]
-            return self.packet_from(mutated, packets)
-        if strategy == "forge":
-            fake = sigcrypto.sign(self.byz.sk, b"forged" + target)
-            mutated = [
-                e if e.parent_id != target else ParentInput(e.parent_id, e.sigma, fake, e.coeff)
-                for e in entries
-            ]
-            return self.packet_from(mutated, packets)
-        if strategy == "forward":
-            return self.packet_from(entries, packets, forwarded=ids[0])
-        if strategy == "noninnovative":
-            # Valid nonzero coefficients that differ from the prescribed ones.
-            coeffs = {}
+        target = self.rng.choice(ids)
+        if isinstance(strategy, BehaviorKind):
+            coded, claimed = deviant_entries(strategy, entries, target, self.q)
+            if strategy is BehaviorKind.FORGE_TOKEN:
+                claimed = sim.forged_claims(claimed, target, self.byz.sk)
+            return self.packet_from(packets, coded, claimed)
+        if strategy == "recoded":
+            recoded = []
             for e in entries:
                 c = e.coeff
                 while c == e.coeff or c == 0:
                     c = self.rng.randrange(1, self.q)
-                coeffs[e.parent_id] = c
-            mutated = [
-                ParentInput(e.parent_id, e.sigma, e.helper_sig, coeffs[e.parent_id])
-                for e in entries
-            ]
-            return self.packet_from(mutated, packets)
+                recoded.append(e._replace(coeff=c))
+            return self.packet_from(packets, recoded, recoded)
         if strategy in ("extra", "duplicate"):
             # Forward the target's packet, with one more entry whose sigma
             # turns the honest entries' combination into the packet's sigma.
@@ -200,24 +169,26 @@ class AdversaryLab:
         raise AssertionError(strategy)
 
 
-STRATEGIES = ("skip", "zero", "wrong", "forge", "noninnovative", "forward", "extra", "duplicate")
+# The deviations the lab takes from the catalogue, then its own.
+CATALOGUE = (
+    BehaviorKind.SKIP_PARENT, BehaviorKind.ZERO_COEFFICIENT, BehaviorKind.WRONG_COEFFICIENT,
+    BehaviorKind.FORGE_TOKEN, BehaviorKind.FORWARD_ONLY,
+)
+STRATEGIES = (*CATALOGUE, "recoded", "extra", "duplicate")
 
 
 @pytest.fixture(scope="module")
 def soundness_results():
-    """(verdict, misbehavior proof) per trial; the proof is built at trial
-    time, while the sender's registered required set still matches it."""
+    """(verdict, misbehavior proof) per trial, honest trials first; the
+    proof is built at trial time, while the sender's registered required
+    set still matches it."""
     lab = AdversaryLab()
     trials = 1000
-    results = {"honest": []}
-    for _ in range(trials):
-        pkt = lab.honest_trial()
-        verdict = verify_incoming(lab.child, pkt)
-        results["honest"].append((verdict, build_misbehavior_proof(lab.child, pkt)))
-    for strategy in STRATEGIES:
+    results = {}
+    for strategy in (BehaviorKind.HONEST, *STRATEGIES):
         batch = []
         for _ in range(trials):
-            pkt = lab.adversarial_trial(strategy)
+            pkt = lab.trial(strategy)
             verdict = verify_incoming(lab.child, pkt)
             batch.append((verdict, build_misbehavior_proof(lab.child, pkt)))
         results[strategy] = batch
@@ -227,7 +198,7 @@ def soundness_results():
 def test_criterion_2_pip_soundness(soundness_results):
     with criterion(2, "PIP detects 100% of adversarial packets, 0% of honest (1000 trials each)"):
         lab, results = soundness_results
-        for verdict, _ in results["honest"]:
+        for verdict, _ in results[BehaviorKind.HONEST]:
             assert verdict is None
         for strategy in STRATEGIES:
             missed = [v for v, _ in results[strategy] if v is None]
@@ -237,7 +208,7 @@ def test_criterion_2_pip_soundness(soundness_results):
 def test_criterion_8_adjudication(soundness_results):
     with criterion(8, "zero Guilty verdicts on honest packets; every detection adjudicates Guilty"):
         lab, results = soundness_results
-        for _, proof in results["honest"]:
+        for _, proof in results[BehaviorKind.HONEST]:
             out = adjudicate(proof, lab.master.pk, lab.master.pk)
             assert out.verdict is Verdict.INNOCENT
         for strategy in STRATEGIES:
@@ -247,25 +218,28 @@ def test_criterion_8_adjudication(soundness_results):
                 assert out.verdict is Verdict.GUILTY, strategy
 
 
+def test_lab_verdicts_match_the_simulator(soundness_results):
+    """Each catalogue deviation draws, at a single node, the verdict kinds
+    its behavior draws from an honest child in a network run."""
+    _, results = soundness_results
+    for kind in CATALOGUE:
+        assert {v.kind for v, _ in results[kind]} == NETWORK_STRATEGIES[kind], kind
+
+
 # ---------------------------------------------------------------------------
 # 3. Log-PIP detection bound
 
 
-def logpip_cheat_fixture(lab, d, zero_target=0):
+def logpip_cheat_fixture(lab, d):
+    """A Log-PIP sender over d parents that zeroes the first one's
+    coefficient (the catalogue's ZERO_COEFFICIENT), and what its child
+    checks a challenge against."""
     ids, inputs, _ = lab.fresh_inputs(d)
-    target = ids[zero_target]
-    entries = [
-        e if e.parent_id != target else ParentInput(e.parent_id, e.sigma, e.helper_sig, 0)
-        for e in inputs.values()
-    ]
-    token, tree = pipcore.logpip_build(entries, lab.params, lab.profile.h_bytes)
-    use = {e.parent_id: e.coeff for e in entries}
-    sigma = validity.combine_validity(
-        [e.sigma for e in entries], [use[e.parent_id] for e in entries], lab.params
-    )
+    _, claimed = deviant_entries(BehaviorKind.ZERO_COEFFICIENT, list(inputs.values()), ids[0], lab.q)
+    token, tree = pipcore.logpip_build(claimed, lab.params, lab.profile.h_bytes)
     ctx = pipcore.ChallengeContext(
-        sender_id=b"byz", packet_sigma=sigma, params=lab.params, h_bytes=lab.profile.h_bytes,
-        parents=tuple(inp.parent_id for inp in tree.inputs),
+        sender_id=b"byz", packet_sigma=tree.root.sigma, params=lab.params,
+        h_bytes=lab.profile.h_bytes, parents=tuple(inp.parent_id for inp in tree.inputs),
     )
     expected = {
         pid: derive_coefficient(lab.seed, pid, b"byz", lab.params.epoch_pk_bytes(), lab.q)
@@ -281,13 +255,7 @@ def test_criterion_3_logpip_detection_bound():
         d, trials = 6, 10_000
         # d=10 would exceed the q=11 generator budget of the tiny profile,
         # but the sim profile hosts any d; use d=10 as specified.
-        lab2 = AdversaryLab(seed=32)
-        lab2.MAX_D = 10
-        for i in range(6, 10):
-            pid = b"p%d" % i
-            ident = sigcrypto.keygen(lab2.rng, pid)
-            ident.cert = sigcrypto.certify(lab2.master.sk, ident.pk, pid)
-            lab2.parents[pid] = ident
+        lab2 = AdversaryLab(seed=32, parents=10)
         ids, token, tree, ctx, expected, pks = logpip_cheat_fixture(lab2, 10)
         picks = random.Random(314)
         detected = 0
@@ -458,11 +426,7 @@ def test_criterion_9_rank_oracle():
                 span = extend(single[r1], r2)
                 pair[(r1, r2)] = span
                 assert gf.matrix_rank([list(r1), list(r2)], q) == round(math.log(len(span), q))
-            if cols < 3:
-                triples = itertools.combinations_with_replacement(rows_space, 3)
-            else:
-                triples = itertools.combinations_with_replacement(rows_space, 3)
-            for r1, r2, r3 in triples:
+            for r1, r2, r3 in itertools.combinations_with_replacement(rows_space, 3):
                 span = pair[(r1, r2)]
                 size = len(span) if r3 in span else len(span) * q
                 expected = round(math.log(size, q))

@@ -7,12 +7,11 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import finish_packet, hand_tree, source_packet
+from conftest import deviant_entries, finish_packet, hand_tree, source_packet
 
-from rlncheck import gf, node as node_mod, pipcore, sigcrypto, validity
+from rlncheck import gf, node as node_mod, pipcore, sigcrypto, sim, validity
 from rlncheck.node import (
     NodeState,
-    Packet,
     ParentInfo,
     Verdict,
     adjudicate,
@@ -29,6 +28,7 @@ from rlncheck.node import (
 )
 from rlncheck.pipcore import ParentInput, Protocol, ViolationKind
 from rlncheck.profiles import PRODUCTION, SIM, TEST
+from rlncheck.sim import BehaviorKind
 from rlncheck.wire import DecodeError, Writer
 
 
@@ -217,6 +217,23 @@ class Net:
             assert draft is not None
             out.append(node_mod.finalize_packet(st, draft, b"n"))
         return out
+
+    def deviant_packet(self, kind, target):
+        """n's packet to c over both relays' packets, coded and claimed as
+        the catalogue's ``kind`` against parent ``target``, as a simulated
+        node codes it (``sim.Simulation._strategy``)."""
+        st = self.n_state
+        process_round(st, self.relay_packets())
+        parents = [b"p1", b"p2"]
+        honest = node_mod.buffered_inputs(st, list(zip(parents, derive_coefficients(
+            self.seed, parents, b"n", self.params.epoch_pk_bytes(), self.params.q))))
+        coded, claimed = deviant_entries(kind, honest, target, self.params.q)
+        if kind is BehaviorKind.FORGE_TOKEN:
+            claimed = sim.forged_claims(claimed, target, self.idents[b"n"].sk)
+        E = gf.linear_combine(
+            [st.buffers[e.parent_id].E for e in coded], [e.coeff for e in coded], self.params.q
+        )
+        return node_mod.finalize_packet(st, node_mod.build_draft(st, E, coded, claimed), b"c")
 
     def n_packet(self, incoming=None):
         incoming = self.relay_packets() if incoming is None else incoming
@@ -533,17 +550,7 @@ class TestEdgeBinding:
         """A token entry's helper is attested content: a forged one is
         GUILTY (BadHelperSig), with the edge helper honest or doctored."""
         net = Net()
-        p1_pkt, p2_pkt = net.relay_packets()
-        process_round(net.n_state, [p1_pkt, p2_pkt])
-        inputs = node_mod.buffered_inputs(net.n_state, [
-            (pid, derive_coefficient(net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q))
-            for pid in (b"p1", b"p2")
-        ])
-        forged = [inputs[0]._replace(helper_sig=sigcrypto.sign(net.idents[b"n"].sk, b"forged")),
-                  inputs[1]]
-        E = gf.linear_combine([p1_pkt.E, p2_pkt.E], [i.coeff for i in inputs], net.params.q)
-        draft = node_mod.build_draft(net.n_state, E, inputs, forged)
-        pkt = node_mod.finalize_packet(net.n_state, draft, b"c")
+        pkt = net.deviant_packet(BehaviorKind.FORGE_TOKEN, b"p1")
         for edge_helper in (pkt.helper, bytes(64)):
             bad = replace(pkt, helper=edge_helper)
             assert verify_incoming(net.c_state, bad).kind is ViolationKind.BAD_HELPER_SIG
@@ -652,18 +659,7 @@ class TestAdjudication:
 
     def test_skip_parent_guilty(self):
         net = Net()
-        p1_pkt, p2_pkt = net.relay_packets()
-        st = net.n_state
-        process_round(st, [p1_pkt, p2_pkt])
-        only_p2 = [
-            ParentInput(
-                b"p2", p2_pkt.sigma, p2_pkt.helper,
-                derive_coefficient(net.seed, b"p2", b"n", net.params.epoch_pk_bytes(), net.params.q),
-            )
-        ]
-        E = gf.linear_combine([p2_pkt.E], [only_p2[0].coeff], net.params.q)
-        sigma = validity.combine_validity([only_p2[0].sigma], [only_p2[0].coeff], net.params)
-        pkt = finish_packet(net.idents[b"n"], E, sigma, pipcore.pip_combine(only_p2), net.params, b"c")
+        pkt = net.deviant_packet(BehaviorKind.SKIP_PARENT, b"p1")
         v = verify_incoming(net.c_state, pkt)
         assert v is not None and v.kind is ViolationKind.MISSING_ENTRY
         proof = build_misbehavior_proof(net.c_state, pkt)
@@ -712,18 +708,14 @@ class TestAdjudication:
         """A parent colluding with n cannot stand in for the honest p2:
         omitting p2 or faking its entry both stay detectable."""
         net = Net()
-        p1_pkt, p2_pkt = net.relay_packets()
-        st = net.n_state
-        process_round(st, [p1_pkt, p2_pkt])
+        # Variant 1: drop p2 entirely.
+        pkt = net.deviant_packet(BehaviorKind.SKIP_PARENT, b"p2")
+        assert verify_incoming(net.c_state, pkt).kind is ViolationKind.MISSING_ENTRY
+        p1_pkt, p2_pkt = net.n_state.buffers[b"p1"], net.n_state.buffers[b"p2"]
         coeff = lambda pid: derive_coefficient(
             net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q
         )
-        # Variant 1: drop p2 entirely.
         entry_p1 = ParentInput(b"p1", p1_pkt.sigma, p1_pkt.helper, coeff(b"p1"))
-        E = gf.linear_combine([p1_pkt.E], [entry_p1.coeff], net.params.q)
-        sigma = validity.combine_validity([entry_p1.sigma], [entry_p1.coeff], net.params)
-        pkt = finish_packet(net.idents[b"n"], E, sigma, pipcore.pip_combine([entry_p1]), net.params, b"c")
-        assert verify_incoming(net.c_state, pkt).kind is ViolationKind.MISSING_ENTRY
         # Variant 2: fabricate a p2 entry with a helper signed by colluder p1.
         fake_helper = pipcore.make_helper_token(
             net.idents[b"p1"].sk, p2_pkt.sigma, b"p2", b"n", net.params
@@ -740,22 +732,8 @@ class TestAdjudication:
 
     def test_logpip_transcript_guilty_and_framing_rejected(self):
         net = Net(protocol=Protocol.LOGPIP)
-        p1_pkt, p2_pkt = net.relay_packets()
-        st = net.n_state
-        process_round(st, [p1_pkt, p2_pkt])
-        coeff = lambda pid: derive_coefficient(
-            net.seed, pid, b"n", net.params.epoch_pk_bytes(), net.params.q
-        )
-        entries = [
-            ParentInput(b"p1", p1_pkt.sigma, p1_pkt.helper, 0),  # zeroed parent
-            ParentInput(b"p2", p2_pkt.sigma, p2_pkt.helper, coeff(b"p2")),
-        ]
-        token, tree = pipcore.logpip_build(entries, net.params, 20)
-        E = gf.linear_combine([p1_pkt.E, p2_pkt.E], [0, entries[1].coeff], net.params.q)
-        sigma = validity.combine_validity(
-            [e.sigma for e in entries], [e.coeff for e in entries], net.params
-        )
-        pkt = finish_packet(net.idents[b"n"], E, sigma, token, net.params, b"c")
+        pkt = net.deviant_packet(BehaviorKind.ZERO_COEFFICIENT, b"p1")
+        tree = net.n_state.current_tree
         assert verify_incoming(net.c_state, pkt) is None  # basics pass; challenge catches it
         results = node_mod.challenge_parent(
             net.c_state, pkt, tree, net.idents[b"n"].sk, t=2, rng=random.Random(5)

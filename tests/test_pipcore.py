@@ -7,12 +7,12 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import hand_tree
+from conftest import deviant_entries, hand_tree
 
 from rlncheck import gf, pipcore, sigcrypto, validity
 from rlncheck.node import derive_coefficient
 from rlncheck.pipcore import ParentInput, Protocol, ViolationKind
-from rlncheck.profiles import TEST
+from rlncheck.sim import BehaviorKind
 from rlncheck.wire import DecodeError, Reader
 
 SEED = b"\x07" * 32
@@ -148,15 +148,22 @@ class TestPipVerifTest:
         token = pipcore.pip_combine(inputs)
         assert pipcore.pip_verif_test(sigma, token, b"nde", set(pks), pks, expected, params) is None
 
-    def test_missing_entry(self, pip_setup):
+    @pytest.mark.parametrize("kind, violation", [
+        (BehaviorKind.SKIP_PARENT, ViolationKind.MISSING_ENTRY),
+        (BehaviorKind.ZERO_COEFFICIENT, ViolationKind.ZERO_COEFFICIENT),
+        (BehaviorKind.WRONG_COEFFICIENT, ViolationKind.WRONG_COEFFICIENT),
+    ])
+    def test_deviation(self, pip_setup, kind, violation):
+        """A token that claims what a deviating sender coded (the
+        catalogue's ``kind`` against the first parent) is flagged."""
         params, inputs, pks, expected, _ = pip_setup
-        kept = inputs[1:]
+        coded, claimed = deviant_entries(kind, inputs, inputs[0].parent_id, params.q)
         sigma = validity.combine_validity(
-            [i.sigma for i in kept], [i.coeff for i in kept], params
+            [i.sigma for i in coded], [i.coeff for i in coded], params
         )
-        token = pipcore.pip_combine(kept)
+        token = pipcore.pip_combine(claimed)
         v = pipcore.pip_verif_test(sigma, token, b"nde", set(pks), pks, expected, params)
-        assert v.kind is ViolationKind.MISSING_ENTRY
+        assert v.kind is violation
 
     def test_entry_outside_required_set(self, pip_setup):
         """A token must name exactly the required set: an extra entry,
@@ -166,27 +173,6 @@ class TestPipVerifTest:
         required = set(pks) - {inputs[0].parent_id}
         v = pipcore.pip_verif_test(sigma, token, b"nde", required, pks, expected, params)
         assert v.kind is ViolationKind.POLICY_VIOLATION
-
-    def test_zero_coefficient(self, pip_setup):
-        params, inputs, pks, expected, _ = pip_setup
-        mutated = [ParentInput(inputs[0].parent_id, inputs[0].sigma, inputs[0].helper_sig, 0)] + inputs[1:]
-        sigma = validity.combine_validity(
-            [i.sigma for i in mutated], [i.coeff for i in mutated], params
-        )
-        token = pipcore.pip_combine(mutated)
-        v = pipcore.pip_verif_test(sigma, token, b"nde", set(pks), pks, expected, params)
-        assert v.kind is ViolationKind.ZERO_COEFFICIENT
-
-    def test_wrong_coefficient(self, pip_setup):
-        params, inputs, pks, expected, _ = pip_setup
-        wrong = (inputs[0].coeff + 1) % params.q or 1
-        mutated = [ParentInput(inputs[0].parent_id, inputs[0].sigma, inputs[0].helper_sig, wrong)] + inputs[1:]
-        sigma = validity.combine_validity(
-            [i.sigma for i in mutated], [i.coeff for i in mutated], params
-        )
-        token = pipcore.pip_combine(mutated)
-        v = pipcore.pip_verif_test(sigma, token, b"nde", set(pks), pks, expected, params)
-        assert v.kind is ViolationKind.WRONG_COEFFICIENT
 
     def test_combine_mismatch(self, pip_setup):
         """Token claims the right coefficients but the signature was
@@ -311,7 +297,7 @@ class TestLogPipTree:
         _, _, params = tiny_epoch
         sender = sigcrypto.keygen(rng, b"nde")
         inputs, pks, expected = make_parents(4, params, rng)
-        cheat = [ParentInput(inputs[0].parent_id, inputs[0].sigma, inputs[0].helper_sig, 0)] + inputs[1:]
+        _, cheat = deviant_entries(BehaviorKind.ZERO_COEFFICIENT, inputs, inputs[0].parent_id, params.q)
         token, tree = pipcore.logpip_build(cheat, params, 20)
         ctx = make_ctx(params, tree, sender)
         idx = next(i for i, inp in enumerate(tree.inputs) if inp.coeff == 0)
@@ -545,7 +531,7 @@ class TestRepeatedRoundBound:
         _, _, params = tiny_epoch
         sender = sigcrypto.keygen(rng, b"nde")
         inputs, pks, expected = make_parents(d, params, rng)
-        cheat = [ParentInput(inputs[0].parent_id, inputs[0].sigma, inputs[0].helper_sig, 0)] + inputs[1:]
+        _, cheat = deviant_entries(BehaviorKind.ZERO_COEFFICIENT, inputs, inputs[0].parent_id, params.q)
         token, tree = pipcore.logpip_build(cheat, params, 20)
         ctx = make_ctx(params, tree, sender)
         ids = [inp.parent_id for inp in tree.inputs]

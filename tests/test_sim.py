@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NETWORK_STRATEGIES
+
 from rlncheck import gf, node as node_mod, pipcore, sigcrypto, sim, validity
 from rlncheck.node import Verdict
 from rlncheck.pipcore import Protocol, ViolationKind
@@ -655,6 +657,42 @@ class TestReadiness:
         assert [n for _, _, n in counts].count(0) >= 2 * len(by_epoch[1])
 
 
+class TestDeviation:
+    """The adversary catalogue, ``sim.deviation``, has a rule for every
+    behavior, at node names and at node ids alike."""
+
+    Q = 11
+
+    # kind -> (coding, claimed) over honest [(a, q - 1), (b, 5)], target a.
+    RULES = {
+        BehaviorKind.HONEST: ([("a", 10), ("b", 5)], [("a", 10), ("b", 5)]),
+        BehaviorKind.REPLAY_OLD: ([("a", 10), ("b", 5)], [("a", 10), ("b", 5)]),
+        BehaviorKind.FORGE_TOKEN: ([("a", 10), ("b", 5)], [("a", 10), ("b", 5)]),
+        BehaviorKind.NON_INNOVATIVE: ([("a", 10), ("b", 5)], [("a", 10), ("b", 5)]),
+        BehaviorKind.FORWARD_ONLY: ([("a", 1)], [("a", 10), ("b", 5)]),
+        BehaviorKind.SKIP_PARENT: ([("b", 5)], [("b", 5)]),
+        BehaviorKind.ZERO_COEFFICIENT: ([("a", 0), ("b", 5)], [("a", 0), ("b", 5)]),
+        BehaviorKind.WRONG_COEFFICIENT: ([("a", 1), ("b", 5)], [("a", 1), ("b", 5)]),
+    }
+
+    @pytest.mark.parametrize("key", [str, str.encode], ids=["name", "id"])
+    @pytest.mark.parametrize("kind", list(BehaviorKind), ids=lambda k: k.value)
+    def test_rule(self, kind, key):
+        honest = [(key("a"), self.Q - 1), (key("b"), 5)]
+        keyed = tuple([(key(p), a) for p, a in pairs] for pairs in self.RULES[kind])
+        assert sim.deviation(kind, honest, key("a"), self.Q) == keyed
+        only = sim.deviation(kind, honest[:1], key("a"), self.Q)
+        assert (only is None) == (kind is BehaviorKind.SKIP_PARENT)
+
+    def test_forged_claims_replace_only_the_target_helper(self, rng):
+        ident = sigcrypto.keygen(rng, b"byz")
+        claims = [pipcore.ParentInput(pid, 2, b"h" * 64, 3) for pid in (b"a", b"b")]
+        forged = sim.forged_claims(claims, b"a", ident.sk)
+        assert forged[1] == claims[1]
+        assert forged[0] == claims[0]._replace(helper_sig=forged[0].helper_sig)
+        assert sigcrypto.verify(ident.pk, b"forged" + b"a", forged[0].helper_sig)
+
+
 def soundness_topology(behavior: Behavior) -> Topology:
     """Redundant-input fixture: byz has three parents whose packets
     overlap (x recodes a and b), and both its children also hear a."""
@@ -675,16 +713,6 @@ def soundness_topology(behavior: Behavior) -> Topology:
         ("a", "c1"), ("a", "c2"),
     ]
     return Topology(nodes=nodes, edges=edges, source="s", byzantine=["byz"])
-
-
-NETWORK_STRATEGIES = {
-    BehaviorKind.SKIP_PARENT: {ViolationKind.MISSING_ENTRY},
-    BehaviorKind.ZERO_COEFFICIENT: {ViolationKind.ZERO_COEFFICIENT},
-    BehaviorKind.WRONG_COEFFICIENT: {ViolationKind.WRONG_COEFFICIENT},
-    BehaviorKind.FORGE_TOKEN: {ViolationKind.BAD_HELPER_SIG},
-    BehaviorKind.FORWARD_ONLY: {ViolationKind.SIGNATURE_COMBINE_MISMATCH},
-    BehaviorKind.NON_INNOVATIVE: {ViolationKind.WRONG_COEFFICIENT},
-}
 
 
 class TestNetworkSoundness:

@@ -1,7 +1,6 @@
 """Homomorphic validity signatures: hand oracles and soundness at desk scale."""
 
 import inspect
-import itertools
 import random
 from dataclasses import replace
 
