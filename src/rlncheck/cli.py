@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import random
 import statistics
 import sys
@@ -201,6 +202,9 @@ _at_least_one, _non_negative = _at_least(1), _at_least(0)
 def cmd_simulate(args) -> int:
     profile = get_profile(args.profile)
     out_path = args.out or "sweep.csv"
+    if not os.path.isdir(os.path.dirname(out_path) or "."):
+        print(f"rlncheck simulate: {out_path}: no such directory", file=sys.stderr)
+        return 2
 
     if args.topology == "random":
         cuts = tuple(range(1, args.mincut + 1))

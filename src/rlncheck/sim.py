@@ -27,11 +27,14 @@ A node re-codes only in a round after one of its accepted inputs
 changed, or, as a Mode-1 adversary, every round; otherwise it resends
 what it last coded (``Simulation._emit_round``).  What a run checks
 once and shares is stated in ``Simulation.run`` and
-``Simulation._accepts``; what is built only when read or shared across
-runs, in ``_SimNode.span``, ``_run_shape``, ``_honest_table`` and, for
-the nodes an adversary cannot reach, ``Simulation._replay``.  The
-outputs are those of re-coding and re-checking everything every round
-at every receiver, with every span kept up to date.
+``Simulation._accepts``; what is built only when read, in
+``_SimNode.span``.  The one cache shared across runs is ``_run_shape``:
+one entry per topology shape, with its parents, children, longest path
+and coding plan, and one record of what the nodes an adversary cannot
+reach did under Protocol.NONE, which later runs of the same key replay
+(``Simulation._replay``).  The outputs are those of re-coding and
+re-checking everything every round at every receiver, with every span
+kept up to date.
 
 The adversary model: Byzantine nodes are omniscient (they code after
 the round's honest emissions and see every child's span) and hold
@@ -282,25 +285,63 @@ def _longest_path(children: dict, order: list[str]) -> int:
     return max(dist.values(), default=0)
 
 
+class _Record(NamedTuple):
+    """What the nodes outside the reach of the first Protocol.NONE run of
+    a key did, for the later runs of that key (see ``Simulation._replay``).
+    Every value is immutable, so that no run can change another's record."""
+
+    key: tuple  # (rng_seed, m, q, epochs)
+    # per epoch: the source's delivery to each child, ((child, vector), ...),
+    # and ``Simulation.rng``'s state after the source round
+    source: tuple
+    # node -> per epoch, the vector it coded in each round 0..rounds, or None
+    sends: MappingProxyType
+    # sink -> (rank, decoded, the last epoch's received vectors)
+    sinks: MappingProxyType
+    # the run's honest-coefficient table (``Simulation._honest_table``)
+    honest: MappingProxyType
+
+
+@dataclass(eq=False)
+class _Shape:
+    """What the runs of one topology shape share (see ``_run_shape``).
+
+    Parents and children are sorted tuples in read-only mappings.  The
+    plan holds a (node, parents) pair per node that codes (an interior
+    node with a child, see the module docstring), by name: the rows of
+    every run's honest-coefficient table, whoever is Byzantine.  The one
+    mutable field is ``record``: the ``_Record`` of the first
+    Protocol.NONE run of the key run last on this shape
+    (``Simulation._replay``).
+    """
+
+    parents: MappingProxyType
+    children: MappingProxyType
+    longest: int
+    plan: tuple
+    record: _Record | None = None
+
+
 @functools.lru_cache(maxsize=4)
-def _run_shape(edges: tuple, roles: tuple, source: str) -> tuple:
-    """(parents, children, longest path) of a valid topology, for a run.
+def _run_shape(edges: tuple, roles: tuple, source: str) -> _Shape:
+    """The shared entry of a valid topology's runs.
 
     ``roles`` holds the (node, role) pairs of ``Topology.nodes`` in order.
-    Parents and children are sorted tuples in read-only mappings.  The
-    key holds every input of ``_checked_adjacency`` and no behaviour, so
-    the mode runs of one sweep point build and check their topology once;
-    an invalid one raises each time, since ``lru_cache`` stores no
-    exception.
+    The key holds every input of ``_checked_adjacency`` and no behaviour,
+    so the mode runs of one sweep point build and check their topology
+    once, and share its record; an invalid one raises each time, since
+    ``lru_cache`` stores no exception.  It is the one cache shared across
+    runs; four entries hold a sweep point's topology and the few that a
+    caller may run in turn.
     """
     topo = Topology(nodes={n: NodeSpec(role=role) for n, role in roles},
                     edges=list(edges), source=source)
     parents, children, order = _checked_adjacency(topo)
-    return (
-        MappingProxyType({n: tuple(ps) for n, ps in parents.items()}),
-        MappingProxyType({n: tuple(cs) for n, cs in children.items()}),
-        _longest_path(children, order),
-    )
+    parents = MappingProxyType({n: tuple(ps) for n, ps in parents.items()})
+    plan = tuple((n, parents[n]) for n, role in sorted(roles)
+                 if role is Role.INTERIOR and children[n])
+    return _Shape(parents, MappingProxyType({n: tuple(cs) for n, cs in children.items()}),
+                  _longest_path(children, order), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -589,64 +630,6 @@ def _memo(checked: dict, key, compute, *args):
     return result
 
 
-@functools.lru_cache(maxsize=4)
-def _honest_table(seed: bytes, context: bytes, q: int, plan: tuple) -> tuple:
-    """The prescribed coefficients of every coding node, as a tuple of
-    (node, ((parent, coefficient), ...)) pairs in ``plan`` order.
-
-    ``plan`` holds (node, parents) pairs, one per node that codes (an
-    interior node with a child, ``Simulation._emit_order``).  With
-    ``seed``, ``context`` (the epoch key bytes, or b"lite") and q it is
-    every input of ``node.derive_coefficients``, so a table is shared
-    only by runs that would derive the same one; each node's row is one
-    batched PRF pass over its parents.  The coefficients are public PRF
-    outputs; no verdict, signature or check is shared.  Tuples, so that
-    no run can change another's table.  The three mode runs of a sweep
-    point use one seed and topology, so two of every three find their
-    table here.
-    """
-    return tuple(
-        (name, tuple(zip(parents, node_mod.derive_coefficients(
-            seed, [p.encode() for p in parents], name.encode(), context, q))))
-        for name, parents in plan
-    )
-
-
-class _Record(NamedTuple):
-    """What the nodes outside a run's reach did, under Protocol.NONE, for
-    the runs that share its key (see ``Simulation._replay``).  Every value
-    is immutable, so that no run can change another's record."""
-
-    # per epoch: the source's delivery to each child, ((child, vector), ...),
-    # and ``Simulation.rng``'s state after the source round
-    source: tuple
-    # node -> per epoch, the vector it coded in each round 0..rounds, or None
-    sends: MappingProxyType
-    # sink -> (rank, decoded, the last epoch's received vectors)
-    sinks: MappingProxyType
-
-
-# The record, (edges, roles, source, rng_seed, m, q, epochs) -> _Record,
-# in the order the keys were first stored.  Its bound is that of
-# ``_run_shape`` and ``_honest_table``: room for the mode runs of one sweep
-# point, so an entry is shared within a point and is gone a few points
-# later.
-_RECORDS = 4
-_records: dict[tuple, _Record] = {}
-
-
-def _store(key: tuple, record: _Record | None, source: list, sends: dict, sinks: dict) -> None:
-    """Store ``record`` (a new one when None) under ``key``, with the nodes
-    of ``sends`` and ``sinks`` added, and drop the entries stored first
-    past _RECORDS."""
-    sends = {n: tuple(per_epoch) for n, per_epoch in sends.items()}
-    if record is not None:
-        source, sends, sinks = record.source, {**record.sends, **sends}, {**record.sinks, **sinks}
-    _records[key] = _Record(tuple(source), MappingProxyType(sends), MappingProxyType(sinks))
-    while len(_records) > _RECORDS:
-        del _records[next(iter(_records))]
-
-
 def _non_innovative_coeffs(
     received: dict, child_spans: list[Span], q: int, rng: random.Random
 ) -> tuple[list[int], CodedVector] | None:
@@ -778,13 +761,15 @@ class Simulation:
     before it is accepted.  What a run checks once and shares is stated
     in ``run`` and ``_accepts``.
 
-    The prescribed coefficients and the parents, children and longest
-    path come from caches shared across runs (``_honest_table``,
-    ``_run_shape``); ``parents`` and ``children`` are read-only mappings
-    of tuples.  A node's span is built only when read (``_SimNode.span``).
-    Under Protocol.NONE a run replays from the record (``_records``) the
-    nodes outside its adversaries' reach that an earlier run of the same
-    key recorded (``_replay``).
+    The parents, children, longest path and coding plan come from the
+    topology's entry in ``_run_shape``, the one cache shared across runs;
+    ``parents`` and ``children`` are read-only mappings of tuples.  A
+    node's span is built only when read (``_SimNode.span``).  The
+    prescribed coefficients are derived once per epoch
+    (``_honest_table``), except that under Protocol.NONE, where they do
+    not change with the epoch, a run derives them once, or takes them
+    from the entry's record when that holds its key; from the record it
+    also replays the nodes outside its adversaries' reach (``_replay``).
     """
 
     def __init__(
@@ -803,17 +788,15 @@ class Simulation:
                 f"m and epochs must be >= 1, as must challenges; got m={m}, epochs={epochs}, "
                 f"challenges={challenges}"
             )
-        self._shape = (
-            tuple(topo.edges), tuple((n, spec.role) for n, spec in topo.nodes.items()),
-            topo.source,
-        )
-        self.parents, self.children, longest = _run_shape(*self._shape)
+        self._shape = _run_shape(tuple(topo.edges), tuple(
+            (n, spec.role) for n, spec in topo.nodes.items()), topo.source)
+        self.parents, self.children = self._shape.parents, self._shape.children
         self.rng_seed = rng_seed
         self.topo = topo
         self.protocol = protocol
         self.verified = protocol is not Protocol.NONE
         self.m = m
-        self.rounds = longest + m
+        self.rounds = self._shape.longest + m
         self.profile = profile
         self.q = profile.q
         self.epochs = epochs
@@ -867,16 +850,10 @@ class Simulation:
             name: _SimNode(spec=topo.nodes[name], state=states.get(name))
             for name in sorted(topo.nodes) if name != topo.source
         }
-        # The nodes that code (see the module docstring).  Omniscient
-        # adversaries code last, after observing this round's honest emissions.
-        self._emit_order = sorted(
-            (n for n in self.nodes
-             if self.topo.nodes[n].role is not Role.SINK and self.children[n]),
-            key=lambda n: (self.topo.nodes[n].behavior.kind is BehaviorKind.NON_INNOVATIVE, n),
-        )
-        # The key of this run's honest-coefficient table: by name, not in
-        # emit order, so runs that differ only in who is Mode 1 share it.
-        self._plan = tuple((n, self.parents[n]) for n in sorted(self._emit_order))
+        # The nodes that code, by name (the plan).  Omniscient adversaries
+        # code last, after observing this round's honest emissions.
+        self._emit_order = sorted((n for n, _ in self._shape.plan), key=lambda n:
+                                  topo.nodes[n].behavior.kind is BehaviorKind.NON_INNOVATIVE)
 
     def _draw_originals(self) -> list[CodedVector]:
         return gf.standard_basis_originals(
@@ -939,6 +916,7 @@ class Simulation:
         key, record, recorded = self._replay()
         src = self.topo.source
         sources = []  # per epoch, the source's deliveries and rng state after them
+        live = [self.nodes[n] for n in self._live]
         replaying = [(self.nodes[n], record.sends[n]) for n in self._order if n in self._replayed]
         logs = {n: [] for n in recorded}
         for epoch in range(1, self.epochs + 1):
@@ -949,11 +927,9 @@ class Simulation:
                     self.master, self.originals, epoch, self.rng, self.profile
                 )
                 self.source_state.enter_epoch(self.params)
-            # Honest coefficients are PRF outputs bound to the epoch key; with
-            # no epoch key, the crypto-free runs bind them to b"lite".
-            context = self.params.epoch_pk_bytes() if self.verified else b"lite"
-            self._honest = dict(_honest_table(self.seed, context, self.q, self._plan))
-            for sim_node in self.nodes.values():
+                # Honest coefficients are PRF outputs bound to the epoch key.
+                self._honest = self._honest_table(self.params.epoch_pk_bytes())
+            for sim_node in live:
                 if sim_node.state is not None:
                     sim_node.state.enter_epoch(self.params)
                 spans += sim_node.synced is not None  # read in the previous epoch
@@ -966,7 +942,8 @@ class Simulation:
                 sim_node.checked.clear()
             self._challenges.clear()
             for sim_node, sends in replaying:
-                sim_node.replay = sends[epoch - 1]
+                # A Mode-1 look-ahead reads a replayed co-parent's ``sent``.
+                sim_node.replay, sim_node.sent = sends[epoch - 1], None
             for name in recorded:
                 self.nodes[name].log = [None] * (self.rounds + 1)
 
@@ -985,7 +962,7 @@ class Simulation:
             for r in range(1, self.rounds + 1):
                 self._ingest_round(r, deliveries)
                 deliveries = self._emit_round(epoch, r)
-            checks += sum(len(sim_node.checked) for sim_node in self.nodes.values())
+            checks += sum(len(sim_node.checked) for sim_node in live)
             challenges += len(self._challenges)
             for name, log in logs.items():
                 log.append(tuple(self.nodes[name].log))
@@ -1003,55 +980,71 @@ class Simulation:
         self.report.sink_ranks = ranks
         self.report.decoded = decoded
         self.report.rounds = self.rounds * self.epochs
-        spans += sum(sim_node.synced is not None for sim_node in self.nodes.values())
-        if recorded:
-            _store(key, record, sources, logs, {
-                s: (ranks[s], decoded[s], tuple(self.nodes[s].received_vectors))
-                for s in ranks if s in logs
-            })
+        spans += sum(sim_node.synced is not None for sim_node in live)
+        if key is not None:
+            sinks = {s: (ranks[s], decoded[s], tuple(self.nodes[s].received_vectors))
+                     for s in ranks if s in logs}
+            self._shape.record = _Record(key, tuple(sources), MappingProxyType(
+                {n: tuple(log) for n, log in logs.items()}), MappingProxyType(sinks), self._honest)
         return self.report, checks, challenges, spans
 
+    def _honest_table(self, context: bytes) -> MappingProxyType:
+        """The prescribed coefficients of every coding node, node ->
+        ((parent, coefficient), ...), from one batched PRF pass per node
+        over its parents (``node.derive_coefficients``) along the shape's
+        plan.  ``context`` is the epoch key bytes, or b"lite".  Read-only,
+        so that a record's table is the same for every run that takes it.
+        """
+        return MappingProxyType({name: tuple(zip(parents, node_mod.derive_coefficients(
+            self.seed, [p.encode() for p in parents], name.encode(), context, self.q)))
+            for name, parents in self._shape.plan})
+
     def _replay(self) -> tuple[tuple | None, _Record | None, list[str]]:
-        """This run's key in the record, the entry it replays, and the nodes
-        it records; (None, None, []) under PIP and Log-PIP, which neither
-        read nor build the record.  Sets ``_replayed``, the nodes taken
-        from the entry, ``_live``, the nodes it simulates, in ``nodes``
-        order, and ``_order``, the nodes that emit, in ``_emit_order``.
+        """The key this run records under, the record it replays, and the
+        nodes it records.  Under PIP and Log-PIP, which neither read nor
+        build a record, that is (None, None, []).  Under Protocol.NONE it
+        is (None, record, []) when the entry's record (``_Shape.record``)
+        holds this run's key (rng_seed, m, q, epochs): the run replays it
+        and records nothing.  Otherwise it is (key, None, nodes): the run
+        simulates every node, and its record, of the nodes outside its
+        reach, replaces the entry's.  Sets ``_replayed``, the nodes taken
+        from the record, ``_live``, the nodes it simulates, in ``nodes``
+        order, ``_order``, the nodes that emit, in ``_emit_order``, and,
+        under Protocol.NONE, the honest table.
 
         Under Protocol.NONE a run's *reach* is every node whose behaviour
         is not HONEST, with all of their descendants.  A node outside the
         reach emits exactly what it emits in the all-honest run: all of its
         inputs come from honest nodes outside the reach, its coefficients
-        from the shared honest table, and the only randomness it sees is
-        the source round's, which ``rng`` draws the same way whatever the
+        from the honest table, and the only randomness it sees is the
+        source round's, which ``rng`` draws the same way whatever the
         behaviours (Mode 1 draws only from ``adversary_rng``).  So every
-        run under one key (edges, roles, source, rng_seed, m, q, epochs)
-        gets the same emissions from it.
+        run of one shape and key gets the same emissions from it.
 
         A run replays every recorded node outside its reach: in its turn
         in ``_emit_order`` such a node sets ``sent`` to what it coded that
-        round (so a Mode-1 view of the other parents is unchanged) and
-        delivers it to its simulated children only; it ingests nothing.
-        The source round is replayed too, and leaves ``rng`` in the state
-        it was recorded with, so later epochs draw the same originals.  A
-        replayed sink takes its rank, decoded flag and last epoch's
-        received vectors from the entry.  Every other node is simulated,
-        and those outside the reach are recorded for the next run.
+        round (so a Mode-1 view of the other parents is unchanged; like a
+        simulated node's, it is None at each epoch start) and delivers it
+        to its simulated children only; it ingests nothing.  The source
+        round is replayed too, and leaves ``rng`` in the state it was
+        recorded with, so later epochs draw the same originals; so is the
+        honest table.  A replayed sink takes its rank, decoded flag and
+        last epoch's received vectors from the record.  Every other node
+        is simulated.
 
-        No simulated node sends to a replayed one.  After each run every
-        node outside its reach is recorded, so the simulated nodes are
-        this run's reach and the nodes inside the reach of every earlier
-        run of the entry; each of those sets holds the descendants of its
-        nodes.
+        No simulated node sends to a replayed one: the simulated nodes
+        are this run's reach and the first run's, and each of those sets
+        holds the descendants of its nodes.
         """
         if self.verified:
             self._replayed, self._live, self._order = set(), tuple(self.nodes), self._emit_order
             return None, None, []
-        key = self._shape + (self.rng_seed, self.m, self.q, self.epochs)
+        key = (self.rng_seed, self.m, self.q, self.epochs)
         reach = _reachable(self.children, *(
             n for n, spec in self.topo.nodes.items() if spec.behavior.kind is not BehaviorKind.HONEST
         ))
-        record = _records.get(key)
+        record = self._shape.record
+        record = record if record is not None and record.key == key else None
         self._replayed = set() if record is None else set(record.sends) - reach
         self._live = tuple(n for n in self.nodes if n not in self._replayed)
         for name in self._replayed:
@@ -1060,7 +1053,13 @@ class Simulation:
         # A replayed node with no simulated child is read by no one.
         self._order = [n for n in self._emit_order
                        if n not in self._replayed or self.nodes[n].replay_to]
-        return key, record, [n for n in self._live if n not in reach]
+        if record is None:
+            # With no epoch key the coefficients are bound to b"lite": one
+            # table serves every epoch.
+            self._honest = self._honest_table(b"lite")
+            return key, None, [n for n in self._live if n not in reach]
+        self._honest = record.honest
+        return None, record, []
 
     def _source_round(self) -> dict[str, list]:
         """One fresh random combination of the originals per source child."""

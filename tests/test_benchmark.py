@@ -48,12 +48,13 @@ def test_every_traced_target_resolves(bench):
 
 
 @pytest.mark.parametrize("name, operations", [
-    ("relay_production", None), ("mode_sweep", 1), ("network_sim", 1),
+    ("relay_production", None), ("mode_sweep", 3), ("network_sim", 1),
 ])
 def test_workload_runs_without_failed_checks(bench, name, operations):
     """The set-up checks, then one whole relay_production round (PIP and
-    Log-PIP, the latter with challenges), or the first operation of
-    mode_sweep or network_sim."""
+    Log-PIP, the latter with challenges), mode_sweep's first sweep point
+    (mode1, then mode2 and mode3, which replay from mode1's record), or
+    network_sim's first operation."""
     _, workloads = bench
     workload = workloads.WORKLOADS[name](1)
     tally = workloads.Tally()

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from rlncheck import cli, sigcrypto
+from rlncheck import cli, sigcrypto, sim
 
 
 def run_cli(argv, capsys):
@@ -155,6 +155,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
         assert re.search(message, err) and str(path) in err
+
+    @pytest.mark.parametrize("topology", ["random", "butterfly"])
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, monkeypatch, topology):
+        """An --out path in a directory that does not exist is a usage
+        error, named in one line before any run."""
+        runs = []
+        monkeypatch.setattr(sim, "mode_rows", lambda *args: runs.append(args))
+        out = tmp_path / "missing" / "rows.csv"
+        code = cli.main(["simulate", "--topology", topology, "--nodes", "12", "--edges", "30",
+                         "--mincut", "2", "--trials", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and runs == [] and not out.parent.exists()
+        assert err == f"rlncheck simulate: {out}: no such directory\n"
 
     @pytest.mark.parametrize("topology", ["random", "butterfly"])
     @pytest.mark.parametrize("packets", ["0", "-3"])

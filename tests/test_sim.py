@@ -506,9 +506,9 @@ class TestLiteSimulation:
 @pytest.fixture
 def code_calls(monkeypatch):
     """Names of the nodes ``Simulation._code`` ran for, in call order.
-    The record starts empty, so a run of a key not run in the test
-    simulates (and codes at) every node."""
-    sim._records.clear()
+    ``_run_shape``, and so every record, starts empty, so a run of a key
+    not run in the test simulates (and codes at) every node."""
+    sim._run_shape.cache_clear()
     calls = []
     code = sim.Simulation._code
 
@@ -567,9 +567,10 @@ def readiness(monkeypatch):
     holds only parents, so that the count is a recount.  Returns the
     (epoch start, node, count) and (round, node, count) records and the
     (node, sender) of each accepted vector that replaced an earlier one
-    from the same sender within an epoch.  The record starts empty, so a
-    run of a key not run in the test simulates every node."""
-    sim._records.clear()
+    from the same sender within an epoch.  ``_run_shape``, and so every
+    record, starts empty, so a run of a key not run in the test simulates
+    every node."""
+    sim._run_shape.cache_clear()
     starts, counts, replaced = [], [], []
     source_round, ingest = sim.Simulation._source_round, sim.Simulation._ingest_round
 
@@ -1165,7 +1166,7 @@ class TestRunCounts:
 
     def test_unverified_run_counts_nothing(self, caplog):
         """A first run of its key simulates every node: it replays none."""
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
         sim.Simulation(MEMO_CASES["random"], Protocol.NONE, m=2, rng_seed=8).run()
         (record,) = [r for r in caplog.records if r.name == "rlncheck.sim"]
@@ -1179,7 +1180,7 @@ class TestRunCounts:
         """Under Protocol.NONE an honest run that simulates every node (the
         record is cleared first) reads a span only for the sinks' ranks at
         the end: one span per sink, in the last epoch."""
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         read = span_reads(monkeypatch)
         caplog.set_level(logging.DEBUG, logger="rlncheck.sim")
         s = sim.Simulation(topo, Protocol.NONE, m=3, rng_seed=8, epochs=epochs)
@@ -1235,7 +1236,7 @@ class TestLazySpans:
     def test_honest_unverified_run_adds_only_to_the_sinks_span(self, monkeypatch):
         """In an honest run that simulates every node (the record is
         cleared first), only the sink's span takes in vectors."""
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         topo = random_topology(30, 200, 3, 1, rng_seed=4)
         added = []
         real = gf.Span.add
@@ -1577,39 +1578,72 @@ class TestModeSweep:
 
 
 class TestHonestTable:
-    """The prescribed coefficients, derived once per (seed, epoch key, q,
-    topology) and shared by the runs that would derive the same table."""
+    """The prescribed coefficients: derived once per epoch under PIP and
+    Log-PIP, and under Protocol.NONE once per key, in the key's first run,
+    whose record the later runs take them from."""
 
     def _topology(self):
         return random_topology(30, 200, 3, 2, rng_seed=9)
 
-    def test_mode_rows_derive_one_table(self):
+    @staticmethod
+    def _derivations(monkeypatch) -> list:
+        """The (node, context) of every ``node.derive_coefficients`` call."""
+        calls = []
+        derive = node_mod.derive_coefficients
+
+        def counted(seed, parent_ids, node_id, context, q):
+            calls.append((node_id.decode(), context))
+            return derive(seed, parent_ids, node_id, context, q)
+
+        monkeypatch.setattr(node_mod, "derive_coefficients", counted)
+        return calls
+
+    def test_mode_rows_derive_one_table(self, monkeypatch):
+        """One derivation per coding node, all in the point's first run."""
         topo = self._topology()
-        sim._honest_table.cache_clear()
+        sim._run_shape.cache_clear()
+        calls, after = self._derivations(monkeypatch), []
+        run = sim.run_simulation
+
+        def counted(*args, **kwargs):
+            report = run(*args, **kwargs)
+            after.append(len(calls))
+            return report
+
+        monkeypatch.setattr(sim, "run_simulation", counted)
         sim.mode_rows(topo, {"t": 3}, seed=4, m=3)
-        info = sim._honest_table.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        plan = sim.Simulation(topo, Protocol.NONE, m=3)._shape.plan
+        assert calls == [(name, b"lite") for name, _ in plan]
+        assert after == [len(plan)] * 3
 
     def test_rows_equal_deriving_every_run(self, monkeypatch):
         topo = self._topology()
         shared = [sim.mode_rows(topo, {"t": 3}, seed, m=3) for seed in range(4)]
-        table = sim._honest_table
-
-        def uncached(*args):
-            table.cache_clear()
-            return table(*args)
-
-        monkeypatch.setattr(sim, "_honest_table", uncached)
+        runs = clear_before_every_run(monkeypatch)
         assert [sim.mode_rows(topo, {"t": 3}, seed, m=3) for seed in range(4)] == shared
+        assert len(runs) == 12 and not any(run._replayed for run in runs)
 
-    def test_verified_run_keys_on_its_epoch_key(self):
+    def test_verified_run_keys_on_its_epoch_key(self, monkeypatch):
+        """A verified run after a Protocol.NONE run of the same key derives
+        its own table in each epoch, from that epoch's key."""
         topo = butterfly_topology()
-        sim._honest_table.cache_clear()
-        run_simulation(topo, Protocol.NONE, m=2, rng_seed=7)
-        before = sim._honest_table.cache_info()
-        run_simulation(topo, Protocol.PIP, m=2, rng_seed=7)
-        after = sim._honest_table.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+        run_simulation(topo, Protocol.NONE, m=2, rng_seed=7, epochs=2)
+        tables, keys = [], []
+        derive, setup = sim.Simulation._honest_table, validity.epoch_setup
+
+        def derived(self, context):
+            tables.append(context)
+            return derive(self, context)
+
+        def keyed(*args):
+            params = setup(*args)
+            keys.append(params.epoch_pk_bytes())
+            return params
+
+        monkeypatch.setattr(sim.Simulation, "_honest_table", derived)
+        monkeypatch.setattr(validity, "epoch_setup", keyed)
+        run_simulation(topo, Protocol.PIP, m=2, rng_seed=7, epochs=2)
+        assert tables == keys and len(set(keys)) == 2
 
     def test_entries_are_the_prf_coefficients(self):
         topo = self._topology()
@@ -1618,17 +1652,23 @@ class TestHonestTable:
         for byz in topo.byzantine:
             attacked = attacked.with_behavior(byz, Behavior(BehaviorKind.NON_INNOVATIVE))
         mode1 = sim.Simulation(attacked, Protocol.NONE, m=3, rng_seed=2)
-        assert mode1._emit_order != honest._emit_order and mode1._plan == honest._plan
-        table = sim._honest_table(honest.seed, b"lite", honest.q, honest._plan)
-        assert isinstance(table, tuple) and all(isinstance(pairs, tuple) for _, pairs in table)
-        assert [name for name, _ in table] == sorted(honest._emit_order)
-        for name, pairs in table:
+        assert mode1._emit_order != honest._emit_order and mode1._shape is honest._shape
+        plan = honest._shape.plan
+        assert [name for name, _ in plan] == sorted(honest._emit_order)
+        honest.run()
+        table = honest._honest
+        assert list(table) == [name for name, _ in plan]
+        assert all(isinstance(pairs, tuple) for pairs in table.values())
+        with pytest.raises(TypeError):
+            table["n000"] = ()
+        for name, pairs in table.items():
             assert tuple(p for p, _ in pairs) == honest.parents[name]
             for p, a in pairs:
                 assert a == node_mod.derive_coefficient(
                     honest.seed, p.encode(), name.encode(), b"lite", honest.q)
-        honest.run()
-        assert honest._honest == dict(table)
+        assert honest._shape.record.honest is table
+        mode1.run()
+        assert mode1._honest is table
 
 
 class TestRunShape:
@@ -1722,17 +1762,18 @@ def _reach(topo: Topology) -> set[str]:
 
 
 def clear_before_every_run(monkeypatch) -> list:
-    """From now on, empty the record before every run, so that every run
-    simulates every node; returns the runs, in order."""
+    """From now on, clear ``_run_shape`` before every run is built, so that
+    every run finds no record and simulates every node; returns the runs,
+    in order."""
     runs = []
-    replay = sim.Simulation._replay
+    init = sim.Simulation.__init__
 
-    def cleared(self):
-        sim._records.clear()
+    def cleared(self, *args, **kwargs):
+        sim._run_shape.cache_clear()
         runs.append(self)
-        return replay(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sim.Simulation, "_replay", cleared)
+    monkeypatch.setattr(sim.Simulation, "__init__", cleared)
     return runs
 
 
@@ -1762,7 +1803,7 @@ class TestRecord:
     def test_sweep_rows_equal_with_the_record_cleared(self, monkeypatch):
         cfg = sim.SweepConfig(node_count=24, edge_count=150, m=3,
                               min_cuts=(1, 2, 3), seeds=(0, 1, 2))
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         shared = mode_sweep(cfg)
         runs = clear_before_every_run(monkeypatch)
         assert mode_sweep(cfg) == shared
@@ -1778,35 +1819,35 @@ class TestRecord:
         orders."""
         topo, seed = RECORD_CASES[case]
         variants = _modes(topo, MODE_ORDERS[order])
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         shared = [_outcome(t, seed, 3, epochs) for t in variants]
-        assert len(sim._records) == 1
+        assert sim._run_shape.cache_info().currsize == 1
         clear_before_every_run(monkeypatch)
         assert [_outcome(t, seed, 3, epochs) for t in variants] == shared
 
     @pytest.mark.parametrize("case", ["byzantine1", "byzantine2", "byzantine3"])
     def test_later_modes_simulate_exactly_mode1s_reach(self, code_calls, case):
-        """After mode1 only its reach is simulated, whatever the mode;
-        mode3 records it, after which an all-honest run replays every node,
-        the sinks included."""
+        """After mode1 only its reach is simulated, whatever the mode, an
+        all-honest run included: a later run records nothing, so the first
+        run's reach is simulated again each time."""
         topo, seed = RECORD_CASES[case]
         mode1, mode2, mode3 = _modes(topo, sim.MODES.values())
         reach = _reach(topo)
         outside = set(topo.nodes) - reach - {topo.source}
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         first = sim.Simulation(mode1, Protocol.NONE, m=3, rng_seed=seed)
         first.run()
         assert first._replayed == set() and set(first._live) == set(first.nodes)
-        for t in (mode2, mode3, mode1):
+        record = first._shape.record
+        assert set(record.sends) == outside
+        for t in (mode2, mode3, mode1, topo):
             s = sim.Simulation(t, Protocol.NONE, m=3, rng_seed=seed)
             del code_calls[:]
             s.run()
             assert set(s._live) == reach and s._replayed == outside
-            assert set(code_calls) <= reach
-        del code_calls[:]
+            assert set(code_calls) <= reach and s._shape.record is record
         replayed = _outcome(topo, seed, 3, 1)
-        assert code_calls == []
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         assert replayed == _outcome(topo, seed, 3, 1)  # ranks, decoded, sinks' vectors, rng
 
     def test_replaying_run_reads_only_what_it_simulates(self, monkeypatch, caplog, code_calls):
@@ -1815,7 +1856,7 @@ class TestRecord:
         the nodes it replayed."""
         topo, seed = RECORD_CASES["byzantine2"]
         mode1, mode2, _ = _modes(topo, sim.MODES.values())
-        sim._records.clear()
+        sim._run_shape.cache_clear()
         sim.Simulation(mode1, Protocol.NONE, m=3, rng_seed=seed).run()
         sources, ingested = [], set()
         source_round, ingest = sim.Simulation._source_round, sim.Simulation._ingest_round
@@ -1843,23 +1884,96 @@ class TestRecord:
 
     @pytest.mark.parametrize("proto", [Protocol.PIP, Protocol.LOGPIP])
     def test_verified_runs_neither_read_nor_build_the_record(self, monkeypatch, proto):
-        monkeypatch.setattr(sim, "_records", None)  # any use raises
-        s = sim.Simulation(butterfly_topology(), proto, m=2, rng_seed=7)
-        assert s.run().sink_ranks == {"n2": 2, "n3": 2} and s._replayed == set()
-
-    def test_holds_at_most_four_immutable_entries(self):
+        """A verified run between two Protocol.NONE runs of one key finds
+        the key's record in its entry and neither reads nor replaces it; the
+        second NONE run replays every node of the all-honest butterfly."""
         topo = butterfly_topology()
-        sim._records.clear()
+        sim._run_shape.cache_clear()
+        first = sim.Simulation(topo, Protocol.NONE, m=2, rng_seed=7)
+        first.run()
+        entry, record = first._shape, first._shape.record
+
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"a verified run read the record's {name}")
+
+        monkeypatch.setattr(entry, "record", Unreadable())
+        s = sim.Simulation(topo, proto, m=2, rng_seed=7)
+        assert s.run().sink_ranks == {"n2": 2, "n3": 2} and s._replayed == set()
+        assert s._shape is entry and isinstance(entry.record, Unreadable)
+        entry.record = record
+        again = sim.Simulation(topo, Protocol.NONE, m=2, rng_seed=7)
+        assert again.run() == first.report and again._replayed == set(again.nodes)
+        assert entry.record is record
+
+    def test_runs_differing_in_one_key_field_replay_nothing(self, monkeypatch):
+        """Consecutive runs of one topology whose keys differ in exactly one
+        of rng_seed, m, q (the profile) and epochs each simulate every node
+        and equal the same run with ``_run_shape`` cleared; each replaces
+        the entry's record with its own."""
+        topo = RECORD_CASES["byzantine1"][0]
+        base = {"rng_seed": 5, "m": 3, "profile": SIM, "epochs": 1}
+        changes = [{"rng_seed": 6}, {"m": 2}, {"profile": TEST}, {"epochs": 2}]
+        keys = [base] + [k for change in changes for k in ({**base, **change}, base)]
+        runs = []
+
+        def outcome(kwargs):
+            s = sim.Simulation(topo, Protocol.NONE, **kwargs)
+            report = s.run()
+            runs.append(s)
+            vectors = {n: s.nodes[n].received_vectors for n in topo.sinks}
+            return report, vectors, s.rng.getstate(), s._shape.record.key
+
+        sim._run_shape.cache_clear()
+        shared = [outcome(kwargs) for kwargs in keys]
+        assert [k for *_, k in shared] == [
+            (kw["rng_seed"], kw["m"], kw["profile"].q, kw["epochs"]) for kw in keys]
+        assert len(runs) == 9 and not any(s._replayed for s in runs)
+        clear_before_every_run(monkeypatch)
+        assert [outcome(kwargs) for kwargs in keys] == shared
+
+    def test_replayed_coparent_sends_nothing_at_each_epoch_start(self):
+        """A replayed node's ``sent`` is None at each epoch start, as a
+        simulated node's is.  Here the Mode-1 node ``byz`` (parents ``s``
+        and ``a``) codes in round 2, while its child's other parent ``r``,
+        three hops from the source, codes from round 3.  So in round 2 the
+        look-ahead must see nothing from ``r``, as in a run that simulates
+        it, and fall back to honest coding, not constrain itself by what
+        ``r`` sent at the end of the epoch before."""
+        nodes = {"s": NodeSpec(Role.SOURCE), "t": NodeSpec(Role.SINK)}
+        nodes.update((n, NodeSpec(Role.INTERIOR)) for n in ("byz", "a", "b", "r", "c"))
+        edges = [("s", "byz"), ("s", "a"), ("a", "byz"), ("a", "b"), ("b", "r"),
+                 ("byz", "c"), ("r", "c"), ("c", "t")]
+        topo = Topology(nodes=nodes, edges=edges, source="s", byzantine=["byz"])
+        topo.validate()
+        mode1 = topo.with_behavior("byz", Behavior(BehaviorKind.NON_INNOVATIVE))
+        sim._run_shape.cache_clear()
+        _outcome(topo, 3, 2, 2)
+        s = sim.Simulation(mode1, Protocol.NONE, m=2, rng_seed=3, epochs=2)
+        replayed = s.run()
+        assert s._replayed == {"a", "b", "r"}
+        sim._run_shape.cache_clear()
+        simulated = sim.Simulation(mode1, Protocol.NONE, m=2, rng_seed=3, epochs=2)
+        assert simulated.run() == replayed
+        assert simulated.adversary_rng.getstate() == s.adversary_rng.getstate()
+
+    def test_one_immutable_record_per_entry(self):
+        """The entry keeps the record of the last key run on it, and no run
+        can change a record."""
+        topo = butterfly_topology()
+        sim._run_shape.cache_clear()
         for seed in range(6):
             run_simulation(topo, Protocol.NONE, m=2, rng_seed=seed)
-        assert [k[-4] for k in sim._records] == [2, 3, 4, 5]
-        for entry in sim._records.values():
-            assert isinstance(entry.source, tuple) and all(
-                isinstance(v, tuple) for v in entry.sends.values())
+        entry = sim.Simulation(topo, Protocol.NONE, m=2)._shape
+        assert sim._run_shape.cache_info().currsize == 1
+        assert entry.record.key == (5, 2, SIM.q, 1)
+        assert isinstance(entry.record.source, tuple) and all(
+            isinstance(v, tuple) for v in entry.record.sends.values())
+        for field in ("sends", "sinks", "honest"):
             with pytest.raises(TypeError):
-                entry.sends["n1"] = ()
-            with pytest.raises(TypeError):
-                entry.sinks["n2"] = ()
+                getattr(entry.record, field)["n1"] = ()
+        with pytest.raises(AttributeError):
+            entry.record.key = None
 
 
 class TestTopologyFile:
