@@ -205,6 +205,9 @@ def cmd_simulate(args) -> int:
     if not os.path.isdir(os.path.dirname(out_path) or "."):
         print(f"rlncheck simulate: {out_path}: no such directory", file=sys.stderr)
         return 2
+    if os.path.isdir(out_path):
+        print(f"rlncheck simulate: {out_path}: is a directory", file=sys.stderr)
+        return 2
 
     if args.topology == "random":
         cuts = tuple(range(1, args.mincut + 1))
@@ -383,7 +386,9 @@ G_BASES = 36  # generators of the G(E) row: n+m of a relay_production packet
 def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
     """ms per combine_validity of d received signatures, for each d in
     PRODUCT_D, per H(c), the product a node signs its draft with, per
-    single-base power, and per G(E) over G_BASES generators."""
+    single-base power, per G(E) over G_BASES generators, and per
+    ``epoch_setup`` of an epoch with G_BASES generators, the source's cost
+    of each new epoch."""
     inputs, params, _ = build_token_fixture(max(PRODUCT_D), profile)
     rng = random.Random(len(inputs))
     c = tuple(gf.random_nonzero(profile.q, rng) for _ in range(params.m))
@@ -399,6 +404,10 @@ def _bench_products(profile: Profile, samples: int) -> dict[str, float]:
     _, wide, ctx = build_token_fixture(1, profile, n_chunks=G_BASES - params.m)
     E = gf.linear_combine(ctx["originals"], c, profile.q)
     out[f"G(E) n+m={G_BASES}"] = _time_op(lambda: validity.sign_validity(wide, E), samples)
+    master, originals, draws = ctx["master"], ctx["originals"], random.Random(G_BASES)
+    out[f"epoch_setup n+m={G_BASES}"] = _time_op(
+        lambda: validity.epoch_setup(master, originals, 1, draws, profile), samples
+    )
     return out
 
 
@@ -524,9 +533,9 @@ def cmd_bench(args) -> int:
         print(f"{n:>5} {span_ms:>10.4f}")
 
     print(f"\nvalidity products ({profile.name}, m=2, {validity.route(profile.p)}):")
-    print(f"{'product':>12} {'ms':>10}")
+    print(f"{'product':>18} {'ms':>10}")
     for name, ms in _bench_products(profile, samples).items():
-        print(f"{name:>12} {ms:>10.4f}")
+        print(f"{name:>18} {ms:>10.4f}")
 
     print(f"\nGF(q) coding ({profile.name}, {sum(CODING_CHUNKS)} chunks per vector):")
     print(f"{'d':>4} {'first_us':>10} {'repeat_us':>10}")

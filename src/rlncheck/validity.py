@@ -48,16 +48,19 @@ order) and gives bit for bit what the powers taken one at a time with
    least NATIVE_BITS = 512 bits, the whole product is one call of
    ``modexp.product``; then every product takes this route.  It pairs
    the terms through OpenSSL's ``BN_mod_exp2_mont``, which takes two
-   powers with one shared chain of squarings, and multiplies the partial
-   results inside libcrypto.  Montgomery arithmetic rejects an even
-   modulus, so an even p takes builtin ``pow`` at any size.  Otherwise
-   each term is one builtin ``pow``.  At the production profile
-   (1024-bit p, 160-bit q) a one-term kernel product costs about 73 us
-   against 0.66 ms for ``pow``, and the kernel beats the tables too
-   (H(c) over 4 bases: 0.17 against 0.64 ms; G(E) over 36: 1.46
-   against 3.85 ms), so no table is built.  Pairing halves the
-   squarings: taken one kernel power per base, H(c) would cost 0.29 ms
-   and G(E) 2.7 ms.  Below 512 bits the fixed cost of a ``ctypes`` call
+   powers with one shared chain of squarings, reuses one Montgomery
+   context per modulus, and multiplies the partial results inside
+   libcrypto; a product of at least ``modexp.SPLIT_PAIRS`` non-zero
+   terms runs in two parts on two threads.  Montgomery arithmetic
+   rejects an even modulus, so an even p takes builtin ``pow`` at any
+   size.  Otherwise each term is one builtin ``pow``.  At the
+   production profile (1024-bit p, 160-bit q) a kernel product costs
+   about 66 us at 1 base, 84 us at 2, 0.17 ms at 4, 0.39 ms at 10 and
+   1.45 ms at 36 on one thread, or 1.15-1.35 ms split.  Builtin ``pow`` costs 0.70 ms
+   per base, and the tables cost 0.67 ms at 4 bases (H(c)) and 4.0 ms
+   at 36 (G(E)), so no table is built.  Pairing halves the squarings:
+   taken one kernel power per base, H(c) would cost about 0.26 ms and
+   G(E) 2.4 ms.  Below 512 bits the fixed cost of a ``ctypes`` call
    dominates: at the sim profile (67-bit p) a one-term kernel product
    costs about 17 us, so ``pow`` serves there.  The bases of
    ``combine_validity`` arrive with each packet, so they get no table;
@@ -65,9 +68,9 @@ order) and gives bit for bit what the powers taken one at a time with
    d = 5 and 330 us at d = 16.  Where the epoch fixes the bases a table
    product still wins: G(E) over 5 bases costs 31-36 us with tables and
    about 100 us without.  Without libcrypto, a production combine at
-   d = 10 costs about 8.5 ms.
+   d = 10 costs about 7 ms.
 
-(Single-threaded CPython 3.11 on a 2-core x86_64 VM.)  Neither route is
+(CPython 3.11 on a 2-core x86_64 VM.)  Neither route is
 constant-time, and builtin ``pow`` is not either.
 
 Drafts: a node that codes E = sum a_i E_i over packets that each
@@ -115,7 +118,7 @@ def _native(p: int) -> bool:
 
 def route(p: int) -> str:
     """The name of the route products mod ``p`` take."""
-    return "libcrypto BN_mod_exp2_mont" if _native(p) else "pure Python"
+    return modexp.route() if _native(p) else "pure Python"
 
 
 def power_product(
@@ -251,6 +254,16 @@ def epoch_setup(
     The original packets must carry standard-basis coding vectors
     (packet j has c_j = 1 and all other coding chunks 0); their sigmas
     become the published original hashes h_j.
+
+    Each generator is g_i = g^{r_i} for a fresh exponent r_i, and the
+    source, which knows the r_i, computes each h_j = G(o_j) as the one
+    power g^(sum_i r_i o_{j,i} mod q): g has order q, so this is
+    prod g_i^{o_{j,i}} bit for bit, for one power in place of n+m (the
+    per-publisher hashing of Krohn, Freedman and Mazieres, IEEE S&P
+    2004).  The r_i are a forging key: whoever knows them can find other
+    vectors with the same hash.  They stay local to this call and are
+    dropped when it returns; they never reach the parameters, the
+    master identity or any cache.
     """
     if not original_packets:
         raise ValueError("epoch_setup requires at least one original packet")
@@ -274,15 +287,14 @@ def epoch_setup(
             seen.add(r)
             exponents.append(r)
     generators = tuple(power_product((g,), (r,), p, q) for r in exponents)
-    draft = SourceEpochParams(k=k, p=p, q=q, generators=generators, original_hashes=(), master_sig=b"")
-    unsigned = replace(
-        draft, original_hashes=tuple(draft._generator_product(pkt.chunks) for pkt in original_packets)
+    original_hashes = tuple(
+        power_product((g,), (sum(r * e for r, e in zip(exponents, pkt.chunks)),), p, q)
+        for pkt in original_packets
     )
-    params = replace(unsigned, master_sig=sigcrypto.sign(master.sk, unsigned.epoch_pk_bytes()))
-    # Carry the generator tables over, if the route built them above.
-    if "_generator_base" in vars(draft):
-        vars(params)["_generator_base"] = draft._generator_base
-    return params
+    unsigned = SourceEpochParams(
+        k=k, p=p, q=q, generators=generators, original_hashes=original_hashes, master_sig=b""
+    )
+    return replace(unsigned, master_sig=sigcrypto.sign(master.sk, unsigned.epoch_pk_bytes()))
 
 
 def verify_epoch(params: SourceEpochParams, master_pk: bytes) -> bool:

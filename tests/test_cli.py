@@ -170,6 +170,18 @@ class TestSimulate:
         assert err == f"rlncheck simulate: {out}: no such directory\n"
 
     @pytest.mark.parametrize("topology", ["random", "butterfly"])
+    def test_out_an_existing_directory(self, tmp_path, capsys, monkeypatch, topology):
+        """An --out path that is a directory is a usage error, named in
+        one line before any run."""
+        runs = []
+        monkeypatch.setattr(sim, "mode_rows", lambda *args: runs.append(args))
+        code = cli.main(["simulate", "--topology", topology, "--nodes", "12", "--edges", "30",
+                         "--mincut", "2", "--trials", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and runs == [] and list(tmp_path.iterdir()) == []
+        assert err == f"rlncheck simulate: {tmp_path}: is a directory\n"
+
+    @pytest.mark.parametrize("topology", ["random", "butterfly"])
     @pytest.mark.parametrize("packets", ["0", "-3"])
     def test_packets_below_one_is_a_usage_error(self, tmp_path, capsys, topology, packets):
         out = tmp_path / "rows.csv"
@@ -250,12 +262,13 @@ class TestBench:
         section = out.split("validity products (sim, m=2, pure Python):\n", 1)[1]
         lines = section.splitlines()
         assert lines[0].split() == ["product", "ms"]
-        rows = [line.strip().rsplit(None, 1) for line in lines[1:7]]
+        rows = [line.strip().rsplit(None, 1) for line in lines[1:8]]
         assert [name for name, _ in rows] == [
-            "combine d=1", "combine d=2", "combine d=10", "H(c)", "power", "G(E) n+m=36"
+            "combine d=1", "combine d=2", "combine d=10", "H(c)", "power", "G(E) n+m=36",
+            "epoch_setup n+m=36",
         ]
         assert all(float(ms) > 0 for _, ms in rows)
-        assert lines[7] == ""
+        assert lines[8] == ""
 
     def test_bench_reports_ed25519_rows(self, bench_run):
         code, out = bench_run

@@ -1,8 +1,9 @@
 """Homomorphic validity signatures: hand oracles and soundness at desk scale."""
 
+import hashlib
 import inspect
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +258,73 @@ class TestSoundness:
                 sigma = validity.combine_validity([p[1] for p in picks], coeffs, params)
                 assert validity.verify_validity(params, E, sigma)
                 pool.append((E, sigma))
+
+
+# (profile, n, m, SHA-256 prefixes of epoch_pk_bytes() and master_sig, and
+# the rng's next 64 bits after epoch_setup), pinned before epoch_setup took
+# the source's trapdoor.
+TRAPDOOR_PINS = [
+    (TEST, 2, 2, "0e2a84aa1d4b89bd4149f765a957d7cd", "41a1d1ddedc9c5f0ebc868873e214e8d",
+     5852917849891658353),
+    (SIM, 2, 3, "6c2d2f662fc269b7689f966038b33eba", "a1cf161cfcfea74f1e4220287c0c8fd1",
+     2572358208257570146),
+    (PRODUCTION, 32, 4, "12d26753d2a5527eabea0cdcf9f7b55b", "99de9b2ae4c18a4f458cd97e3f43ed4f",
+     9078662522132898947),
+]
+
+
+@pytest.mark.usefixtures("route")
+@pytest.mark.parametrize("profile, n, m, pk_sha, sig_sha, next_bits", TRAPDOOR_PINS,
+                         ids=lambda v: getattr(v, "name", None))
+class TestTrapdoor:
+    """epoch_setup hashes the originals with the r_i of g_i = g^{r_i}, and
+    publishes what it did before, whichever route its powers take."""
+
+    @staticmethod
+    def setup_epoch(profile, n, m):
+        """(originals, params, master, the r_i the call drew, the rng after it)."""
+        rng = random.Random(f"trapdoor/{profile.name}")
+        master = sigcrypto.keygen(rng, b"src")
+        originals = gf.standard_basis_originals(
+            [[rng.randrange(profile.q) for _ in range(n)] for _ in range(m)], profile.q
+        )
+        replay = random.Random()
+        replay.setstate(rng.getstate())
+        params = validity.epoch_setup(master, originals, 3, rng, profile)
+        exponents = []
+        while len(exponents) < n + m:
+            r = replay.randrange(1, profile.q)
+            if r not in exponents:
+                exponents.append(r)
+        return originals, params, master, exponents, rng
+
+    def test_hashes_equal_one_pow_per_term(self, profile, n, m, pk_sha, sig_sha, next_bits):
+        originals, params, _, exponents, _ = self.setup_epoch(profile, n, m)
+        p, q = params.p, params.q
+        assert params.generators == tuple(pow(profile.g, r, p) for r in exponents)
+        for o, h in zip(originals, params.original_hashes, strict=True):
+            assert h == reference_product(params.generators, o.chunks, p, q)
+
+    def test_published_bytes_and_rng_are_pinned(self, profile, n, m, pk_sha, sig_sha, next_bits):
+        _, params, _, _, rng = self.setup_epoch(profile, n, m)
+        assert hashlib.sha256(params.epoch_pk_bytes()).hexdigest()[:32] == pk_sha
+        assert hashlib.sha256(params.master_sig).hexdigest()[:32] == sig_sha
+        assert rng.getrandbits(64) == next_bits
+
+    def test_exponents_are_dropped(self, profile, n, m, pk_sha, sig_sha, next_bits):
+        """The parameters hold their fields and caches only, and neither they
+        nor the master identity hold the r_i, after the products have
+        filled the caches."""
+        originals, params, master, exponents, _ = self.setup_epoch(profile, n, m)
+        sigma = validity.sign_validity(params, originals[0])
+        assert validity.verify_validity(params, originals[0], sigma)
+        params.epoch_pk_bytes()
+        names = {f.name for f in fields(params)}
+        assert set(vars(params)) <= names | {"_pk_bytes", "_generator_base", "_hash_base"}
+        for holder in (params, master):
+            for name, value in vars(holder).items():
+                if isinstance(value, (list, tuple)):
+                    assert not set(exponents) <= set(value), name
 
 
 class TestEpochPkBytes:
@@ -600,7 +668,8 @@ class TestRoute:
 
     def test_production_products_call_the_kernel(self, kernel_calls):
         calls, tables = kernel_calls
-        assert validity.route(PRODUCTION.p) == "libcrypto BN_mod_exp2_mont"
+        assert validity.route(PRODUCTION.p) == modexp.route()
+        assert modexp.route().startswith("libcrypto BN_mod_exp2_mont")
         for name in every_product(PRODUCTION):
             assert calls, name
             if name in ("sign_validity", "claimed_validity"):
