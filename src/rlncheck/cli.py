@@ -197,6 +197,8 @@ def _at_least(minimum: int):
 
 
 _at_least_one, _non_negative = _at_least(1), _at_least(0)
+# a source, a sink and two interior nodes, the fewest random_topology builds
+_node_count = _at_least(4)
 
 
 def cmd_simulate(args) -> int:
@@ -455,6 +457,20 @@ def _bench_prf(profile: Profile, samples: int) -> dict[str, float]:
     return {name: ms * 1000.0 / PRF_PARENTS for name, ms in out.items()}
 
 
+TOPOLOGY_SHAPE = (50, 1000)  # nodes and edges of a criterion-6 sweep topology
+TOPOLOGY_CUTS = (1, 5, 10)
+
+
+def _bench_topology(samples: int) -> dict[int, float]:
+    """ms per ``sim.random_topology`` of TOPOLOGY_SHAPE with one Byzantine
+    node, for each min-cut in TOPOLOGY_CUTS: generation, the flow that
+    places the node, and validation, which a sweep point pays once."""
+    nodes, edges = TOPOLOGY_SHAPE
+    return {cut: _time_op(lambda: sim_mod.random_topology(nodes, edges, cut, 1, rng_seed=cut),
+                          samples)
+            for cut in TOPOLOGY_CUTS}
+
+
 ED25519_MESSAGE_BYTES = 256
 
 
@@ -547,6 +563,11 @@ def cmd_bench(args) -> int:
     for name, us in _bench_prf(profile, samples).items():
         print(f"{name:>14} {us:>10.2f}")
 
+    print(f"\nrandom topology ({TOPOLOGY_SHAPE[0]} nodes, {TOPOLOGY_SHAPE[1]} edges, 1 Byzantine):")
+    print(f"{'cut':>4} {'ms':>10}")
+    for cut, ms in _bench_topology(samples).items():
+        print(f"{cut:>4} {ms:>10.4f}")
+
     print(f"\nEd25519 ({ED25519_MESSAGE_BYTES}-byte message, {sigcrypto.route()}):")
     print(f"{'operation':>14} {'us':>10}")
     for name, us in _bench_ed25519(samples).items():
@@ -580,8 +601,8 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="throughput mode sweep to CSV")
     p_sim.add_argument("--topology", default="random",
                        help="random, butterfly, or a topology file path")
-    p_sim.add_argument("--nodes", type=int, default=50)
-    p_sim.add_argument("--edges", type=int, default=1000)
+    p_sim.add_argument("--nodes", type=_node_count, default=50)
+    p_sim.add_argument("--edges", type=_non_negative, default=1000)
     p_sim.add_argument("--mincut", type=_at_least_one, default=10, help="sweep cuts 1..N")
     p_sim.add_argument("--byzantine", type=_non_negative, default=1)
     p_sim.add_argument("--packets", type=_at_least_one, default=5)

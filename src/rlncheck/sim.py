@@ -55,6 +55,7 @@ derive from the one seed.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import logging
@@ -230,10 +231,16 @@ class Topology:
             raise ValueError(f"source {self.source} must be honest, not {spec.behavior.kind.value}")
 
 
-def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
-    """(parents, children, topological order) of a valid topology (see
-    ``Topology``), from one adjacency pass; ValueError naming the first
-    fault otherwise."""
+def _checked_adjacency(topo: Topology) -> tuple[dict, dict, int]:
+    """(parents, children, longest path) of a valid topology (see
+    ``Topology``), from one adjacency pass and one topological pass;
+    ValueError naming the first fault otherwise.
+
+    The pass is Kahn's with a FIFO queue, which takes the nodes in order
+    of depth, the longest path to a node from one with no parent.  So
+    the parent taken last before a node is queued is one of its deepest,
+    the node's depth is that parent's plus one, and the last node taken
+    is as deep as any."""
     names = set(topo.nodes)
     for u, v in topo.edges:
         if u not in names or v not in names:
@@ -247,21 +254,23 @@ def _checked_adjacency(topo: Topology) -> tuple[dict, dict, list[str]]:
     parents, children = topo.adjacency()
     indeg = {n: len(ps) for n, ps in parents.items()}
     queue = deque(sorted(n for n, d in indeg.items() if d == 0))
-    order = []
+    depth = dict.fromkeys(queue, 0)
+    longest = 0
     while queue:
         u = queue.popleft()
-        order.append(u)
+        longest = depth[u]
         for v in children[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
+                depth[v] = longest + 1
                 queue.append(v)
-    if len(order) != len(parents):
+    if len(depth) != len(parents):
         raise ValueError("topology contains a cycle")
     reach = _reachable(children, topo.source)
     for n in topo.nodes:
         if n not in reach:
             raise ValueError(f"node {n} unreachable from source")
-    return parents, children, order
+    return parents, children, longest
 
 
 def _reachable(children: dict, *starts: str) -> set[str]:
@@ -275,14 +284,6 @@ def _reachable(children: dict, *starts: str) -> set[str]:
                 seen.add(v)
                 stack.append(v)
     return seen
-
-
-def _longest_path(children: dict, order: list[str]) -> int:
-    dist = {n: 0 for n in order}
-    for u in order:
-        for v in children[u]:
-            dist[v] = max(dist[v], dist[u] + 1)
-    return max(dist.values(), default=0)
 
 
 class _Record(NamedTuple):
@@ -336,12 +337,12 @@ def _run_shape(edges: tuple, roles: tuple, source: str) -> _Shape:
     """
     topo = Topology(nodes={n: NodeSpec(role=role) for n, role in roles},
                     edges=list(edges), source=source)
-    parents, children, order = _checked_adjacency(topo)
+    parents, children, longest = _checked_adjacency(topo)
     parents = MappingProxyType({n: tuple(ps) for n, ps in parents.items()})
     plan = tuple((n, parents[n]) for n, role in sorted(roles)
                  if role is Role.INTERIOR and children[n])
     return _Shape(parents, MappingProxyType({n: tuple(cs) for n, cs in children.items()}),
-                  _longest_path(children, order), plan)
+                  longest, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +366,10 @@ class _Flow:
     are found in: the max-flow value is unique (Ford and Fulkerson), and
     the slots reachable in the residual graph of *any* maximum flow are
     the source side of the smallest minimum cut.
+
+    The constructor lays the arcs out as ``add_edge`` would, split arcs
+    in node order and then one arc per edge in ``edges`` order, in one
+    loop over the edges; ``add_edge`` adds the arcs of later edges.
     """
 
     def __init__(self, nodes, edges, src: str, dst: str):
@@ -372,19 +377,24 @@ class _Flow:
         self.inp: dict[str, int] = {}
         self.out: dict[str, int] = {}
         self.head: list[int] = []
-        self.residual: list[int] = []
         self.adj: list[list[int]] = []
+        inp, out, head, adj = self.inp, self.out, self.head, self.adj
         for n in nodes:
-            self.inp[n] = len(self.adj)
-            self.adj.append([])
-            if n in (src, dst):
-                self.out[n] = self.inp[n]
+            slot = inp[n] = len(adj)
+            if n == src or n == dst:
+                out[n] = slot
+                adj.append([])
             else:
-                self.out[n] = len(self.adj)
-                self.adj.append([])
-                self._arc(self.inp[n], self.out[n])
+                out[n] = slot + 1
+                adj += ([len(head)], [len(head) + 1])
+                head += (slot + 1, slot)
         for u, v in edges:
-            self.add_edge(u, v)
+            a, b = out.get(u), inp.get(v)
+            if a is not None and b is not None:
+                adj[a].append(len(head))
+                adj[b].append(len(head) + 1)
+                head += (b, a)
+        self.residual: list[int] = [1, 0] * (len(head) // 2)
         self.value = 0
         self.reach: list[bool] = []
 
@@ -410,10 +420,11 @@ class _Flow:
             queue = [s]
             for u in queue:
                 for e in adj[u]:
-                    v = head[e]
-                    if via[v] == -1 and residual[e]:
-                        via[v] = e
-                        queue.append(v)
+                    if residual[e]:
+                        v = head[e]
+                        if via[v] == -1:
+                            via[v] = e
+                            queue.append(v)
                 if via[t] != -1:
                     break
             if via[t] == -1:
@@ -493,14 +504,20 @@ def random_topology(
     Byzantine nodes are the first ``_Flow.cut_candidates`` of the
     sink's smallest minimum cut, so removing any one of them provably
     drops the max-flow by one.  Deterministic per seed; raises
-    ValueError for a negative ``byzantine_count``, and
+    ValueError for a negative ``edge_count`` or ``byzantine_count``, and
     InfeasibleTopologyError when the parameters cannot be met within
     _TOPOLOGY_ATTEMPTS attempts.
 
-    Each attempt builds one integer-indexed flow graph (``_Flow``) and
-    keeps it: feeding a starving tail adds one arc and augments from the
-    current flow, and the placement reads the cut from that flow.
+    Each attempt sorts its edge list once and builds one integer-indexed
+    flow graph (``_Flow``) over it in one pass, and keeps both: feeding
+    a starving tail inserts one edge in order, adds one arc and augments
+    from the current flow, and the placement reads the cut from that
+    flow.  The attempts draw from ``rng`` in the order that
+    ``_random_topology_attempt`` states, and every topology returned has
+    passed ``Topology.validate``.
     """
+    if edge_count < 0:
+        raise ValueError(f"edge_count must be at least 0, got {edge_count}")
     if byzantine_count < 0:
         raise ValueError(f"byzantine_count must be at least 0, got {byzantine_count}")
     if node_count < 4 or target_min_cut < 1:
@@ -527,7 +544,22 @@ def _random_topology_attempt(
     """One generation attempt: layered interior graph, exactly ``target``
     sink in-edges (which caps the max-flow at the target), then add
     upstream capacity until the flow reaches it.  Returns the topology
-    and its maximum flow to the sink."""
+    and its maximum flow to the sink.
+
+    Draw order: one layer per interior node, the sink tails, one shuffle
+    of the forward pairs, then one feeder per repaired node, in index
+    order.  The draws pick by position, so each list drawn from keeps
+    its order too: the pairs list the source's pairs first, then each
+    interior node's, tails and heads in index order.  Any rebuild of a
+    step keeps both orders, or a seed gives another topology.
+
+    The edge list is put in sorted order once and kept sorted as
+    edges join it (``bisect.insort``); ``_Flow`` and ``Topology`` share
+    it.  While the interior names sort in index order (at most 1,000 of
+    them), the chosen pairs are read off the pairs' order before the
+    shuffle, the source's pairs moved last since "s" sorts after every
+    "n" name; past that they are sorted.
+    """
     src, dst = "s", "t"
     interior = [f"n{i:03d}" for i in range(node_count - 2)]
     if target > len(interior):
@@ -542,21 +574,32 @@ def _random_topology_attempt(
     by_depth = sorted(interior, key=lambda n: (-layer[n], n))
     tails = sorted(rng.sample(by_depth[: max(target * 3, target)], target))
 
-    pairs = [
-        (u, v)
-        for u in [src] + interior
-        for v in interior
-        if u != v and layer[u] < layer[v]
-    ]
-    rng.shuffle(pairs)
+    # Forward pairs (u, v) with layer[u] < layer[v]: above[k] holds the
+    # interior nodes of the layers above k, in index order.
+    above = [[v for v in interior if layer[v] > k] for k in range(n_layers + 1)]
+    pairs = [(u, v) for u in [src] + interior for v in above[layer[u]]]
+    shuffled = pairs.copy()
+    rng.shuffle(shuffled)
     budget = max(edge_count - target, 0)
-    edges = set(pairs[:min(budget, len(pairs))])
-    edges |= {(u, dst) for u in tails}
+    edges = set(shuffled[:budget])
+    if len(interior) <= 1000:
+        own = len(above[0])  # the source's pairs, listed first
+        ordered = [e for e in pairs[own:] + pairs[:own] if e in edges]
+    else:
+        ordered = sorted(edges)
+
+    def add(edge: tuple[str, str]) -> None:
+        if edge not in edges:  # a repair may draw an edge already chosen
+            edges.add(edge)
+            bisect.insort(ordered, edge)
+
+    for u in tails:
+        add((u, dst))
 
     # Repair: every interior node reachable from the source (dead-end
     # interiors are fine; only the sink must be fed at full capacity).
     children_map: dict[str, list[str]] = {n: [] for n in layer}
-    for u, v in edges:
+    for u, v in ordered:
         children_map[u].append(v)
     seen = _reachable(children_map, src)
     for name in interior:
@@ -564,24 +607,24 @@ def _random_topology_attempt(
             feeders = [u for u in [src] + interior if layer[u] < layer[name] and u in seen]
             if not feeders:
                 feeders = [src]
-            edges.add((rng.choice(feeders), name))
+            add((rng.choice(feeders), name))
             seen.add(name)
 
     nodes = {src: NodeSpec(role=Role.SOURCE), dst: NodeSpec(role=Role.SINK)}
     for name in interior:
         nodes[name] = NodeSpec(role=Role.INTERIOR)
-    flow = _Flow(nodes, sorted(edges), src, dst)
+    flow = _Flow(nodes, ordered, src, dst)
 
     # The sink in-degree bounds the flow by `target`; raise the flow up to
     # it by feeding starving tails straight from the source, augmenting
     # from the flow already found.
     for _ in range(2 * target + 4):
         if flow.augment() == target:
-            return Topology(nodes=nodes, edges=sorted(edges), source=src), flow
+            return Topology(nodes=nodes, edges=ordered, source=src), flow
         u = next((u for u in tails if (src, u) not in edges), None)
         if u is None:
             return None
-        edges.add((src, u))
+        add((src, u))
         flow.add_edge(src, u)
     return None
 

@@ -75,7 +75,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("argv, skipped, code", [
         (["--nodes", "5", "--edges", "8", "--mincut", "4"], [(4, 0), (4, 1)], 0),
-        (["--nodes", "3", "--mincut", "1"], [(1, 0), (1, 1)], 1),
+        (["--nodes", "4", "--byzantine", "3", "--mincut", "1"], [(1, 0), (1, 1)], 1),
     ], ids=["one_cut", "every_pair"])
     def test_skipped_pairs_on_stderr(self, tmp_path, capsys, argv, skipped, code):
         """Each (cut, seed) pair with no feasible topology is named on
@@ -205,6 +205,33 @@ class TestSimulate:
         assert exit_.value.code == 2 and not out.exists()
         assert f"argument {flag}: must be at least {floor}, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("topology", ["random", "butterfly"])
+    @pytest.mark.parametrize("flag, value, floor", [
+        ("--nodes", "3", 4), ("--nodes", "-1", 4), ("--edges", "-5", 0),
+    ])
+    def test_sizes_below_their_floor_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                                      topology, flag, value, floor):
+        """Fewer than 4 nodes would skip every pair as infeasible, and a
+        negative edge count would run as no edges: both are refused while
+        the arguments are parsed, before any topology is built."""
+        built = []
+        monkeypatch.setattr(sim, "random_topology", lambda *args, **kw: built.append(args))
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["simulate", "--topology", topology, flag, value, "--out", str(out)])
+        assert exit_.value.code == 2 and built == [] and not out.exists()
+        assert f"argument {flag}: must be at least {floor}, got {value}" in capsys.readouterr().err
+
+    def test_smallest_sizes_run(self, tmp_path, capsys):
+        """4 nodes and no edges are the floors themselves: the repair and
+        feed edges make every cut-1 topology."""
+        out = tmp_path / "rows.csv"
+        code = cli.main(["simulate", "--nodes", "4", "--edges", "0", "--mincut", "1",
+                         "--packets", "2", "--trials", "2", "--out", str(out)])
+        assert code == 0 and "skipped" not in capsys.readouterr().err
+        with open(out) as f:
+            assert [row["runs"] for row in csv.DictReader(f)] == ["2", "2", "2"]
+
 
 class TestSizes:
     def test_audit_passes(self, capsys):
@@ -291,6 +318,17 @@ class TestBench:
         assert [name for name, _ in rows] == ["one at a time", "batch"]
         assert all(float(us) > 0 for _, us in rows)
         assert lines[3] == ""
+
+    def test_bench_reports_topology_rows(self, bench_run):
+        code, out = bench_run
+        assert code == 0
+        section = out.split("random topology (50 nodes, 1000 edges, 1 Byzantine):\n", 1)[1]
+        lines = section.splitlines()
+        assert lines[0].split() == ["cut", "ms"]
+        rows = [line.split() for line in lines[1:4]]
+        assert [int(cut) for cut, _ in rows] == [1, 5, 10]
+        assert all(float(ms) > 0 for _, ms in rows)
+        assert lines[4] == ""
 
     def test_bench_reports_coding_rows(self, bench_run):
         code, out = bench_run

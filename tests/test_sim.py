@@ -315,6 +315,24 @@ class TestFlowOracle:
             assert flow.value == value, i
             assert flow.cut_candidates(topo) == candidates, i
 
+    def test_one_loop_build_equals_adding_each_edge(self):
+        """The constructor lays out the slots and arcs that adding its
+        edges one by one to an edgeless flow does: a duplicate edge is a
+        second arc, and an edge with an unknown endpoint is left out."""
+        for i, topo in enumerate(_oracle_topologies()[::5]):
+            u, v = topo.edges[0]
+            edges = [("ghost", v), *topo.edges, (u, v), (u, "ghost")]
+            built = sim._Flow(topo.nodes, edges, "s", "t")
+            added = sim._Flow(topo.nodes, [], "s", "t")
+            for e in edges:
+                added.add_edge(*e)
+            assert (built.inp, built.out) == (added.inp, added.out), i
+            assert built.head == added.head, i
+            assert built.residual == added.residual, i
+            assert built.adj == added.adj, i
+            arcs = len(topo.nodes) - 2 + len(topo.edges) + 1
+            assert len(built.head) == 2 * arcs, i
+
 
 class TestRandomTopology:
     def test_paper_parameters(self):
@@ -368,12 +386,36 @@ class TestRandomTopology:
         (50, 1000, 6, 3, 6006): "ecd964cd1cce90dd",
     }
 
+    # recorded at 2baa8ba, before the one-sort build, for the paths the
+    # cases above miss: the feed loop, the repair draws, and more than
+    # 1,000 interior nodes, where "n1000" sorts before "n101" and a repair
+    # draws an edge that the shuffle already chose
+    PATHS = {
+        "feed": ((16, 30, 3, 2, 6), "449395501672e58c"),
+        "repair": ((20, 40, 3, 1, 0), "db72c06528f23396"),
+        "feed_and_repair": ((8, 12, 4, 1, 9), "d462cdf80527ca31"),
+        "over_1000_interior": ((1010, 3000, 3, 1, 1), "f54474e75056ce95"),
+    }
+
+    @staticmethod
+    def _digest(case) -> str:
+        """The pinned prefix of ``case``'s topology; its edges are listed
+        sorted, each once."""
+        topo = random_topology(*case[:4], rng_seed=case[4])
+        assert topo.edges == sorted(set(topo.edges))
+        return hashlib.sha256(json.dumps([topo.edges, topo.byzantine]).encode()).hexdigest()[:16]
+
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_edges_and_byzantine(self, case):
         """Generation and Byzantine placement stay what they were."""
-        topo = random_topology(*case[:4], rng_seed=case[4])
-        digest = hashlib.sha256(json.dumps([topo.edges, topo.byzantine]).encode())
-        assert digest.hexdigest()[:16] == self.PINNED[case]
+        assert self._digest(case) == self.PINNED[case]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_pinned_paths(self, path):
+        """The feed loop, the repair draws and the sort past 1,000
+        interior nodes build what they built."""
+        case, digest = self.PATHS[path]
+        assert self._digest(case) == digest
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleTopologyError):
@@ -385,6 +427,13 @@ class TestRandomTopology:
         candidates off as Byzantine."""
         with pytest.raises(ValueError, match="byzantine_count must be at least 0"):
             random_topology(10, 30, 3, count, rng_seed=0)
+
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_edge_count_raises(self, count):
+        """A negative count would build the same topology as no edges at
+        all, and say nothing."""
+        with pytest.raises(ValueError, match="edge_count must be at least 0"):
+            random_topology(10, count, 3, 1, rng_seed=0)
 
     def test_adjacency_matches_parents_and_children(self):
         for topo in (butterfly_topology(), random_topology(30, 200, 3, 1, rng_seed=4)):
@@ -1733,15 +1782,47 @@ class TestRunShape:
         for kind, proto in itertools.product(BehaviorKind, (Protocol.NONE, Protocol.PIP)):
             s = sim.Simulation(topo.with_behavior("n1", Behavior(kind)), proto, m=2, epochs=2)
             s.run()
-        parents, children, order = sim._checked_adjacency(topo)
+        parents, children, _ = sim._checked_adjacency(topo)
         for shape in (s.parents, s.children):
             with pytest.raises(TypeError):
                 shape["n1"] = ()
             assert all(isinstance(v, tuple) for v in shape.values())
         assert s.parents == {n: tuple(ps) for n, ps in parents.items()}
         assert s.children == {n: tuple(c for c in cs if c != "s") for n, cs in children.items()}
-        assert s.rounds == sim._longest_path(children, order) + 2
+        assert s.rounds == _longest_path(topo) + 2
         assert sim._run_shape.cache_info().currsize == 1
+
+    def test_longest_path_of_the_topological_pass(self):
+        """The longest path that the one topological pass reads off the
+        levels it takes the nodes in, against one found from the parents,
+        on the generator's topologies and on DAGs whose nodes each draw
+        one to three earlier parents, so that short cuts skip levels."""
+        rng = random.Random(15)
+        topos = [butterfly_topology(), random_topology(24, 150, 3, 1, rng_seed=4),
+                 random_topology(50, 1000, 5, 1, rng_seed=7)]
+        for _ in range(40):
+            names = ["s"] + [f"n{i:02d}" for i in range(rng.randint(1, 12))]
+            edges = [(u, v) for j, v in enumerate(names[1:], 1)
+                     for u in rng.sample(names[:j], rng.randint(1, min(j, 3)))]
+            rng.shuffle(edges)
+            roles = {n: Role.INTERIOR for n in names} | {"s": Role.SOURCE, names[-1]: Role.SINK}
+            topos.append(Topology(nodes={n: NodeSpec(r) for n, r in roles.items()},
+                                  edges=edges, source="s"))
+        for i, topo in enumerate(topos):
+            assert sim._checked_adjacency(topo)[2] == _longest_path(topo), i
+
+
+def _longest_path(topo: Topology) -> int:
+    """The most edges on a path of ``topo``: a node with no parent is at
+    depth 0, any other one deeper than each of its parents."""
+    depth: dict[str, int] = {}
+
+    def of(n: str) -> int:
+        if n not in depth:
+            depth[n] = max((of(u) + 1 for u, v in topo.edges if v == n), default=0)
+        return depth[n]
+
+    return max(map(of, topo.nodes), default=0)
 
 
 def _modes(topo: Topology, kinds) -> list[Topology]:
